@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build lint test test-short race bench-smoke bench-workers test-telemetry test-observability test-checkpoint bench-fi bench-regression test-fusion bench-fitness test-adaptive test-compose bench-compose test-service test-fuzz bench-shard e2e-service report profile ci
+.PHONY: build lint test test-short race bench-smoke bench-workers test-telemetry test-observability test-checkpoint bench-fi bench-regression test-fusion bench-fitness test-adaptive test-compose bench-compose test-service test-fuzz bench-shard e2e-service bench-check report profile ci
 
 build:
 	$(GO) build ./...
@@ -96,8 +96,10 @@ bench-fitness:
 # Adaptive stratified FI gate, in two parts: (1) the adaptive-vs-full
 # equivalence suite — on >=5/7 benchmarks the composed stratified estimate
 # must land inside the full 1000-trial campaign's Wilson interval while
-# spending >=30% fewer trials — plus worker/batch invariance (bit-identical
-# results at workers 1/4 and batch sizes 1/8/64) and the Wilson-interval
+# spending >=30% fewer trials, and on every kernel the adaptive burst-fault
+# interval must overlap the flat burst campaign's — plus worker/batch
+# invariance (bit-identical results at workers 1/4 and batch sizes 1/8/64,
+# and 1/64 under every non-default fault model) and the Wilson-interval
 # property tests; (2) the core/experiments threading tests (adaptive final
 # campaign, adaptive baseline, rejection bound).
 test-adaptive:
@@ -199,6 +201,21 @@ e2e-service:
 	grep -q 'drained, bye' $(E2E_DIR)/peppaxd-e2e.log || rc=1; exit $$rc
 	@echo "remote and in-process fi output byte-identical; graceful drain ok"
 
+# Benchmark build gate. perfbench/ is its own Go module (replace repro =>
+# ../), so build, test and ci never compile it: vet and test it in place,
+# then smoke-run each workload for one second and fail unless its last
+# output line (the result document) reports "correct":true — perfbench
+# exits 0 even when its checks fail. Never pass --workload all here: that
+# run rewrites BENCHMARK.json.
+bench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+	@for w in pipeline campaign service; do \
+		last="$$(bash perfbench/run.sh --workload $$w --seed 1 --seconds 1 --trace 0 | tail -n 1)"; \
+		echo "$$w: $$last"; \
+		case "$$last" in *'"correct":true'*) ;; \
+		*) echo "bench-check: workload $$w failed its checks"; exit 1 ;; esac; \
+	done
+
 # Regenerate the full experiment report (report_full.txt/report_full.json
 # are generated artifacts, not committed; the default configuration takes
 # minutes — add ARGS="-quick" for a fast smoke report).
@@ -262,5 +279,6 @@ test-observability:
 # race, bench-smoke, fi-checkpoint (test-checkpoint + bench-fi),
 # fitness-perf (test-fusion + bench-fitness), test-adaptive, test-compose,
 # test-service, e2e-service, test-telemetry, test-observability,
-# bench-regression. Keep this list in sync with .github/workflows/ci.yml.
-ci: build lint test race bench-smoke test-checkpoint bench-fi test-fusion bench-fitness test-adaptive test-compose test-service e2e-service test-telemetry test-observability bench-regression
+# bench-regression, bench-check. Keep this list in sync with
+# .github/workflows/ci.yml.
+ci: build lint test race bench-smoke test-checkpoint bench-fi test-fusion bench-fitness test-adaptive test-compose test-service e2e-service test-telemetry test-observability bench-regression bench-check

@@ -47,7 +47,7 @@ func benchBaseline(b *testing.B, workers int) {
 		core.RandomSearch(bench, core.BaselineOptions{
 			TrialsPerInput: 1000,
 			MaxInputs:      4,
-			Workers:        workers,
+			FIOptions:      core.FIOptions{Workers: workers},
 		}, xrand.New(7))
 	}
 }

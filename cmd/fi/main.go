@@ -5,8 +5,13 @@
 // Usage:
 //
 //	fi -bench hpccg [-input "3,3,3,15,17"] [-trials 1000] [-perinstr]
-//	   [-top 10] [-seed 1] [-checkpoint-interval 0] [-trace out.jsonl] [-metrics]
-//	   [-metrics-addr 127.0.0.1:9464] [-heat-topk 10] [-adaptive] [-ci-target 0.035]
+//	   [-top 10] [-seed 1] [-parallel N] [-shards N] [-remote URL]
+//	   [shared FI and telemetry flags]
+//
+// The shared flags (-checkpoint-interval, -batch, -adaptive, -ci-target,
+// -compose, -compose-threshold, -fault-model, -heat-topk, -trace,
+// -trace-wallclock, -metrics, -metrics-addr) mean the same here as in
+// peppax and experiments.
 //
 // -adaptive switches the whole-program campaign to the adaptive stratified
 // runner: injection targets are partitioned into dyn-count-ranked strata,
@@ -14,6 +19,7 @@
 // the composed 95% Wilson half-width falls below -ci-target (default
 // 0.035, the flat 1000-trial campaign's worst-case accuracy) — so -trials
 // becomes a cap, not a constant. Setting -ci-target > 0 implies -adaptive.
+// Every -fault-model works with it.
 //
 // Without -input the benchmark's default reference input is used. -trace
 // writes a deterministic JSONL trace (golden-run profile plus the campaign
@@ -39,10 +45,10 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/cmd/internal/cli"
 	"repro/internal/campaign"
 	"repro/internal/compose"
 	"repro/internal/fault"
-	"repro/internal/parallel"
 	"repro/internal/prog"
 	"repro/internal/service"
 	"repro/internal/stats"
@@ -58,28 +64,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("fi", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		bench       = fs.String("bench", "pathfinder", "benchmark: "+strings.Join(prog.Names(), ", "))
-		input       = fs.String("input", "", "comma-separated input values (default: reference input)")
-		trials      = fs.Int("trials", 1000, "FI trials (whole-program mode) or trials per instruction")
-		perInstr    = fs.Bool("perinstr", false, "measure per-instruction SDC probabilities")
-		top         = fs.Int("top", 15, "how many most-SDC-prone instructions to list (per-instruction mode)")
-		seed        = fs.Uint64("seed", 1, "RNG seed")
-		workers     = fs.Int("parallel", 0, "fan trials across N workers (0 = serial; §5.2 parallelization)")
-		multibit    = fs.Bool("multibit", false, "use the double-bit-flip fault model (same as -fault-model doubleflip)")
-		faultModel  = fs.String("fault-model", "", "fault model for campaign trials: "+strings.Join(fault.ModelNames(), ", ")+" (default bitflip)")
-		tracePath   = fs.String("trace", "", "write a deterministic JSONL telemetry trace to this file (byte-identical for any -parallel)")
-		traceWall   = fs.Bool("trace-wallclock", false, "timestamp the -trace file with wall-clock nanoseconds instead of the deterministic cost clock (marks the trace non-reproducible)")
-		metrics     = fs.Bool("metrics", false, "print an end-of-run telemetry summary (counters, gauges, worker-pool utilization)")
-		metricsAddr = fs.String("metrics-addr", "", "serve live Prometheus metrics on this address (e.g. 127.0.0.1:9464) at /metrics, with /healthz liveness")
-		heatTopK    = fs.Int("heat-topk", 0, "per-instruction heat events in the trace carry this many instructions (0 = default 10, negative disables; -perinstr mode)")
-		ckptIval    = fs.Int64("checkpoint-interval", 0, "golden-prefix snapshot spacing in dynamic instructions (0 = auto, -1 = disable)")
-		batch       = fs.Int("batch", 0, "lockstep batch size: run trials sharing a checkpoint as one batch with a shared trunk replay (0 = per-trial; implies per-trial RNG streams like -parallel)")
-		adaptive    = fs.Bool("adaptive", false, "adaptive stratified campaign: stop once the composed 95% CI half-width falls below -ci-target; -trials becomes the spend cap")
-		ciTarget    = fs.Float64("ci-target", 0, "95% CI half-width target for -adaptive (0 = default 0.035; setting this implies -adaptive)")
-		composeMode = fs.Bool("compose", false, "compositional estimate: measure per-segment SDC profiles once, compose them under the input's dynamic mix, and compare against a direct -trials campaign")
-		composeThr  = fs.Float64("compose-threshold", 0, "profile re-measurement drift trigger for -compose (0 = default 0.05, negative = never re-measure)")
-		shards      = fs.Int("shards", 0, "split the campaign's trials into N shards run concurrently (0/1 = unsharded; tallies are bit-identical at any shard count)")
-		remote      = fs.String("remote", "", "submit the campaign to a peppaxd server at this base URL (e.g. http://127.0.0.1:9470) instead of running in-process")
+		bench    = fs.String("bench", "pathfinder", "benchmark: "+strings.Join(prog.Names(), ", "))
+		input    = fs.String("input", "", "comma-separated input values (default: reference input)")
+		trials   = fs.Int("trials", 1000, "FI trials (whole-program mode) or trials per instruction")
+		perInstr = fs.Bool("perinstr", false, "measure per-instruction SDC probabilities")
+		top      = fs.Int("top", 15, "how many most-SDC-prone instructions to list (per-instruction mode)")
+		seed     = fs.Uint64("seed", 1, "RNG seed")
+		workers  = fs.Int("parallel", 0, "fan trials across N workers (0 = serial; §5.2 parallelization)")
+		shards   = fs.Int("shards", 0, "split the campaign's trials into N shards run concurrently (0/1 = unsharded; tallies are bit-identical at any shard count)")
+		remote   = fs.String("remote", "", "submit the campaign to a peppaxd server at this base URL (e.g. http://127.0.0.1:9470) instead of running in-process")
+		cf       = cli.Register(fs)
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -90,63 +84,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	// Resolve the fault model; -multibit is the historical spelling of
-	// -fault-model doubleflip. A nil model is the single-flip default and
-	// keeps every path byte-identical to earlier releases.
-	if *multibit {
-		if *faultModel != "" && *faultModel != fault.DoubleFlip.Name() {
-			return fail(fmt.Errorf("-multibit conflicts with -fault-model %s", *faultModel))
-		}
-		*faultModel = fault.DoubleFlip.Name()
-	}
-	model, err := fault.CampaignModel(*faultModel)
+	fi, err := cf.FI()
 	if err != nil {
 		return fail(err)
 	}
-
-	var rec *telemetry.Recorder
-	if *tracePath != "" || *metrics || *metricsAddr != "" {
-		var sink io.Writer
-		if *tracePath != "" {
-			f, err := os.Create(*tracePath)
-			if err != nil {
-				return fail(err)
-			}
-			defer f.Close()
-			sink = f
-		}
-		rec = telemetry.New(telemetry.Options{Sink: sink, WallClock: *traceWall})
-		parallel.SetObserver(telemetry.PoolObserver(rec))
-		defer parallel.SetObserver(nil)
-		var ms *telemetry.MetricsServer
-		if *metricsAddr != "" {
-			var err error
-			ms, err = rec.ServeMetrics(*metricsAddr)
-			if err != nil {
-				return fail(err)
-			}
-			defer ms.Close()
-			fmt.Fprintf(stderr, "fi: serving metrics on http://%s/metrics\n", ms.Addr())
-		}
-		defer func() {
-			if err := rec.Close(); err != nil {
-				fmt.Fprintln(stderr, "fi: trace:", err)
-			}
-			if *metrics {
-				fmt.Fprint(stdout, rec.Summary())
-			}
-		}()
-		// Deferred closes never run under os.Exit, so a SIGINT/SIGTERM must
-		// flush the trace and metrics endpoint itself before dying.
-		stop := telemetry.OnShutdownSignal(func(sig os.Signal) {
-			rec.Close()
-			if ms != nil {
-				ms.Close()
-			}
-			os.Exit(telemetry.SignalExitCode(sig))
-		})
-		defer stop()
+	rec, stop, err := cf.StartTelemetry("fi", stdout, stderr)
+	if err != nil {
+		return fail(err)
 	}
+	defer stop()
 
 	b := prog.Build(*bench)
 	tr := rec.Stream("fi/" + b.Name)
@@ -168,7 +114,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *remote != "" {
-		if *perInstr || *composeMode {
+		if *perInstr || fi.Compose {
 			return fail(fmt.Errorf("-remote supports whole-program flat and -adaptive campaigns only"))
 		}
 		return runRemote(stdout, stderr, b, in, &service.JobSpec{
@@ -177,21 +123,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 			Input:              in,
 			Trials:             *trials,
 			Seed:               *seed,
-			FaultModel:         *faultModel,
+			FaultModel:         cf.FaultModel,
 			Workers:            *workers,
-			Batch:              *batch,
+			Batch:              fi.BatchSize,
 			Shards:             *shards,
-			CheckpointInterval: *ckptIval,
-			Adaptive:           *adaptive,
-			CITarget:           *ciTarget,
+			CheckpointInterval: fi.CheckpointInterval,
+			Adaptive:           cf.Adaptive,
+			CITarget:           cf.CITarget,
 		}, *remote)
 	}
 
-	if *perInstr && model != nil {
+	if *perInstr && fi.Model != nil {
 		return fail(fmt.Errorf("-perinstr supports the single-bit model only"))
 	}
 	rng := xrand.New(*seed)
-	g, err := campaign.NewGoldenCheckpointed(b.Prog, b.Encode(in), b.MaxDyn, *ckptIval)
+	g, err := campaign.NewGoldenCheckpointed(b.Prog, b.Encode(in), b.MaxDyn, fi.CheckpointInterval)
 	if err != nil {
 		return fail(err)
 	}
@@ -207,11 +153,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *perInstr {
 		ids := campaign.AllInstructionIDs(b.Prog)
 		var results []campaign.InstrResult
-		if *batch > 0 || *workers >= 1 {
+		if fi.BatchSize > 0 || *workers >= 1 {
 			// The parallel runner seeds each instruction's stream from its
 			// ID, so tallies are identical for any -parallel and -batch.
 			results = campaign.PerInstructionParallel(b.Prog, g, ids, *trials, campaign.ParallelOptions{
-				Workers: *workers, Seed: *seed, BatchSize: *batch,
+				Workers: *workers, Seed: *seed, BatchSize: fi.BatchSize,
 			})
 		} else {
 			results = campaign.PerInstruction(b.Prog, g, ids, *trials, rng)
@@ -227,17 +173,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 			telemetry.F("instrs", len(ids)),
 			telemetry.F("trials", total),
 			telemetry.F("dyn", dyn))
-		if *heatTopK >= 0 {
+		if fi.HeatTopK >= 0 {
 			// Heat weights the measured per-instruction SDC score by each
 			// instruction's dynamic-execution fraction — the live form of
 			// the Figure 2 heat map.
 			scores := stats.Normalize(campaign.PerInstructionVector(b.Prog.NumInstrs(), results))
 			telemetry.EmitHeatTopK(tr, "heat.topk",
 				[]telemetry.Field{telemetry.F("trials", *trials)},
-				scores, g.InstrCounts, g.DynCount, *heatTopK)
+				scores, g.InstrCounts, g.DynCount, fi.HeatTopK)
 		}
 		campaign.EmitCheckpointTelemetry(tr, "fi.checkpoints", g.CheckpointStats())
-		campaign.EmitBatchTelemetry(tr, "fi.batch", g.CheckpointStats(), *batch)
+		campaign.EmitBatchTelemetry(tr, "fi.batch", g.CheckpointStats(), fi.BatchSize)
 		printCheckpointSummary(stdout, g)
 		printBatchSummary(stdout, g)
 		sort.Slice(results, func(a, c int) bool {
@@ -259,14 +205,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	if *composeMode {
+	if fi.Compose {
 		e := compose.NewEstimator(b.Prog, nil, compose.Options{
 			Trials:    *trials,
-			Threshold: *composeThr,
+			Threshold: fi.ComposeThreshold,
 			Workers:   *workers,
-			BatchSize: *batch,
+			BatchSize: fi.BatchSize,
 			Seed:      *seed,
-			Model:     model,
+			Model:     fi.Model,
 			Trace:     tr,
 		})
 		est := e.EstimateGolden(g)
@@ -276,7 +222,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// composed estimate should land inside this interval (the
 		// equivalence contract).
 		direct := campaign.OverallParallel(b.Prog, g, *trials, campaign.ParallelOptions{
-			Workers: *workers, Seed: *seed, BatchSize: *batch, Model: model,
+			Workers: *workers, Seed: *seed, BatchSize: fi.BatchSize, Model: fi.Model,
 		})
 		tr.Advance(direct.DynInstrs)
 		dLo, dHi := direct.SDCInterval()
@@ -292,7 +238,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			telemetry.F("direct_lo", dLo),
 			telemetry.F("direct_hi", dHi))
 		campaign.EmitCheckpointTelemetry(tr, "fi.checkpoints", g.CheckpointStats())
-		campaign.EmitBatchTelemetry(tr, "fi.batch", g.CheckpointStats(), *batch)
+		campaign.EmitBatchTelemetry(tr, "fi.batch", g.CheckpointStats(), fi.BatchSize)
 		printCheckpointSummary(stdout, g)
 		printBatchSummary(stdout, g)
 		fmt.Fprintf(stdout, "compositional estimate over %d %s segments (%d profile trials):\n",
@@ -313,22 +259,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	if *adaptive || *ciTarget > 0 {
-		if model != nil {
-			return fail(fmt.Errorf("-adaptive supports the single-bit model only"))
-		}
+	if fi.CITarget > 0 {
 		ar := campaign.OverallAdaptive(b.Prog, g, campaign.AdaptiveOptions{
 			Workers:   *workers,
 			Seed:      *seed,
-			BatchSize: *batch,
-			CITarget:  *ciTarget,
+			BatchSize: fi.BatchSize,
+			CITarget:  fi.CITarget,
 			MaxTrials: *trials,
 			Runner:    campaign.ShardedRunner(*shards),
+			Model:     fi.Model,
 		})
 		tr.Advance(ar.Counts.DynInstrs)
 		campaign.EmitAdaptiveTelemetry(tr, "fi.adaptive", ar)
 		campaign.EmitCheckpointTelemetry(tr, "fi.checkpoints", g.CheckpointStats())
-		campaign.EmitBatchTelemetry(tr, "fi.batch", g.CheckpointStats(), *batch)
+		campaign.EmitBatchTelemetry(tr, "fi.batch", g.CheckpointStats(), fi.BatchSize)
 		printCheckpointSummary(stdout, g)
 		printBatchSummary(stdout, g)
 		c := ar.Counts
@@ -342,27 +286,27 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	var c campaign.Counts
-	desc := modelDesc(*faultModel)
-	if *workers >= 1 || *batch > 0 || *shards > 1 {
+	desc := modelDesc(cf.FaultModel)
+	if *workers >= 1 || fi.BatchSize > 0 || *shards > 1 {
 		// Per-trial RNG streams derived from (seed, global trial index): the
 		// tally and the trace are identical for every worker count ≥ 1,
 		// every -batch size (batched trials keep their private streams), and
 		// every -shards count (shards own contiguous trial-index ranges).
 		c = campaign.OverallSharded(b.Prog, g, *trials, *shards, campaign.ParallelOptions{
-			Workers: *workers, Seed: *seed, BatchSize: *batch, Model: model,
+			Workers: *workers, Seed: *seed, BatchSize: fi.BatchSize, Model: fi.Model,
 		})
 	} else {
 		// Serial shared-stream campaign. The double-flip model's plans are
-		// the historical SampleDynamicMultiBit draws, so -multibit output is
+		// the historical SampleDynamicMultiBit draws, so its output is
 		// byte-identical to the pre-model serial loop.
-		c = campaign.OverallModelCtx(nil, b.Prog, g, *trials, rng, nil, model)
+		c = campaign.OverallModelCtx(nil, b.Prog, g, *trials, rng, nil, fi.Model)
 	}
 	tr.Advance(c.DynInstrs)
 	tr.Emit("fi.campaign", append([]telemetry.Field{
 		telemetry.F("model", desc),
 	}, c.Fields()...)...)
 	campaign.EmitCheckpointTelemetry(tr, "fi.checkpoints", g.CheckpointStats())
-	campaign.EmitBatchTelemetry(tr, "fi.batch", g.CheckpointStats(), *batch)
+	campaign.EmitBatchTelemetry(tr, "fi.batch", g.CheckpointStats(), fi.BatchSize)
 	printCheckpointSummary(stdout, g)
 	printBatchSummary(stdout, g)
 	lo, hi := c.SDCInterval()

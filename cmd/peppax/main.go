@@ -8,11 +8,16 @@
 //
 //	peppax -bench pathfinder [-generations 200] [-pop 16] [-trials 1000]
 //	       [-seed 1] [-workers N] [-baseline] [-checkpoints 50,100,200]
-//	       [-max-sdc 0.2] [-trace out.jsonl] [-trace-wallclock] [-metrics]
-//	       [-metrics-addr 127.0.0.1:9464] [-heat-topk 10]
-//	       [-adaptive] [-ci-target 0.035] [-fault-model burst]
+//	       [-max-sdc 0.2] [-compose-trials 1600]
 //	       [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
+//	       [shared FI and telemetry flags]
 //	peppax -file prog.ir -spec "n:int:4:64:8,seed:int:1:100:7"
+//
+// The shared flags (-checkpoint-interval, -batch, -adaptive, -ci-target,
+// -compose, -compose-threshold, -fault-model, -heat-topk, -trace,
+// -trace-wallclock, -metrics, -metrics-addr) mean the same here as in fi
+// and experiments, and reach the -baseline run exactly as they reach the
+// search.
 //
 // -adaptive switches the closing FI measurement (and, with -baseline, each
 // baseline candidate's campaign) to the adaptive stratified runner: strata
@@ -46,13 +51,10 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/campaign"
+	"repro/cmd/internal/cli"
 	"repro/internal/compose"
 	"repro/internal/core"
-	"repro/internal/fault"
-	"repro/internal/parallel"
 	"repro/internal/prog"
-	"repro/internal/telemetry"
 	"repro/internal/xrand"
 )
 
@@ -76,21 +78,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		checkpoints = fs.String("checkpoints", "", "comma-separated generations to FI-measure (e.g. 50,100,200)")
 		maxSDC      = fs.Float64("max-sdc", 0, "CI gate (§7.1.2): exit non-zero if the SDC bound exceeds this fraction (0 disables)")
 		workers     = fs.Int("workers", 0, "worker count for GA candidate evaluation and baseline FI trials (0 = GOMAXPROCS, 1 = serial; results are identical for any value)")
-		tracePath   = fs.String("trace", "", "write a deterministic JSONL telemetry trace to this file (byte-identical for any -workers)")
-		traceWall   = fs.Bool("trace-wallclock", false, "timestamp the -trace file with wall-clock nanoseconds instead of the deterministic cost clock (marks the trace non-reproducible)")
-		metrics     = fs.Bool("metrics", false, "print an end-of-run telemetry summary (counters, gauges, worker-pool utilization)")
-		metricsAddr = fs.String("metrics-addr", "", "serve live Prometheus metrics on this address (e.g. 127.0.0.1:9464) at /metrics, with /healthz liveness")
-		heatTopK    = fs.Int("heat-topk", 0, "per-instruction heat events in the trace carry this many instructions (0 = default 10, negative disables)")
-		ckptIval    = fs.Int64("checkpoint-interval", 0, "golden-prefix snapshot spacing for FI campaigns, in dynamic instructions (0 = auto, -1 = disable; results are identical either way)")
-		batch       = fs.Int("batch", 0, "lockstep batch size for FI campaigns: trials sharing a checkpoint run as one batch (0 = per-trial; switches campaigns to per-trial RNG streams, see core.Options.BatchSize)")
 		cpuProfile  = fs.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 		memProfile  = fs.String("memprofile", "", "write an end-of-run heap profile to this file (go tool pprof)")
-		adaptive    = fs.Bool("adaptive", false, "adaptive stratified FI for the final measurement (and -baseline candidates): stop once the composed 95% CI half-width falls below -ci-target; -trials becomes the spend cap")
-		ciTarget    = fs.Float64("ci-target", 0, "95% CI half-width target for -adaptive (0 = default 0.035; setting this implies -adaptive)")
-		composeMode = fs.Bool("compose", false, "compositional SDC estimation: per-segment profiles measured once, cached, and composed under each input's dynamic mix for the sensitivity derivation, checkpoints and -baseline candidates")
-		composeThr  = fs.Float64("compose-threshold", 0, "profile re-measurement drift trigger for -compose (0 = default 0.05, negative = never re-measure)")
 		composeTr   = fs.Int("compose-trials", 0, "trial budget of a full -compose profile pass (0 = default 1600)")
-		faultModel  = fs.String("fault-model", "", "fault model for the checkpoint and closing FI campaigns (and -baseline candidates): "+strings.Join(fault.ModelNames(), ", ")+" (default bitflip)")
+		cf          = cli.Register(fs)
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -101,12 +92,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	model, err := fault.CampaignModel(*faultModel)
+	fi, err := cf.FI()
 	if err != nil {
 		return fail(err)
-	}
-	if model != nil && (*adaptive || *ciTarget > 0) {
-		return fail(fmt.Errorf("-adaptive campaigns support only the default fault model, got -fault-model %s", *faultModel))
 	}
 
 	if *cpuProfile != "" {
@@ -135,49 +123,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}()
 	}
 
-	var rec *telemetry.Recorder
-	if *tracePath != "" || *metrics || *metricsAddr != "" {
-		var sink io.Writer
-		if *tracePath != "" {
-			f, err := os.Create(*tracePath)
-			if err != nil {
-				return fail(err)
-			}
-			defer f.Close()
-			sink = f
-		}
-		rec = telemetry.New(telemetry.Options{Sink: sink, WallClock: *traceWall})
-		parallel.SetObserver(telemetry.PoolObserver(rec))
-		defer parallel.SetObserver(nil)
-		var ms *telemetry.MetricsServer
-		if *metricsAddr != "" {
-			var err error
-			ms, err = rec.ServeMetrics(*metricsAddr)
-			if err != nil {
-				return fail(err)
-			}
-			defer ms.Close()
-			fmt.Fprintf(stderr, "peppax: serving metrics on http://%s/metrics\n", ms.Addr())
-		}
-		defer func() {
-			if err := rec.Close(); err != nil {
-				fmt.Fprintln(stderr, "peppax: trace:", err)
-			}
-			if *metrics {
-				fmt.Fprint(stdout, rec.Summary())
-			}
-		}()
-		// Deferred closes never run under os.Exit, so a SIGINT/SIGTERM must
-		// flush the trace and metrics endpoint itself before dying.
-		stop := telemetry.OnShutdownSignal(func(sig os.Signal) {
-			rec.Close()
-			if ms != nil {
-				ms.Close()
-			}
-			os.Exit(telemetry.SignalExitCode(sig))
-		})
-		defer stop()
+	rec, stop, err := cf.StartTelemetry("peppax", stdout, stderr)
+	if err != nil {
+		return fail(err)
 	}
+	defer stop()
 
 	var b *prog.Benchmark
 	if *file != "" {
@@ -197,22 +147,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	opts.PopSize = *pop
 	opts.FinalTrials = *trials
 	opts.TrialsPerRep = *trialsRep
+	opts.FIOptions = fi
 	opts.Workers = *workers
-	opts.CheckpointInterval = *ckptIval
-	opts.BatchSize = *batch
-	opts.HeatTopK = *heatTopK
-	opts.Model = model
+	opts.ComposeTrials = *composeTr
 	opts.Trace = rec.Stream("search/" + b.Name)
-	if *adaptive || *ciTarget > 0 {
-		opts.CITarget = *ciTarget
-		if opts.CITarget <= 0 {
-			opts.CITarget = campaign.DefaultCITarget
-		}
-	}
-	if *composeMode {
-		opts.Compose = true
-		opts.ComposeThreshold = *composeThr
-		opts.ComposeTrials = *composeTr
+	if opts.Compose {
 		// One cache for the whole invocation, so a -baseline run reuses the
 		// profiles the search already measured.
 		opts.ComposeCache = compose.NewCache(0)
@@ -273,18 +212,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "\nbaseline (random inputs + %d-trial FI each, equal budget %.1fM dyn instrs):\n",
 			*trials, float64(res.Cost.TotalDyn())/1e6)
 		base := core.RandomSearch(b, core.BaselineOptions{
-			TrialsPerInput:   *trials,
-			DynBudget:        res.Cost.TotalDyn(),
-			Workers:          *workers,
-			BatchSize:        *batch,
-			HeatTopK:         *heatTopK,
-			CITarget:         opts.CITarget,
-			Compose:          opts.Compose,
-			ComposeThreshold: opts.ComposeThreshold,
-			ComposeTrials:    opts.ComposeTrials,
-			ComposeCache:     opts.ComposeCache,
-			Model:            model,
-			Trace:            rec.Stream("baseline/" + b.Name),
+			TrialsPerInput: *trials,
+			DynBudget:      res.Cost.TotalDyn(),
+			ComposeCache:   opts.ComposeCache,
+			Trace:          rec.Stream("baseline/" + b.Name),
+			FIOptions:      opts.FIOptions,
 		}, xrand.New(*seed+1))
 		fmt.Fprintf(stdout, "  evaluated %d inputs (%d rejected), best SDC %.2f%% with input %v\n",
 			base.Inputs, base.Rejected, base.BestSDC*100, base.BestInput)

@@ -43,7 +43,8 @@ const (
 	// DefaultMinTrialsPerStratum seeds every stratum before any interval is
 	// trusted — the paper's per-representative count (§4.2.3).
 	DefaultMinTrialsPerStratum = 30
-	// DefaultAdaptiveStrata is the stratum count when unset.
+	// DefaultAdaptiveStrata is the stratum count (clamped to the number of
+	// executed static instructions).
 	DefaultAdaptiveStrata = 8
 	// DefaultAdaptiveRound is the trial budget allocated per adaptive round
 	// after the seeding round.
@@ -72,19 +73,10 @@ type AdaptiveOptions struct {
 	// half-width is below the target; the campaign stops once the composed
 	// interval half-width is.
 	CITarget float64
-	// MinTrialsPerStratum seeds every stratum before adaptive allocation
-	// begins (<= 0: DefaultMinTrialsPerStratum).
-	MinTrialsPerStratum int
 	// MaxTrials bounds the total trial spend (<= 0:
 	// DefaultAdaptiveMaxTrials). With MaxTrials equal to a flat campaign's
 	// size, the adaptive run can only match or undercut the flat cost.
 	MaxTrials int
-	// Strata is the stratum count (<= 0: DefaultAdaptiveStrata; clamped to
-	// the number of executed static instructions).
-	Strata int
-	// RoundTrials is the per-round allocation budget after seeding
-	// (<= 0: DefaultAdaptiveRound).
-	RoundTrials int
 	// Scores optionally supplies per-static-instruction SDC sensitivity
 	// scores (the §4.2.3 distribution); strata are then ranked by heat —
 	// score × dynamic-execution fraction, the telemetry.HeatTopK ordering.
@@ -101,23 +93,19 @@ type AdaptiveOptions struct {
 	// depend only on the plans and per-trial RNG streams, returned in plan
 	// order) keeps adaptive results bit-identical to the in-process run.
 	Runner TrialRunner
+	// Model selects the fault model strata sample from (see
+	// ParallelOptions.Model). Nil is the single-bit-flip default, whose
+	// plans draw their bit eagerly; other models ride inside the plans and
+	// corrupt at injection time from the same per-trial stream.
+	Model fault.Model
 }
 
 func (o AdaptiveOptions) withDefaults() AdaptiveOptions {
 	if o.CITarget <= 0 {
 		o.CITarget = DefaultCITarget
 	}
-	if o.MinTrialsPerStratum <= 0 {
-		o.MinTrialsPerStratum = DefaultMinTrialsPerStratum
-	}
 	if o.MaxTrials <= 0 {
 		o.MaxTrials = DefaultAdaptiveMaxTrials
-	}
-	if o.Strata <= 0 {
-		o.Strata = DefaultAdaptiveStrata
-	}
-	if o.RoundTrials <= 0 {
-		o.RoundTrials = DefaultAdaptiveRound
 	}
 	return o
 }
@@ -139,8 +127,8 @@ type Stratum struct {
 	// target and it stopped drawing trials.
 	Converged bool
 
-	// cum[i] is the cumulative ExecCount through IDs[i], for uniform
-	// occurrence sampling within the stratum.
+	// cum[i] is the cumulative ExecCount through IDs[i], the stratum's
+	// SampleOccurrence table.
 	cum []int64
 }
 
@@ -152,23 +140,27 @@ func (st *Stratum) refresh() {
 	st.Lo, st.Hi = stats.WilsonInterval95(st.Counts.SDC, st.Counts.Trials)
 }
 
-// samplePlan draws a uniform dynamic occurrence of the stratum — a uniform
-// element of the stratum's slice of the dynamic instruction stream — and a
-// uniform bit of the target's width, all from the trial's private stream.
-func (st *Stratum) samplePlan(rng *xrand.RNG, p *interp.Program) fault.Plan {
-	r := rng.Int63n(st.ExecCount)
-	i := sort.Search(len(st.cum), func(j int) bool { return st.cum[j] > r })
-	id := st.IDs[i]
+// SampleOccurrence draws one static-mode plan from a cumulative-count
+// table — ids lists static instructions and cum[i] their golden execution
+// total through ids[i] — so the target is a uniform element of the table's
+// slice of the dynamic instruction stream. With a nil model the fault is a
+// uniform bit of the target's width, drawn eagerly from the same stream;
+// any other model rides inside the plan and corrupts at injection time.
+// Adaptive strata and compositional segments both sample through it.
+func SampleOccurrence(rng *xrand.RNG, p *interp.Program, ids []int, cum []int64, m fault.Model) fault.Plan {
+	r := rng.Int63n(cum[len(cum)-1])
+	i := sort.Search(len(cum), func(j int) bool { return cum[j] > r })
 	var before int64
 	if i > 0 {
-		before = st.cum[i-1]
+		before = cum[i-1]
 	}
-	return fault.Plan{
-		Mode:       fault.ModeStatic,
-		StaticID:   id,
-		Occurrence: r - before + 1,
-		Bit:        fault.RandomBit(rng, p.InstrType(id)),
+	plan := fault.Plan{Mode: fault.ModeStatic, StaticID: ids[i], Occurrence: r - before + 1}
+	if m != nil {
+		plan.Model = m
+	} else {
+		plan.Bit = fault.RandomBit(rng, p.InstrType(ids[i]))
 	}
+	return plan
 }
 
 // AdaptiveResult is the outcome of an adaptive stratified campaign.
@@ -322,8 +314,9 @@ func newStratum(g *Golden, members []rankedInstr) Stratum {
 }
 
 // OverallAdaptive measures the whole-program SDC rate with the adaptive
-// stratified campaign. It draws MinTrialsPerStratum seed trials per stratum,
-// then allocates RoundTrials-sized rounds to unconverged strata by Neyman
+// stratified campaign over DefaultAdaptiveStrata strata. It draws
+// DefaultMinTrialsPerStratum seed trials per stratum, then allocates
+// DefaultAdaptiveRound-sized rounds to unconverged strata by Neyman
 // allocation (∝ w_s·sqrt(m_s(1-m_s)) on the running Wilson midpoint m_s),
 // until every stratum's Wilson half-width — or the composed half-width — is
 // below CITarget, or MaxTrials is spent. Results are bit-identical for
@@ -332,7 +325,7 @@ func newStratum(g *Golden, members []rankedInstr) Stratum {
 func OverallAdaptive(p *interp.Program, g *Golden, opts AdaptiveOptions) *AdaptiveResult {
 	opts = opts.withDefaults()
 	res := &AdaptiveResult{
-		Strata:    BuildStrata(g, opts.Scores, opts.Strata),
+		Strata:    BuildStrata(g, opts.Scores, DefaultAdaptiveStrata),
 		CITarget:  opts.CITarget,
 		MaxTrials: opts.MaxTrials,
 	}
@@ -342,7 +335,7 @@ func OverallAdaptive(p *interp.Program, g *Golden, opts AdaptiveOptions) *Adapti
 	}
 	// Seed round: every stratum gets the minimum, scaled down if the floor
 	// alone would blow the budget.
-	seed := opts.MinTrialsPerStratum
+	seed := DefaultMinTrialsPerStratum
 	if seed*len(res.Strata) > opts.MaxTrials {
 		seed = opts.MaxTrials / len(res.Strata)
 		if seed < 1 {
@@ -375,7 +368,7 @@ func OverallAdaptive(p *interp.Program, g *Golden, opts AdaptiveOptions) *Adapti
 		if allConverged || (res.Hi-res.Lo)/2 <= opts.CITarget || total >= opts.MaxTrials {
 			break
 		}
-		alloc = allocateRound(res.Strata, minInt(opts.RoundTrials, opts.MaxTrials-total))
+		alloc = allocateRound(res.Strata, minInt(DefaultAdaptiveRound, opts.MaxTrials-total))
 		if sumInt(alloc) == 0 {
 			break
 		}
@@ -473,7 +466,8 @@ func runAdaptiveRound(p *interp.Program, g *Golden, strata []Stratum, alloc, nex
 	rngs := make([]*xrand.RNG, len(refs))
 	for i, rf := range refs {
 		rng := parallel.DeriveRNG(opts.Seed, uint64(rf.s), uint64(rf.t))
-		plans[i] = strata[rf.s].samplePlan(rng, p)
+		st := &strata[rf.s]
+		plans[i] = SampleOccurrence(rng, p, st.IDs, st.cum, opts.Model)
 		rngs[i] = rng
 	}
 	runner := opts.Runner

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/prog"
 	"repro/internal/stats"
 )
@@ -14,7 +15,10 @@ import (
 // while spending at least 30% fewer trials. Strata are heat-ranked from a
 // cheap per-instruction profile — the scores the search pipeline gets for
 // free from fitness profiling — which is what gives stratification its
-// variance-reduction bite on the high-SDC-rate benchmarks.
+// variance-reduction bite on the high-SDC-rate benchmarks. Adaptive strata
+// sample through any fault model, so on every kernel the composed
+// burst-fault interval must also overlap a flat 1000-trial burst campaign's
+// Wilson interval.
 func TestAdaptiveEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-campaign reference is expensive")
@@ -49,6 +53,16 @@ func TestAdaptiveEquivalence(t *testing.T) {
 		if res.Lo > res.Estimate || res.Hi < res.Estimate {
 			t.Errorf("%s: composed interval [%.4f,%.4f] does not bracket estimate %.4f", name, res.Lo, res.Hi, res.Estimate)
 		}
+
+		burst := OverallParallel(b.Prog, g, fullTrials, ParallelOptions{Workers: 4, Seed: 11, BatchSize: 32, Model: fault.BurstFlip})
+		blo, bhi := burst.SDCInterval()
+		bres := OverallAdaptive(b.Prog, g, AdaptiveOptions{Workers: 4, Seed: 11, BatchSize: 32, MaxTrials: fullTrials, Scores: scores, Model: fault.BurstFlip})
+		t.Logf("%s: flat burst=%.4f [%.4f,%.4f] adaptive burst=%.4f [%.4f,%.4f] trials=%d/%d",
+			name, burst.SDCProbability(), blo, bhi, bres.Estimate, bres.Lo, bres.Hi, bres.Counts.Trials, fullTrials)
+		if bres.Hi < blo || bres.Lo > bhi {
+			t.Errorf("%s: adaptive burst interval [%.4f,%.4f] misses the flat burst interval [%.4f,%.4f]",
+				name, bres.Lo, bres.Hi, blo, bhi)
+		}
 	}
 	if saved < 5 {
 		t.Errorf("adaptive saved >=30%% trials on only %d/%d benchmarks (need >=5)", saved, len(names))
@@ -61,7 +75,7 @@ func TestAdaptiveEquivalence(t *testing.T) {
 // TestAdaptiveDeterminism: for a fixed seed the entire adaptive result —
 // every stratum tally, allocation history, and composed bound — must be
 // bit-identical across worker counts and batch sizes, including the serial
-// per-trial schedule.
+// per-trial schedule, under the default model and every other fault model.
 func TestAdaptiveDeterminism(t *testing.T) {
 	maxTrials := 400
 	if testing.Short() {
@@ -90,6 +104,21 @@ func TestAdaptiveDeterminism(t *testing.T) {
 					got := OverallAdaptive(b.Prog, g, o)
 					if !reflect.DeepEqual(got, ref) {
 						t.Fatalf("workers=%d batch=%d: adaptive result diverged from serial reference\ngot  %+v\nwant %+v", workers, batch, got, ref)
+					}
+				}
+			}
+			for _, m := range []fault.Model{fault.DoubleFlip, fault.BurstFlip, fault.ValueCorrupt} {
+				refOpts.Model = m
+				mref := OverallAdaptive(b.Prog, g, refOpts)
+				for _, workers := range []int{1, 4} {
+					for _, batch := range []int{1, 64} {
+						o := refOpts
+						o.Workers = workers
+						o.BatchSize = batch
+						if got := OverallAdaptive(b.Prog, g, o); !reflect.DeepEqual(got, mref) {
+							t.Fatalf("model=%s workers=%d batch=%d: adaptive result diverged from serial reference\ngot  %+v\nwant %+v",
+								m.Name(), workers, batch, got, mref)
+						}
 					}
 				}
 			}

@@ -390,14 +390,6 @@ func (c Counts) SDCProbability() float64 {
 	return float64(c.SDC) / float64(c.Trials)
 }
 
-// CI95 returns the 95% confidence half-width of the SDC probability.
-//
-// LEGACY SHIM: the Wilson interval this width comes from is centered on the
-// adjusted midpoint, not on SDCProbability, so SDCProbability ± CI95 is NOT
-// the interval (it goes negative at SDC=0). Use SDCInterval for report
-// sites; CI95 remains for width-only comparisons.
-func (c Counts) CI95() float64 { return stats.BinomialCI(c.SDC, c.Trials) }
-
 // SDCInterval returns the true 95% Wilson score bounds of the SDC
 // probability — the honest interval to report alongside SDCProbability.
 func (c Counts) SDCInterval() (lo, hi float64) {

@@ -163,7 +163,7 @@ func TestCountsBookkeeping(t *testing.T) {
 	if Counts.SDCProbability(Counts{}) != 0 {
 		t.Fatal("empty counts should give 0")
 	}
-	if c.CI95() <= 0 {
+	if lo, hi := c.SDCInterval(); hi-lo <= 0 {
 		t.Fatal("CI should be positive")
 	}
 }

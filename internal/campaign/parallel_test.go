@@ -34,7 +34,9 @@ func TestOverallParallelMatchesSerialStatistically(t *testing.T) {
 	// Different RNG streams, same distribution: probabilities should agree
 	// within combined confidence intervals.
 	diff := math.Abs(par.SDCProbability() - ser.SDCProbability())
-	if diff > par.CI95()+ser.CI95() {
+	pLo, pHi := par.SDCInterval()
+	sLo, sHi := ser.SDCInterval()
+	if diff > (pHi-pLo)/2+(sHi-sLo)/2 {
 		t.Fatalf("parallel %.3f vs serial %.3f differ beyond CI", par.SDCProbability(), ser.SDCProbability())
 	}
 }

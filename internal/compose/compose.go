@@ -3,7 +3,6 @@ package compose
 import (
 	"context"
 	"math"
-	"sort"
 	"sync"
 
 	"repro/internal/campaign"
@@ -388,14 +387,14 @@ func (e *Estimator) stale(prof *Profile, w float64, mix []float64, dyn int64) bo
 
 // measure runs one segment's profile campaign on g: trials proportional to
 // the segment's dynamic weight (floored at MinSegmentTrials), each trial a
-// uniform dynamic occurrence of the segment with an eagerly drawn fault
-// bit, executed through campaign.RunPlans so batching and worker count
-// cannot change the tally. Caller holds e.mu.
+// uniform dynamic occurrence of the segment (campaign.SampleOccurrence),
+// executed through campaign.RunPlans so batching and worker count cannot
+// change the tally. Caller holds e.mu.
 func (e *Estimator) measure(g *campaign.Golden, si int, seg *Segment, segDyn int64, w float64, mix []float64) *Profile {
 	trials := e.segmentTrials(g, w)
 
-	// Cumulative execution counts over the segment's executed instructions,
-	// for uniform occurrence sampling (the adaptive stratum's scheme).
+	// Cumulative execution counts over the segment's executed instructions:
+	// the campaign.SampleOccurrence table adaptive strata also draw from.
 	var (
 		ids []int
 		cum []int64
@@ -413,28 +412,8 @@ func (e *Estimator) measure(g *campaign.Golden, si int, seg *Segment, segDyn int
 	plans := make([]fault.Plan, trials)
 	rngs := make([]*xrand.RNG, trials)
 	for t := range plans {
-		rng := parallel.DeriveRNG(e.opts.Seed, uint64(si), uint64(epoch), uint64(t))
-		rngs[t] = rng
-		r := rng.Int63n(tot)
-		i := sort.Search(len(cum), func(j int) bool { return cum[j] > r })
-		id := ids[i]
-		var before int64
-		if i > 0 {
-			before = cum[i-1]
-		}
-		p := fault.Plan{
-			Mode:       fault.ModeStatic,
-			StaticID:   id,
-			Occurrence: r - before + 1,
-		}
-		if m := e.opts.Model; m != nil {
-			// The model corrupts at injection time from the same per-trial
-			// stream; Bit stays unused on the model path.
-			p.Model = m
-		} else {
-			p.Bit = fault.RandomBit(rng, e.p.InstrType(id))
-		}
-		plans[t] = p
+		rngs[t] = parallel.DeriveRNG(e.opts.Seed, uint64(si), uint64(epoch), uint64(t))
+		plans[t] = campaign.SampleOccurrence(rngs[t], e.p, ids, cum, e.opts.Model)
 	}
 	// The measurement runs WITHOUT the estimator's Ctx: a canceled runner
 	// would return skipped trials, and caching the resulting partial profile

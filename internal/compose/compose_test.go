@@ -2,6 +2,7 @@ package compose
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/campaign"
@@ -195,4 +196,39 @@ func TestSharedCacheAcrossEstimators(t *testing.T) {
 	if third.Measured == 0 {
 		t.Fatalf("different program must miss the shared cache: %+v", third)
 	}
+}
+
+// TestNewPartitionConcurrent: partitioning one compiled program from several
+// goroutines while others read its instruction table must only read the
+// shared module — the partition hash prints it, and re-finalizing would
+// rebuild the table in place under the readers. `make race` runs this under
+// the race detector.
+func TestNewPartitionConcurrent(t *testing.T) {
+	b := prog.Build("pathfinder")
+	want := NewPartition(b.Prog)
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				if got := NewPartition(b.Prog); !reflect.DeepEqual(got, want) {
+					t.Errorf("concurrent partition diverged: hash %s vs %s", got.Hash, want.Hash)
+					return
+				}
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				for id, in := range b.Module.Instrs() {
+					if in.ID != id {
+						t.Errorf("instruction table entry %d holds ID %d", id, in.ID)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

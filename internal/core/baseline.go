@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/compose"
-	"repro/internal/fault"
 	"repro/internal/interp"
 	"repro/internal/prog"
 	"repro/internal/telemetry"
@@ -26,73 +25,16 @@ type BaselineOptions struct {
 	DynBudget int64
 	// MaxInputs optionally caps the number of candidates (0 = unlimited).
 	MaxInputs int
-	// Workers fans each candidate's FI campaign across goroutines
-	// (0 = GOMAXPROCS, 1 = serial). Candidates are drawn and folded
-	// serially, and every trial's RNG is derived from (campaign seed,
-	// trial index), so the result is identical for every worker count.
-	Workers int
-	// BatchSize > 0 runs each candidate's FI campaign in lockstep batches
-	// of at most this size (see campaign.ParallelOptions.BatchSize). The
-	// campaign already derives per-trial RNG streams, so tallies — and the
-	// whole search — are bit-identical at every batch size.
-	BatchSize int
-	// CheckpointInterval enables golden-prefix snapshots for each
-	// candidate's FI campaign: campaign.CheckpointAuto (0) auto-tunes the
-	// spacing, a positive value fixes it, campaign.CheckpointDisabled (-1)
-	// runs every trial from scratch. Tallies and budget accounting are
-	// bit-identical in all modes.
-	CheckpointInterval int64
 	// Trace, when non-nil, receives one "baseline.candidate" event per
 	// evaluated input (its FI tally and the cumulative budget) on a cost
 	// clock advanced with the campaign's dynamic instructions; candidates
 	// are drawn and folded serially, so the trace is identical for every
 	// worker count.
 	Trace *telemetry.Stream
-	// HeatTopK sizes the heat events emitted whenever a candidate becomes
-	// the new best: the baseline has no sensitivity scores, so heat reduces
-	// to each executed instruction's dynamic-execution fraction under that
-	// candidate (0 = telemetry.DefaultHeatTopK, negative disables). Bests
-	// are folded serially, so heat events are identical for every worker
-	// count.
-	HeatTopK int
-	// CITarget > 0 switches each candidate's FI campaign to the adaptive
-	// stratified runner (campaign.OverallAdaptive, dyn-count strata — the
-	// baseline has no sensitivity scores), stopping once the composed 95%
-	// Wilson half-width falls below this target. Candidate SDC rates are
-	// then the composed stratified estimates, which is what makes the
-	// paper's full-campaign-per-candidate baseline tractable at scale.
-	CITarget float64
-	// MinTrialsPerStratum seeds each adaptive stratum before allocation
-	// (<= 0: campaign.DefaultMinTrialsPerStratum). Adaptive only.
-	MinTrialsPerStratum int
-	// MaxTrials caps each adaptive candidate campaign (<= 0:
-	// TrialsPerInput, so adaptive never costs more than the flat campaign
-	// it replaces). Adaptive only.
-	MaxTrials int
-	// Compose switches every candidate evaluation to the compositional
-	// estimator: cached per-segment profiles composed under the
-	// candidate's execution mix, re-measuring only drifted segments —
-	// which is what lets the baseline reuse FI work across candidates
-	// instead of paying a fresh campaign each time. Budget accounting
-	// charges only the golden run plus the measurement each candidate
-	// actually triggered.
-	Compose bool
-	// ComposeThreshold is the profile re-measurement trigger
-	// (0: compose.DefaultThreshold; < 0: never re-measure).
-	ComposeThreshold float64
-	// ComposeTrials is the full measurement pass budget
-	// (<= 0: compose.DefaultTrials).
-	ComposeTrials int
 	// ComposeCache, when non-nil, shares profiles with other runs on the
 	// same program — e.g. a search that already profiled it (nil: a
 	// private cache).
 	ComposeCache *compose.Cache
-	// Model selects the fault model for each candidate's FI campaign
-	// (nil = the single-bit-flip default, byte-identical to the historical
-	// path). Flat and compose evaluations honor it; adaptive candidates
-	// (CITarget > 0) support only the default model and ignore this field —
-	// callers offering both knobs should reject the combination.
-	Model fault.Model
 	// MaxConsecutiveRejects bounds runs of invalid candidates (§3.1.2
 	// excludes error-raising inputs): rejected candidates advance neither
 	// DynSpent nor Inputs, so a benchmark whose random inputs are mostly
@@ -100,6 +42,14 @@ type BaselineOptions struct {
 	// stop. After this many rejections in a row the search stops
 	// (<= 0: DefaultMaxConsecutiveRejects).
 	MaxConsecutiveRejects int
+	// FIOptions configures each candidate's evaluation: a flat
+	// TrialsPerInput-trial campaign, an adaptive one capped at
+	// TrialsPerInput (CITarget > 0; dyn-count strata, since the baseline
+	// has no sensitivity scores), or a compositional estimate (Compose, which
+	// charges the budget only the golden run plus the measurement each
+	// candidate triggered). With no sensitivity scores, heat events at each
+	// new best reduce to dynamic-execution fractions.
+	FIOptions
 }
 
 // DefaultMaxConsecutiveRejects is the rejection run length at which
@@ -152,10 +102,6 @@ func RandomSearch(b *prog.Benchmark, opts BaselineOptions, rng *xrand.RNG) *Base
 	maxRejects := opts.MaxConsecutiveRejects
 	if maxRejects <= 0 {
 		maxRejects = DefaultMaxConsecutiveRejects
-	}
-	adaptiveMax := opts.MaxTrials
-	if adaptiveMax <= 0 {
-		adaptiveMax = opts.TrialsPerInput
 	}
 	start := time.Now()
 	tr := opts.Trace
@@ -220,12 +166,12 @@ func RandomSearch(b *prog.Benchmark, opts BaselineOptions, rng *xrand.RNG) *Base
 			spentDyn = ce.MeasureDyn
 		} else if opts.CITarget > 0 {
 			ar := campaign.OverallAdaptive(b.Prog, g, campaign.AdaptiveOptions{
-				Workers:             opts.Workers,
-				Seed:                rng.Uint64(),
-				BatchSize:           opts.BatchSize,
-				CITarget:            opts.CITarget,
-				MinTrialsPerStratum: opts.MinTrialsPerStratum,
-				MaxTrials:           adaptiveMax,
+				Workers:   opts.Workers,
+				Seed:      rng.Uint64(),
+				BatchSize: opts.BatchSize,
+				CITarget:  opts.CITarget,
+				MaxTrials: opts.TrialsPerInput,
+				Model:     opts.Model,
 			})
 			c = ar.Counts
 			sdc = ar.Estimate

@@ -62,8 +62,7 @@ func TestRandomSearchBatchInvariance(t *testing.T) {
 		r := RandomSearch(b, BaselineOptions{
 			TrialsPerInput: 40,
 			MaxInputs:      3,
-			Workers:        2,
-			BatchSize:      batch,
+			FIOptions:      FIOptions{Workers: 2, BatchSize: batch},
 		}, xrand.New(9))
 		r.Elapsed = 0
 		if want == nil {

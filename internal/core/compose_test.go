@@ -82,10 +82,8 @@ func TestRandomSearchCompose(t *testing.T) {
 	// threshold re-measures most profiles; disabling re-measurement pins
 	// the pure-reuse accounting path the GA's close neighbors hit.
 	opts := BaselineOptions{
-		MaxInputs:        5,
-		Compose:          true,
-		ComposeTrials:    400,
-		ComposeThreshold: -1,
+		MaxInputs: 5,
+		FIOptions: FIOptions{Compose: true, ComposeTrials: 400, ComposeThreshold: -1},
 	}
 	res := RandomSearch(b, opts, xrand.New(21))
 	if res.Inputs != 5 {
@@ -144,10 +142,9 @@ func TestRandomSearchComposeSharedCache(t *testing.T) {
 	}
 
 	bopts := BaselineOptions{
-		MaxInputs:     3,
-		Compose:       true,
-		ComposeTrials: 300,
-		ComposeCache:  cache,
+		MaxInputs:    3,
+		ComposeCache: cache,
+		FIOptions:    FIOptions{Compose: true, ComposeTrials: 300},
 	}
 	res := RandomSearch(b, bopts, xrand.New(5))
 	if res.ComposeStats.Misses != 0 && res.ComposeStats.Hits == 0 {

@@ -2,9 +2,11 @@ package core
 
 import (
 	"os"
+	"reflect"
 	"testing"
 
 	"repro/internal/campaign"
+	"repro/internal/fault"
 	"repro/internal/prog"
 	"repro/internal/xrand"
 )
@@ -222,7 +224,7 @@ func TestRandomSearchAdaptive(t *testing.T) {
 	// runner: candidate SDC rates are composed estimates in [0,1], trials
 	// never exceed the flat campaign size, and the search stays deterministic.
 	b := prog.Build("pathfinder")
-	opts := BaselineOptions{TrialsPerInput: 200, MaxInputs: 3, CITarget: 0.05, Workers: 4, BatchSize: 16}
+	opts := BaselineOptions{TrialsPerInput: 200, MaxInputs: 3, FIOptions: FIOptions{CITarget: 0.05, Workers: 4, BatchSize: 16}}
 	res := RandomSearch(b, opts, xrand.New(7))
 	if res.Inputs != 3 {
 		t.Fatalf("inputs = %d, want 3", res.Inputs)
@@ -271,6 +273,34 @@ func TestSearchAdaptiveFinal(t *testing.T) {
 	lo, hi := res.SDCInterval()
 	if lo > res.SDCBound() || hi < res.SDCBound() || lo < 0 || hi > 1 {
 		t.Fatalf("interval [%v,%v] does not bracket bound %v", lo, hi, res.SDCBound())
+	}
+}
+
+func TestAdaptiveFaultModelThreading(t *testing.T) {
+	// A non-default model must reach the adaptive closing campaign and each
+	// adaptive baseline candidate: the search accepts it, and the baseline's
+	// candidate estimates move off the default model's.
+	b := prog.Build("pathfinder")
+	opts := DefaultOptions()
+	opts.Generations = 2
+	opts.PopSize = 4
+	opts.TrialsPerRep = 3
+	opts.FinalTrials = 200
+	opts.CITarget = 0.06
+	opts.Model = fault.BurstFlip
+	res, err := Search(b, opts, xrand.New(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.FinalAdaptive == nil {
+		t.Fatal("adaptive search under the burst model did not record FinalAdaptive")
+	}
+	bopts := BaselineOptions{TrialsPerInput: 200, MaxInputs: 3, FIOptions: FIOptions{CITarget: 0.06}}
+	flip := RandomSearch(b, bopts, xrand.New(7))
+	bopts.Model = fault.BurstFlip
+	burst := RandomSearch(b, bopts, xrand.New(7))
+	if reflect.DeepEqual(flip.History, burst.History) {
+		t.Fatal("adaptive baseline candidates ignored the burst fault model")
 	}
 }
 

@@ -91,8 +91,8 @@ func TestBaselineHeatEventsWorkerEquivalence(t *testing.T) {
 		RandomSearch(b, BaselineOptions{
 			TrialsPerInput: 20,
 			MaxInputs:      4,
-			Workers:        w,
 			Trace:          rec.Stream("baseline/pathfinder"),
+			FIOptions:      FIOptions{Workers: w},
 		}, xrand.New(2026))
 		if err := rec.Close(); err != nil {
 			t.Fatal(err)

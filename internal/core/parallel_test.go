@@ -68,7 +68,7 @@ func TestBaselineWorkerEquivalence(t *testing.T) {
 		r := RandomSearch(b, BaselineOptions{
 			TrialsPerInput: 120,
 			MaxInputs:      6,
-			Workers:        w,
+			FIOptions:      FIOptions{Workers: w},
 		}, xrand.New(41))
 		r.Elapsed = time.Duration(0)
 		if want == nil {

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/compose"
-	"repro/internal/fault"
 	"repro/internal/ga"
 	"repro/internal/interp"
 	"repro/internal/parallel"
@@ -47,23 +46,6 @@ type Options struct {
 	// derivation; when false the reference input is used (the other half
 	// of Table 5's "without heuristics" cost).
 	UseSmallInput bool
-	// Workers fans each generation's candidate evaluations across
-	// goroutines (0 = GOMAXPROCS, 1 = serial). Candidate evaluation is
-	// RNG-free (one profiled execution), and breeding, checkpointing and
-	// the closing FI campaign always consume the search RNG serially, so
-	// the result is bit-identical for every worker count.
-	Workers int
-	// BatchSize > 0 routes the pipeline's whole-program FI campaigns
-	// (Figure 5 checkpoints and the closing measurement) through the
-	// lockstep batch executor: trials grouped by nearest golden snapshot
-	// run interp.BatchRun batches of at most this size, sharing one trunk
-	// replay per batch. Batched campaigns derive per-trial RNG streams from
-	// one seed drawn off the search RNG instead of classifying on the
-	// shared serial stream, so enabling batching changes which plans a
-	// given seed produces — but the batched tallies themselves are
-	// bit-identical for every batch size and worker count. 0 keeps the
-	// serial shared-stream campaign.
-	BatchSize int
 	// ProfileMode selects the interpreter engine for candidate profiling
 	// (GA fitness and the small-input fuzzer's coverage checks). The zero
 	// value is interp.ProfileFused — block-granular counting over the fused
@@ -71,13 +53,6 @@ type Options struct {
 	// results over the unfused array, and interp.ProfileLegacy keeps the
 	// pre-fast-path per-instruction engine for differential runs.
 	ProfileMode interp.ProfileMode
-	// CheckpointInterval controls golden-prefix snapshotting for the
-	// pipeline's FI campaigns (sensitivity, Figure 5 checkpoints, final):
-	// campaign.CheckpointAuto (0) tunes the spacing from each golden's
-	// dynamic count, a positive value fixes the spacing in dynamic
-	// instructions, and campaign.CheckpointDisabled (-1) runs every trial
-	// from scratch. Trial results are bit-identical in all three modes.
-	CheckpointInterval int64
 	// Trace, when non-nil, receives the search's telemetry: phase events
 	// for the Figure 8 sensitivity-vs-search cost split (small_input,
 	// sensitivity, search, final_fi), per-generation GA and cost events,
@@ -85,51 +60,6 @@ type Options struct {
 	// clock advances with the pipeline's dynamic-instruction spend, so the
 	// trace is byte-identical for every worker count.
 	Trace *telemetry.Stream
-	// HeatTopK sizes the per-instruction heat events emitted alongside each
-	// traced checkpoint and the final measurement: the top-k static
-	// instructions by sensitivity score × dynamic-execution fraction, the
-	// live Figure 2-style heat map (0 = telemetry.DefaultHeatTopK, negative
-	// disables heat events). Heat is schedule-independent with ties broken
-	// by instruction id, so traces stay byte-identical across worker
-	// counts; the running top-k also mirrors into heat.instr gauges for the
-	// /metrics endpoint.
-	HeatTopK int
-	// CITarget > 0 switches the closing FI campaign to the adaptive
-	// stratified runner (campaign.OverallAdaptive): strata are heat-ranked by
-	// the §4.2.3 sensitivity scores, trials are allocated by estimated
-	// variance, and the campaign stops once the composed 95% Wilson
-	// half-width falls below this target — trial count becomes an accuracy
-	// knob instead of a constant. The measured bound is then
-	// Result.FinalAdaptive's composed estimate with honest bounds. Figure 5
-	// checkpoint measurements keep the flat FinalTrials campaign, so curves
-	// remain comparable across generations.
-	CITarget float64
-	// MinTrialsPerStratum seeds each adaptive stratum before allocation
-	// (<= 0: campaign.DefaultMinTrialsPerStratum). Adaptive only.
-	MinTrialsPerStratum int
-	// MaxTrials caps the adaptive campaign's total spend (<= 0:
-	// FinalTrials, so an adaptive run never costs more than the flat
-	// campaign it replaces). Adaptive only.
-	MaxTrials int
-	// Compose switches the sensitivity derivation and the Figure 5
-	// checkpoint measurements to the compositional estimator
-	// (internal/compose): per-segment SDC profiles are measured once on
-	// the first golden that executes them, cached, re-measured only when a
-	// segment's dynamic mix drifts past ComposeThreshold, and composed
-	// under each input's execution mix — so repeat measurements across
-	// generations cost almost nothing. The closing campaign stays a direct
-	// measurement (flat or adaptive), so the reported bound never rests on
-	// a composed approximation. Enabling compose draws one extra seed off
-	// the search RNG and replaces checkpoint campaigns, so it changes
-	// sampled plans versus a non-compose run; composed results themselves
-	// are bit-identical for every Workers/BatchSize.
-	Compose bool
-	// ComposeThreshold is the profile re-measurement trigger
-	// (0: compose.DefaultThreshold; < 0: never re-measure).
-	ComposeThreshold float64
-	// ComposeTrials is the total trial budget of a full profile
-	// measurement pass (<= 0: compose.DefaultTrials).
-	ComposeTrials int
 	// ComposeCache, when non-nil, shares profiles across searches of the
 	// same program (nil: a private cache per search).
 	ComposeCache *compose.Cache
@@ -140,27 +70,14 @@ type Options struct {
 	// the cancellation point are unchanged, so an uncanceled run is
 	// bit-identical whether or not a context is supplied.
 	Ctx context.Context
-	// Model selects the fault model of the pipeline's whole-program FI
-	// campaigns (Figure 5 checkpoints and the closing measurement). Nil is
-	// the single-bit-flip default, byte-identical to the historical path.
-	// The sensitivity derivation and GA fitness stay single-flip — they are
-	// search heuristics, not the reported bound — and the adaptive closing
-	// campaign (CITarget > 0) supports only the default model.
-	Model fault.Model
+	// FIOptions configures the pipeline's FI campaigns: the sensitivity
+	// derivation, the Figure 5 checkpoints and the closing measurement.
+	FIOptions
 }
 
 // canceled reports whether the pipeline's context is canceled (nil-safe).
 func (o Options) canceled() bool {
 	return o.Ctx != nil && o.Ctx.Err() != nil
-}
-
-// adaptiveMaxTrials resolves the adaptive trial cap against the flat
-// campaign size.
-func (o Options) adaptiveMaxTrials() int {
-	if o.MaxTrials > 0 {
-		return o.MaxTrials
-	}
-	return o.FinalTrials
 }
 
 // DefaultOptions returns the paper's configuration.
@@ -283,9 +200,6 @@ func Search(b *prog.Benchmark, opts Options, rng *xrand.RNG) (*Result, error) {
 	}
 	if opts.FinalTrials <= 0 {
 		opts.FinalTrials = 1000
-	}
-	if opts.CITarget > 0 && opts.Model != nil {
-		return nil, fmt.Errorf("core: the adaptive closing campaign supports only the default fault model, got %q", opts.Model.Name())
 	}
 	res := &Result{Benchmark: b.Name}
 	tr := opts.Trace
@@ -470,14 +384,14 @@ func Search(b *prog.Benchmark, opts Options, rng *xrand.RNG) (*Result, error) {
 		// scores the pipeline already derived, seeded off one serial draw so
 		// the search RNG stays deterministic.
 		res.FinalAdaptive = campaign.OverallAdaptive(b.Prog, g, campaign.AdaptiveOptions{
-			Workers:             opts.Workers,
-			Seed:                rng.Uint64(),
-			BatchSize:           opts.BatchSize,
-			CITarget:            opts.CITarget,
-			MinTrialsPerStratum: opts.MinTrialsPerStratum,
-			MaxTrials:           opts.adaptiveMaxTrials(),
-			Scores:              dist.Scores,
-			Ctx:                 opts.Ctx,
+			Workers:   opts.Workers,
+			Seed:      rng.Uint64(),
+			BatchSize: opts.BatchSize,
+			CITarget:  opts.CITarget,
+			MaxTrials: opts.FinalTrials,
+			Scores:    dist.Scores,
+			Ctx:       opts.Ctx,
+			Model:     opts.Model,
 		})
 		res.Final = res.FinalAdaptive.Counts
 		campaign.EmitAdaptiveTelemetry(tr, "fi.adaptive", res.FinalAdaptive)

@@ -13,7 +13,7 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/fault"
+	"repro/internal/core"
 	"repro/internal/search"
 	"repro/internal/telemetry"
 )
@@ -63,29 +63,6 @@ type Config struct {
 	// Benches restricts the benchmark set (nil = all ten).
 	Benches []string
 
-	// Workers is the worker count for every parallel stage: concurrent
-	// experiments in RunAll/RunAllStructured, GA candidate evaluation, and
-	// FI-trial fan-out in studies and baselines (0 = GOMAXPROCS,
-	// 1 = fully serial). Same seed, same report, for any value.
-	Workers int
-
-	// CheckpointInterval controls golden-prefix snapshotting for every FI
-	// campaign in the suite: 0 auto-tunes the snapshot spacing per golden,
-	// a positive value fixes it in dynamic instructions, and -1 disables
-	// checkpointing. Reports are bit-identical in all modes.
-	CheckpointInterval int64
-
-	// BatchSize > 0 runs the suite's FI campaigns in lockstep batches of at
-	// most this size on the checkpointed goldens (see
-	// campaign.ParallelOptions.BatchSize). Campaigns already running on
-	// per-trial RNG streams (studies, baselines, per-instruction sweeps)
-	// are bit-identical at every batch size; the PEPPA-X search's own
-	// campaigns switch from the serial shared stream to per-trial streams
-	// when batched (see core.Options.BatchSize), so reports with batching
-	// on and off differ in sampled plans while remaining internally
-	// deterministic. 0 keeps the per-trial paths.
-	BatchSize int
-
 	// Recorder, when non-nil, receives the suite's telemetry: each
 	// memoized artifact (search, baseline, study, per-instruction study)
 	// emits into its own keyed stream, so the trace is byte-identical for
@@ -93,50 +70,18 @@ type Config struct {
 	// disables telemetry.
 	Recorder *telemetry.Recorder
 
-	// HeatTopK sizes the per-instruction heat events traced at search
-	// checkpoints and baseline bests (0 = telemetry.DefaultHeatTopK,
-	// negative disables). Heat events are schedule-independent, so the
-	// worker-count trace equivalence holds with them enabled.
-	HeatTopK int
-
-	// CITarget > 0 switches the suite's closing search campaigns and the
-	// baseline's per-candidate campaigns to the adaptive stratified runner
-	// (campaign.OverallAdaptive), stopping each campaign once its composed
-	// 95% Wilson half-width falls below the target instead of always
-	// spending OverallTrials. Reported bounds become composed stratified
-	// estimates with honest intervals; 0 keeps the flat campaigns.
-	CITarget float64
-	// MinTrialsPerStratum seeds each adaptive stratum before allocation
-	// (<= 0: campaign.DefaultMinTrialsPerStratum). Adaptive only.
-	MinTrialsPerStratum int
-	// MaxTrials caps each adaptive campaign's spend (<= 0: OverallTrials).
-	// Adaptive only.
-	MaxTrials int
-
-	// Compose switches the suite's searches and baselines to compositional
-	// SDC estimation (core.Options.Compose): per-segment profiles measured
-	// once per benchmark, cached in one suite-wide cache, and composed
-	// under each input's dynamic mix. Takes precedence over CITarget for
-	// the campaigns it replaces.
-	Compose bool
-	// ComposeThreshold is the profile re-measurement trigger
-	// (0: compose.DefaultThreshold; < 0: never re-measure).
-	ComposeThreshold float64
-	// ComposeTrials is the per-benchmark full measurement pass budget
-	// (<= 0: compose.DefaultTrials).
-	ComposeTrials int
-
 	// Strategies restricts the strategies experiment to a subset of
 	// search.All() by name (e.g. "genetic", "fuzz"); nil runs every
 	// strategy. Validate rejects unknown names.
 	Strategies []string
 
-	// FaultModel names the fault model for the suite's search campaigns and
-	// baseline candidates (fault.ModelNames; "" = the single-bit-flip
-	// default). The §3 studies keep the default model — they reproduce the
-	// paper's single-flip measurements — and adaptive campaigns (CITarget)
-	// support only the default, which Validate enforces.
-	FaultModel string
+	// FIOptions configures the suite's FI campaigns. Workers also sizes
+	// the concurrent experiments of RunAll/RunAllStructured; Model, CITarget
+	// and Compose apply to the searches and baselines, while the §3 studies
+	// keep flat single-flip campaigns — they reproduce the paper's
+	// measurements. Same seed, same report, for any Workers, BatchSize or
+	// CheckpointInterval.
+	core.FIOptions
 }
 
 // DefaultConfig returns the full-scale configuration.
@@ -192,10 +137,6 @@ func (c Config) Validate() error {
 			return fmt.Errorf("experiments: checkpoint %d outside 1..%d", cp, c.SearchGenerations)
 		}
 	}
-	m, err := fault.CampaignModel(c.FaultModel)
-	if err != nil {
-		return fmt.Errorf("experiments: %w", err)
-	}
 	known := make(map[string]bool)
 	for _, st := range search.All() {
 		known[st.Name()] = true
@@ -204,9 +145,6 @@ func (c Config) Validate() error {
 		if !known[name] {
 			return fmt.Errorf("experiments: unknown search strategy %q", name)
 		}
-	}
-	if m != nil && c.CITarget > 0 {
-		return fmt.Errorf("experiments: adaptive campaigns support only the default fault model, got %q", c.FaultModel)
 	}
 	return nil
 }

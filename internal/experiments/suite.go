@@ -7,7 +7,6 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/compose"
 	"repro/internal/core"
-	"repro/internal/fault"
 	"repro/internal/parallel"
 	"repro/internal/prog"
 	"repro/internal/search"
@@ -95,13 +94,6 @@ func (s *Suite) strategies() []search.Strategy {
 	return out
 }
 
-// model resolves the configured fault model (nil = single-flip default).
-// NewSuite validated the name, so resolution cannot fail here.
-func (s *Suite) model() fault.Model {
-	m, _ := fault.CampaignModel(s.Cfg.FaultModel)
-	return m
-}
-
 // rng derives a deterministic per-purpose stream.
 func (s *Suite) rng(purpose string, bench string) *xrand.RNG {
 	h := s.Cfg.Seed
@@ -121,19 +113,9 @@ func (s *Suite) Search(name string) (*core.Result, error) {
 		opts.TrialsPerRep = s.Cfg.TrialsPerRep
 		opts.FinalTrials = s.Cfg.OverallTrials
 		opts.Checkpoints = append([]int(nil), s.Cfg.Checkpoints...)
-		opts.Workers = s.Cfg.Workers
-		opts.BatchSize = s.Cfg.BatchSize
-		opts.CheckpointInterval = s.Cfg.CheckpointInterval
+		opts.FIOptions = s.Cfg.FIOptions
 		opts.Trace = s.Cfg.Recorder.Stream("search/" + name)
-		opts.HeatTopK = s.Cfg.HeatTopK
-		opts.CITarget = s.Cfg.CITarget
-		opts.MinTrialsPerStratum = s.Cfg.MinTrialsPerStratum
-		opts.MaxTrials = s.Cfg.MaxTrials
-		opts.Compose = s.Cfg.Compose
-		opts.ComposeThreshold = s.Cfg.ComposeThreshold
-		opts.ComposeTrials = s.Cfg.ComposeTrials
 		opts.ComposeCache = s.composeCache(name)
-		opts.Model = s.model()
 		r, err := core.Search(s.Bench(name), opts, s.rng("search", name))
 		if err != nil {
 			return nil, fmt.Errorf("experiments: search %s: %w", name, err)
@@ -175,24 +157,14 @@ func (s *Suite) Baseline(name string) (*core.BaselineResult, error) {
 			return nil, err
 		}
 		return core.RandomSearch(s.Bench(name), core.BaselineOptions{
-			TrialsPerInput:      s.Cfg.OverallTrials,
-			DynBudget:           s.maxBaselineBudget(r),
-			Workers:             s.Cfg.Workers,
-			BatchSize:           s.Cfg.BatchSize,
-			CheckpointInterval:  s.Cfg.CheckpointInterval,
-			Trace:               s.Cfg.Recorder.Stream("baseline/" + name),
-			HeatTopK:            s.Cfg.HeatTopK,
-			CITarget:            s.Cfg.CITarget,
-			MinTrialsPerStratum: s.Cfg.MinTrialsPerStratum,
-			MaxTrials:           s.Cfg.MaxTrials,
-			Compose:             s.Cfg.Compose,
-			ComposeThreshold:    s.Cfg.ComposeThreshold,
-			ComposeTrials:       s.Cfg.ComposeTrials,
+			TrialsPerInput: s.Cfg.OverallTrials,
+			DynBudget:      s.maxBaselineBudget(r),
+			Trace:          s.Cfg.Recorder.Stream("baseline/" + name),
 			// The baseline memo-depends on Search above, so the shared
 			// cache is already warm with this benchmark's profiles and the
 			// reuse order is deterministic.
 			ComposeCache: s.composeCache(name),
-			Model:        s.model(),
+			FIOptions:    s.Cfg.FIOptions,
 		}, s.rng("baseline", name)), nil
 	})
 }

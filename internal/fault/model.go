@@ -131,8 +131,8 @@ type doubleFlip struct{}
 func (doubleFlip) Name() string { return "doubleflip" }
 
 func (doubleFlip) Sample(rng *xrand.RNG, totalDyn int64) Plan {
-	// Model stays nil here too: the pending-second-bit plan drives the same
-	// injection path as the historical -multibit flag.
+	// Model stays nil here too: the pending-second-bit plan drives the
+	// interpreter's built-in double-flip injection path.
 	return SampleDynamicMultiBit(rng, totalDyn)
 }
 

@@ -193,12 +193,19 @@ func (m *Module) Finalize() {
 }
 
 // Instrs returns the dense table of value-producing (injectable) static
-// instructions, indexed by ID. Finalize must have been called.
+// instructions, indexed by ID, finalizing the module first if needed.
 func (m *Module) Instrs() []*Instr {
+	m.ensureFinalized()
+	return m.instrs
+}
+
+// ensureFinalized finalizes a module that is not yet finalized. On a
+// finalized module it only reads, unlike Finalize, which rebuilds the shared
+// table in place and so must not race with readers.
+func (m *Module) ensureFinalized() {
 	if !m.finalized {
 		m.Finalize()
 	}
-	return m.instrs
 }
 
 // NumInstrs returns the number of injectable static instructions.

@@ -25,8 +25,12 @@ import (
 //
 // Every operand is written as "<type> <value>" where value is a %-register,
 // a %-parameter, or a literal. Block targets are bare label names.
+//
+// Printing a finalized module only reads it, so concurrent Print and Instrs
+// calls on a shared compiled program are safe; an unfinalized module is
+// finalized first.
 func Print(m *Module) string {
-	m.Finalize()
+	m.ensureFinalized()
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "module %s\n", m.Name)
 	fmt.Fprintf(&sb, "entry %s\n", m.EntryName)

@@ -47,9 +47,7 @@ type JobSpec struct {
 	// FaultModel names the fault model campaign trials corrupt with
 	// (fault.ModelNames; "" = the single-bit-flip default). Campaign and
 	// sensitivity jobs sample from it; for search jobs it applies to the
-	// final whole-program campaign. Adaptive campaigns support only the
-	// default model (the stratified estimator's heat ranking is measured
-	// under single flips).
+	// final whole-program campaign, flat or adaptive.
 	FaultModel string `json:"fault_model,omitempty"`
 	// Workers and Batch configure each shard's execution substrate
 	// (campaign.ParallelOptions semantics).
@@ -61,8 +59,8 @@ type JobSpec struct {
 	// CheckpointInterval is the golden-prefix snapshot spacing
 	// (campaign.NewGoldenCheckpointed semantics: 0 auto, -1 disabled).
 	CheckpointInterval int64 `json:"checkpoint_interval,omitempty"`
-	// Adaptive (or CITarget > 0) switches a campaign job to the adaptive
-	// stratified runner.
+	// Adaptive (or CITarget > 0) switches a campaign job, or a search
+	// job's closing campaign, to the adaptive stratified runner.
 	Adaptive bool    `json:"adaptive,omitempty"`
 	CITarget float64 `json:"ci_target,omitempty"`
 	// ComposeThreshold is the profile re-measurement trigger for
@@ -82,6 +80,25 @@ type JobSpec struct {
 	// token currency); exceeding it cancels the job at its next trial or
 	// round boundary. 0 uses the server default; negative means unlimited.
 	MaxTokens int64 `json:"max_tokens,omitempty"`
+}
+
+// fiOptions converts the spec's FI fields into the shared option set — the
+// one place a job's wire knobs become campaign configuration, with the same
+// resolution rule the command-line tools apply to their flags.
+func (spec *JobSpec) fiOptions() (core.FIOptions, error) {
+	model, err := fault.CampaignModel(spec.FaultModel)
+	if err != nil {
+		return core.FIOptions{}, err
+	}
+	return core.FIOptions{
+		Workers:            spec.Workers,
+		BatchSize:          spec.Batch,
+		CheckpointInterval: spec.CheckpointInterval,
+		Model:              model,
+		CITarget:           core.CITargetFor(spec.Adaptive, spec.CITarget),
+		Compose:            spec.Compose,
+		ComposeThreshold:   spec.ComposeThreshold,
+	}, nil
 }
 
 // AdaptiveSummary is the adaptive campaign's result surface.
@@ -177,11 +194,15 @@ func (m *tokenMeter) exceeded() bool {
 // (client disconnect + token budget), ew its event stream, rec its private
 // telemetry recorder (flushed by the caller before the result document).
 func (s *Server) runJob(ctx context.Context, spec *JobSpec, meter *tokenMeter, ew *eventWriter, rec *telemetry.Recorder) (*JobResult, error) {
+	fi, err := spec.fiOptions()
+	if err != nil {
+		return nil, err
+	}
 	be := s.cache.bench(spec.Bench)
 	res := &JobResult{Kind: spec.Kind, Bench: spec.Bench, Shards: spec.Shards}
 
 	if spec.Kind == KindSearch {
-		if err := s.runSearch(ctx, spec, be, meter, res, rec); err != nil {
+		if err := s.runSearch(ctx, spec, fi, be, meter, res, rec); err != nil {
 			return nil, err
 		}
 	} else {
@@ -211,11 +232,11 @@ func (s *Server) runJob(ctx context.Context, spec *JobSpec, meter *tokenMeter, e
 
 		switch spec.Kind {
 		case KindCampaign:
-			if err := s.runCampaign(ctx, spec, be, g, meter, res, ew, tr); err != nil {
+			if err := s.runCampaign(ctx, spec, fi, be, g, meter, res, ew, tr); err != nil {
 				return nil, err
 			}
 		case KindSensitivity:
-			if err := s.runSensitivity(ctx, spec, be, g, meter, res, tr); err != nil {
+			if err := s.runSensitivity(ctx, spec, fi, be, g, meter, res, tr); err != nil {
 				return nil, err
 			}
 		default:
@@ -235,23 +256,17 @@ func (s *Server) runJob(ctx context.Context, spec *JobSpec, meter *tokenMeter, e
 // coordinator, or the adaptive stratified runner with a sharded round
 // executor. Either way results are bit-identical to the single-process run
 // of the same spec.
-func (s *Server) runCampaign(ctx context.Context, spec *JobSpec, be *benchEntry, g *campaign.Golden, meter *tokenMeter, res *JobResult, ew *eventWriter, tr *telemetry.Stream) error {
-	model, err := fault.CampaignModel(spec.FaultModel)
-	if err != nil {
-		return err
-	}
-	if spec.Adaptive || spec.CITarget > 0 {
-		if model != nil {
-			return fmt.Errorf("adaptive campaigns support only the default fault model, got %q", spec.FaultModel)
-		}
+func (s *Server) runCampaign(ctx context.Context, spec *JobSpec, fi core.FIOptions, be *benchEntry, g *campaign.Golden, meter *tokenMeter, res *JobResult, ew *eventWriter, tr *telemetry.Stream) error {
+	if fi.CITarget > 0 {
 		ar := campaign.OverallAdaptive(be.b.Prog, g, campaign.AdaptiveOptions{
-			Workers:   spec.Workers,
+			Workers:   fi.Workers,
 			Seed:      spec.Seed,
-			BatchSize: spec.Batch,
-			CITarget:  spec.CITarget,
+			BatchSize: fi.BatchSize,
+			CITarget:  fi.CITarget,
 			MaxTrials: spec.Trials,
 			Ctx:       ctx,
 			Runner:    s.meteredRunner(spec.Shards, meter),
+			Model:     fi.Model,
 		})
 		tr.Advance(ar.Counts.DynInstrs)
 		campaign.EmitAdaptiveTelemetry(tr, "fi.adaptive", ar)
@@ -267,7 +282,7 @@ func (s *Server) runCampaign(ctx context.Context, spec *JobSpec, be *benchEntry,
 		}
 		return nil
 	}
-	c, err := s.runFlatCampaign(ctx, spec, be, g, model, meter, ew)
+	c, err := s.runFlatCampaign(ctx, spec, be, g, fi.Model, meter, ew)
 	if err != nil {
 		return err
 	}
@@ -282,18 +297,14 @@ func (s *Server) runCampaign(ctx context.Context, spec *JobSpec, be *benchEntry,
 // runSensitivity composes the whole-program SDC estimate from the shared
 // per-segment profile cache — concurrent jobs on the same program measure
 // each profile once.
-func (s *Server) runSensitivity(ctx context.Context, spec *JobSpec, be *benchEntry, g *campaign.Golden, meter *tokenMeter, res *JobResult, tr *telemetry.Stream) error {
-	model, err := fault.CampaignModel(spec.FaultModel)
-	if err != nil {
-		return err
-	}
+func (s *Server) runSensitivity(ctx context.Context, spec *JobSpec, fi core.FIOptions, be *benchEntry, g *campaign.Golden, meter *tokenMeter, res *JobResult, tr *telemetry.Stream) error {
 	e := compose.NewEstimator(be.b.Prog, s.cache.profiles, compose.Options{
 		Trials:    spec.Trials,
-		Threshold: spec.ComposeThreshold,
-		Workers:   spec.Workers,
-		BatchSize: spec.Batch,
+		Threshold: fi.ComposeThreshold,
+		Workers:   fi.Workers,
+		BatchSize: fi.BatchSize,
 		Seed:      spec.Seed,
-		Model:     model,
+		Model:     fi.Model,
 		Trace:     tr,
 		Ctx:       ctx,
 		Runner:    s.meteredRunner(spec.Shards, meter),
@@ -320,7 +331,7 @@ func (s *Server) runSensitivity(ctx context.Context, spec *JobSpec, be *benchEnt
 // shared one, so searches on the same benchmark reuse profiles across jobs;
 // token charges land once per pipeline phase via the final cost breakdown
 // plus the metered compose runner during the search itself.
-func (s *Server) runSearch(ctx context.Context, spec *JobSpec, be *benchEntry, meter *tokenMeter, res *JobResult, rec *telemetry.Recorder) error {
+func (s *Server) runSearch(ctx context.Context, spec *JobSpec, fi core.FIOptions, be *benchEntry, meter *tokenMeter, res *JobResult, rec *telemetry.Recorder) error {
 	opts := core.DefaultOptions()
 	opts.Generations = spec.Generations
 	if opts.Generations <= 0 {
@@ -335,16 +346,7 @@ func (s *Server) runSearch(ctx context.Context, spec *JobSpec, be *benchEntry, m
 	if spec.TrialsPerRep > 0 {
 		opts.TrialsPerRep = spec.TrialsPerRep
 	}
-	model, err := fault.CampaignModel(spec.FaultModel)
-	if err != nil {
-		return err
-	}
-	opts.Workers = spec.Workers
-	opts.BatchSize = spec.Batch
-	opts.CheckpointInterval = spec.CheckpointInterval
-	opts.CITarget = spec.CITarget
-	opts.Compose = spec.Compose
-	opts.Model = model
+	opts.FIOptions = fi
 	opts.ComposeCache = s.cache.profiles
 	opts.Ctx = ctx
 	opts.Trace = rec.Stream("job/" + spec.Bench)

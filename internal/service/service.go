@@ -18,7 +18,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/fault"
 	"repro/internal/prog"
 	"repro/internal/telemetry"
 )
@@ -321,13 +320,8 @@ func (s *Server) normalize(spec *JobSpec) error {
 	if spec.FaultModel == "" {
 		spec.FaultModel = s.cfg.FaultModel
 	}
-	if _, err := fault.CampaignModel(spec.FaultModel); err != nil {
-		return err
-	}
-	if (spec.Adaptive || spec.CITarget > 0) && fault.ModelKey(spec.FaultModel) != fault.DefaultModelName {
-		return fmt.Errorf("adaptive campaigns support only the default fault model, got %q", spec.FaultModel)
-	}
-	return nil
+	_, err := spec.fiOptions()
+	return err
 }
 
 // publishQueueMetrics refreshes the pool gauges.

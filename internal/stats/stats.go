@@ -216,25 +216,6 @@ func PairwiseMeanSpearman(rows [][]float64) (float64, error) {
 // z95 is the two-sided 95% standard-normal quantile.
 const z95 = 1.959963984540054
 
-// BinomialCI returns the half-width of the 95% confidence interval for a
-// proportion estimated from k successes in n trials, using the Wilson score
-// interval. The paper reports FI error bars of 0.26 %–3.10 % at 95%
-// confidence; Wilson matches the Wald (normal-approximation) width the paper
-// quotes away from the boundary, but unlike Wald its width never degenerates
-// to zero at k=0 or k=n — a 0-of-1000 campaign is evidence the rate is
-// small, not proof it is exactly zero.
-//
-// LEGACY SHIM — width only. The Wilson interval is centered on the adjusted
-// midpoint (k + z²/2)/(n + z²), NOT on p̂ = k/n, so reporting p̂ ± this
-// half-width misstates the interval and produces a negative lower bound at
-// k=0 (and an upper bound above 1 at k=n). Call sites that report or test
-// interval BOUNDS must use WilsonInterval / WilsonInterval95; this function
-// remains only for callers that genuinely need a width (error-bar sizing,
-// width-convergence comparisons).
-func BinomialCI(k, n int) float64 {
-	return WilsonCI(k, n, z95)
-}
-
 // WilsonInterval returns the true bounds of the Wilson score interval for k
 // successes in n trials at normal quantile z:
 //

@@ -209,42 +209,6 @@ func TestPairwiseMeanSpearman(t *testing.T) {
 	}
 }
 
-func TestBinomialCI(t *testing.T) {
-	// p=0.5, n=1000: Wilson ≈ 0.030931, matching the paper's 3.10% bound.
-	got := BinomialCI(500, 1000)
-	if !almostEqual(got, 0.0310, 2e-4) {
-		t.Fatalf("BinomialCI = %v, want ~0.031", got)
-	}
-	if BinomialCI(0, 0) != 0 {
-		t.Fatal("BinomialCI with n=0 should be 0")
-	}
-	// Boundary half-widths must be strictly positive: observing 0 of n SDCs
-	// bounds the rate, it does not prove the rate is zero.
-	for _, n := range []int{1, 10, 100, 1000} {
-		lo := BinomialCI(0, n)
-		hi := BinomialCI(n, n)
-		if lo <= 0 {
-			t.Fatalf("BinomialCI(0, %d) = %v, want > 0", n, lo)
-		}
-		if lo != hi {
-			t.Fatalf("BinomialCI not symmetric: (0,%d)=%v (n,n)=%v", n, lo, hi)
-		}
-		// Closed form at the boundary: z²/2n / (1 + z²/n).
-		z2 := z95 * z95
-		want := z2 / (2 * float64(n)) / (1 + z2/float64(n))
-		if !almostEqual(lo, want, 1e-12) {
-			t.Fatalf("BinomialCI(0, %d) = %v, want %v", n, lo, want)
-		}
-	}
-	// More trials → tighter interval, at the boundary and in the middle.
-	if !(BinomialCI(0, 1000) < BinomialCI(0, 100)) {
-		t.Fatal("k=0 half-width should shrink with n")
-	}
-	if !(BinomialCI(500, 1000) < BinomialCI(50, 100)) {
-		t.Fatal("p=0.5 half-width should shrink with n")
-	}
-}
-
 func TestWilsonCI(t *testing.T) {
 	// Known value: k=10, n=40 at 95% → center ≈ 0.2719, bounds
 	// ≈ [0.1419, 0.4019], half-width ≈ 0.13003.
@@ -276,8 +240,8 @@ func TestWilsonInterval(t *testing.T) {
 		t.Fatal("interval width disagrees with WilsonCI half-width")
 	}
 	// The p̂ ± half-width misuse this interval replaces: at k=0 the naive
-	// lower bound 0 - BinomialCI(0,n) is negative; the true bound is 0.
-	if p := 0.0 - BinomialCI(0, 100); p >= 0 {
+	// lower bound 0 - WilsonCI(0,n) is negative; the true bound is 0.
+	if p := 0.0 - WilsonCI(0, 100, z95); p >= 0 {
 		t.Fatal("test premise broken: naive k=0 lower bound should be negative")
 	}
 	if lo, _ := WilsonInterval95(0, 100); lo != 0 {
