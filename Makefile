@@ -118,9 +118,9 @@ test-compose:
 		./internal/compose ./internal/sensitivity ./internal/core \
 		./internal/experiments ./cmd/benchjson
 	$(GO) build -o bin/fi ./cmd/fi
-	./bin/fi -bench needle -trials 300 -compose -seed 7 -parallel 1 \
+	./bin/fi -bench needle -trials 300 -compose -seed 7 -workers 1 \
 		-batch 8 -trace compose-w1.jsonl > /dev/null
-	./bin/fi -bench needle -trials 300 -compose -seed 7 -parallel 4 \
+	./bin/fi -bench needle -trials 300 -compose -seed 7 -workers 4 \
 		-batch 8 -trace compose-w4.jsonl > /dev/null
 	grep -c '"ev":"compose.profile"' compose-w1.jsonl > /dev/null
 	cmp compose-w1.jsonl compose-w4.jsonl
@@ -173,7 +173,8 @@ bench-shard:
 	@echo "wrote BENCH_shard.json"
 
 # End-to-end service gate: start a real peppaxd, submit the same campaign
-# over HTTP (sharded) and in-process, and require byte-identical fi output.
+# over HTTP (sharded) and in-process, both at default worker settings, and
+# require byte-identical fi output.
 # -checkpoint-interval -1 keeps both outputs summary-free (checkpoint/batch
 # summaries describe local execution state the remote renderer cannot see).
 # All artifacts (output pair, daemon log) land under $(E2E_DIR), inside the
@@ -190,9 +191,9 @@ e2e-service:
 		curl -sf http://$(E2E_ADDR)/healthz > /dev/null 2>&1 && break; \
 		sleep 0.2; \
 	done; \
-	./bin/fi -bench needle -trials 300 -seed 7 -parallel 1 \
+	./bin/fi -bench needle -trials 300 -seed 7 \
 		-checkpoint-interval -1 > $(E2E_DIR)/fi-local.txt && \
-	./bin/fi -bench needle -trials 300 -seed 7 -parallel 1 \
+	./bin/fi -bench needle -trials 300 -seed 7 \
 		-checkpoint-interval -1 -remote http://$(E2E_ADDR) -shards 2 > $(E2E_DIR)/fi-remote.txt && \
 	cmp $(E2E_DIR)/fi-local.txt $(E2E_DIR)/fi-remote.txt && \
 	curl -sf http://$(E2E_ADDR)/metrics | grep -q '^peppax_service_' ; \

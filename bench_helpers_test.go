@@ -6,7 +6,6 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/interp"
 	"repro/internal/prog"
-	"repro/internal/xrand"
 )
 
 // runGolden executes a fault-free run and returns its dynamic count.
@@ -19,12 +18,12 @@ func runGolden(b *testing.B, bench *prog.Benchmark, in []uint64) int64 {
 	return r.DynCount
 }
 
-// runCampaign executes a statistical FI campaign.
-func runCampaign(b *testing.B, bench *prog.Benchmark, in []uint64, trials int, rng *xrand.RNG) {
+// runCampaign executes a single-worker statistical FI campaign.
+func runCampaign(b *testing.B, bench *prog.Benchmark, in []uint64, trials int) {
 	b.Helper()
 	g, err := campaign.NewGolden(bench.Prog, in, bench.MaxDyn)
 	if err != nil {
 		b.Fatal(err)
 	}
-	campaign.Overall(bench.Prog, g, trials, rng)
+	campaign.OverallParallel(bench.Prog, g, trials, campaign.ParallelOptions{Workers: 1, Seed: 1})
 }

@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/prog"
-	"repro/internal/xrand"
 )
 
 // benchSuite builds a quick-config suite for the given benchmarks.
@@ -277,10 +276,9 @@ func BenchmarkInterp_Throughput(b *testing.B) {
 func BenchmarkCampaign_1000Trials(b *testing.B) {
 	bench := prog.Build("needle")
 	in := bench.Encode(bench.RefInput())
-	rng := xrand.New(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		runCampaign(b, bench, in, 1000, rng)
+		runCampaign(b, bench, in, 1000)
 	}
 }
 

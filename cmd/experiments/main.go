@@ -7,10 +7,10 @@
 //	            [-strategy genetic,fuzz] [-compose-trials 1600]
 //	            [shared FI and telemetry flags]
 //
-// The shared flags (-checkpoint-interval, -batch, -adaptive, -ci-target,
-// -compose, -compose-threshold, -fault-model, -heat-topk, -trace,
-// -trace-wallclock, -metrics, -metrics-addr) mean the same here as in fi
-// and peppax. -fault-model, -adaptive and -compose apply to the suite's
+// The shared flags (-workers, -checkpoint-interval, -batch, -adaptive,
+// -ci-target, -compose, -compose-threshold, -fault-model, -heat-topk,
+// -trace, -trace-wallclock, -metrics, -metrics-addr) mean the same here as
+// in fi and peppax. -fault-model, -adaptive and -compose apply to the suite's
 // searches and baselines; the §3 studies keep flat single-flip campaigns.
 //
 // Without -exp it runs the full evaluation (every table and figure in the
@@ -56,7 +56,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		out       = fs.String("out", "", "also write the report to this file")
 		jsonOut   = fs.String("json", "", "also write typed results as JSON to this file")
 		list      = fs.Bool("list", false, "list experiment IDs and exit")
-		workers   = fs.Int("workers", 0, "worker count for experiments, GA evaluation and FI trials (0 = GOMAXPROCS, 1 = serial; same seed gives the same report for any value)")
 		composeTr = fs.Int("compose-trials", 0, "trial budget of a full -compose profile pass (0 = default 1600)")
 		strategy  = fs.String("strategy", "", "comma-separated strategy subset for the strategies experiment (e.g. genetic,fuzz; default: all)")
 		cf        = cli.Register(fs)
@@ -92,7 +91,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(err)
 	}
 	cfg.FIOptions = fi
-	cfg.Workers = *workers
 	cfg.ComposeTrials = *composeTr
 	if *strategy != "" {
 		cfg.Strategies = splitList(*strategy)

@@ -17,7 +17,7 @@ func TestFlagSurface(t *testing.T) {
 		"adaptive": "", "batch": "", "bench": `"pathfinder"`, "checkpoint-interval": "",
 		"ci-target": "", "compose": "", "compose-threshold": "", "fault-model": "",
 		"heat-topk": "", "input": "", "metrics": "", "metrics-addr": "",
-		"parallel": "", "perinstr": "", "remote": "", "seed": "1", "shards": "",
-		"top": "15", "trace": "", "trace-wallclock": "", "trials": "1000",
+		"perinstr": "", "remote": "", "seed": "1", "shards": "",
+		"top": "15", "trace": "", "trace-wallclock": "", "trials": "1000", "workers": "",
 	})
 }

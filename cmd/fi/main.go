@@ -5,13 +5,15 @@
 // Usage:
 //
 //	fi -bench hpccg [-input "3,3,3,15,17"] [-trials 1000] [-perinstr]
-//	   [-top 10] [-seed 1] [-parallel N] [-shards N] [-remote URL]
+//	   [-top 10] [-seed 1] [-workers N] [-shards N] [-remote URL]
 //	   [shared FI and telemetry flags]
 //
-// The shared flags (-checkpoint-interval, -batch, -adaptive, -ci-target,
-// -compose, -compose-threshold, -fault-model, -heat-topk, -trace,
-// -trace-wallclock, -metrics, -metrics-addr) mean the same here as in
-// peppax and experiments.
+// The shared flags (-workers, -checkpoint-interval, -batch, -adaptive,
+// -ci-target, -compose, -compose-threshold, -fault-model, -heat-topk,
+// -trace, -trace-wallclock, -metrics, -metrics-addr) mean the same here as
+// in peppax and experiments. Every trial draws from a stream derived from
+// -seed and its index, so -workers, -batch, -shards and -remote never
+// change a tally.
 //
 // -adaptive switches the whole-program campaign to the adaptive stratified
 // runner: injection targets are partitioned into dyn-count-ranked strata,
@@ -23,16 +25,16 @@
 //
 // Without -input the benchmark's default reference input is used. -trace
 // writes a deterministic JSONL trace (golden-run profile plus the campaign
-// tally) on the dynamic-instruction cost clock; with -parallel N ≥ 1 the
-// trace is byte-identical for every worker count. -metrics prints the
-// end-of-run counter summary; -metrics-addr serves the same counters and
-// gauges live in Prometheus text format at /metrics (plus /healthz). In
-// -perinstr mode a "heat.topk" trace event carries the -heat-topk hottest
-// instructions (measured SDC score × dynamic-execution fraction).
-// -checkpoint-interval controls golden-prefix
-// snapshotting (0 = auto-tuned spacing, -1 = every trial from scratch, N > 0
-// = a snapshot every N dynamic instructions); tallies are bit-identical
-// either way, checkpointing only skips redundant prefix re-execution.
+// tally) on the dynamic-instruction cost clock, byte-identical for every
+// worker count. -metrics prints the end-of-run counter summary;
+// -metrics-addr serves the same counters and gauges live in Prometheus
+// text format at /metrics (plus /healthz). In -perinstr mode a "heat.topk"
+// trace event carries the -heat-topk hottest instructions (measured SDC
+// score × dynamic-execution fraction). -checkpoint-interval controls
+// golden-prefix snapshotting (0 = auto-tuned spacing, -1 = every trial from
+// scratch, N > 0 = a snapshot every N dynamic instructions); tallies are
+// bit-identical either way, checkpointing only skips redundant prefix
+// re-execution.
 package main
 
 import (
@@ -53,7 +55,6 @@ import (
 	"repro/internal/service"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
-	"repro/internal/xrand"
 )
 
 func main() {
@@ -70,7 +71,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		perInstr = fs.Bool("perinstr", false, "measure per-instruction SDC probabilities")
 		top      = fs.Int("top", 15, "how many most-SDC-prone instructions to list (per-instruction mode)")
 		seed     = fs.Uint64("seed", 1, "RNG seed")
-		workers  = fs.Int("parallel", 0, "fan trials across N workers (0 = serial; §5.2 parallelization)")
 		shards   = fs.Int("shards", 0, "split the campaign's trials into N shards run concurrently (0/1 = unsharded; tallies are bit-identical at any shard count)")
 		remote   = fs.String("remote", "", "submit the campaign to a peppaxd server at this base URL (e.g. http://127.0.0.1:9470) instead of running in-process")
 		cf       = cli.Register(fs)
@@ -124,7 +124,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			Trials:             *trials,
 			Seed:               *seed,
 			FaultModel:         cf.FaultModel,
-			Workers:            *workers,
+			Workers:            fi.Workers,
 			Batch:              fi.BatchSize,
 			Shards:             *shards,
 			CheckpointInterval: fi.CheckpointInterval,
@@ -136,7 +136,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *perInstr && fi.Model != nil {
 		return fail(fmt.Errorf("-perinstr supports the single-bit model only"))
 	}
-	rng := xrand.New(*seed)
 	g, err := campaign.NewGoldenCheckpointed(b.Prog, b.Encode(in), b.MaxDyn, fi.CheckpointInterval)
 	if err != nil {
 		return fail(err)
@@ -152,16 +151,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	if *perInstr {
 		ids := campaign.AllInstructionIDs(b.Prog)
-		var results []campaign.InstrResult
-		if fi.BatchSize > 0 || *workers >= 1 {
-			// The parallel runner seeds each instruction's stream from its
-			// ID, so tallies are identical for any -parallel and -batch.
-			results = campaign.PerInstructionParallel(b.Prog, g, ids, *trials, campaign.ParallelOptions{
-				Workers: *workers, Seed: *seed, BatchSize: fi.BatchSize,
-			})
-		} else {
-			results = campaign.PerInstruction(b.Prog, g, ids, *trials, rng)
-		}
+		results := campaign.PerInstructionParallel(b.Prog, g, ids, *trials, campaign.ParallelOptions{
+			Workers: fi.Workers, Seed: *seed, BatchSize: fi.BatchSize,
+		})
 		var dyn int64
 		var total int
 		for _, r := range results {
@@ -209,7 +201,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		e := compose.NewEstimator(b.Prog, nil, compose.Options{
 			Trials:    *trials,
 			Threshold: fi.ComposeThreshold,
-			Workers:   *workers,
+			Workers:   fi.Workers,
 			BatchSize: fi.BatchSize,
 			Seed:      *seed,
 			Model:     fi.Model,
@@ -222,7 +214,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// composed estimate should land inside this interval (the
 		// equivalence contract).
 		direct := campaign.OverallParallel(b.Prog, g, *trials, campaign.ParallelOptions{
-			Workers: *workers, Seed: *seed, BatchSize: fi.BatchSize, Model: fi.Model,
+			Workers: fi.Workers, Seed: *seed, BatchSize: fi.BatchSize, Model: fi.Model,
 		})
 		tr.Advance(direct.DynInstrs)
 		dLo, dHi := direct.SDCInterval()
@@ -261,7 +253,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	if fi.CITarget > 0 {
 		ar := campaign.OverallAdaptive(b.Prog, g, campaign.AdaptiveOptions{
-			Workers:   *workers,
+			Workers:   fi.Workers,
 			Seed:      *seed,
 			BatchSize: fi.BatchSize,
 			CITarget:  fi.CITarget,
@@ -285,22 +277,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	var c campaign.Counts
 	desc := modelDesc(cf.FaultModel)
-	if *workers >= 1 || fi.BatchSize > 0 || *shards > 1 {
-		// Per-trial RNG streams derived from (seed, global trial index): the
-		// tally and the trace are identical for every worker count ≥ 1,
-		// every -batch size (batched trials keep their private streams), and
-		// every -shards count (shards own contiguous trial-index ranges).
-		c = campaign.OverallSharded(b.Prog, g, *trials, *shards, campaign.ParallelOptions{
-			Workers: *workers, Seed: *seed, BatchSize: fi.BatchSize, Model: fi.Model,
-		})
-	} else {
-		// Serial shared-stream campaign. The double-flip model's plans are
-		// the historical SampleDynamicMultiBit draws, so its output is
-		// byte-identical to the pre-model serial loop.
-		c = campaign.OverallModelCtx(nil, b.Prog, g, *trials, rng, nil, fi.Model)
-	}
+	c := campaign.OverallSharded(b.Prog, g, *trials, *shards, campaign.ParallelOptions{
+		Workers: fi.Workers, Seed: *seed, BatchSize: fi.BatchSize, Model: fi.Model,
+	})
 	tr.Advance(c.DynInstrs)
 	tr.Emit("fi.campaign", append([]telemetry.Field{
 		telemetry.F("model", desc),

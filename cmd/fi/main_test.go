@@ -48,19 +48,21 @@ func TestBadFlags(t *testing.T) {
 	}
 }
 
-// TestTelemetryWorkerEquivalence: with -parallel ≥ 1 every trial's RNG is
-// derived from (seed, trial index), so the tally and the trace are identical
-// for any worker count.
+// TestTelemetryWorkerEquivalence: every trial's RNG is derived from (seed,
+// trial index), so the tally and the trace are identical for any worker
+// count, including the default (no -workers flag).
 func TestTelemetryWorkerEquivalence(t *testing.T) {
 	dir := t.TempDir()
-	traces := make([][]byte, 0, 2)
-	for _, w := range []string{"1", "3"} {
+	var traces [][]byte
+	for _, w := range []string{"", "1", "3"} {
 		trace := filepath.Join(dir, "trace-w"+w+".jsonl")
-		code, _, errOut := runCmd(t, []string{
-			"-bench", "pathfinder", "-trials", "40", "-parallel", w, "-trace", trace,
-		})
+		args := []string{"-bench", "pathfinder", "-trials", "40", "-trace", trace}
+		if w != "" {
+			args = append(args, "-workers", w)
+		}
+		code, _, errOut := runCmd(t, args)
 		if code != 0 {
-			t.Fatalf("parallel=%s: exit %d, stderr: %s", w, code, errOut)
+			t.Fatalf("workers=%q: exit %d, stderr: %s", w, code, errOut)
 		}
 		blob, err := os.ReadFile(trace)
 		if err != nil {
@@ -68,7 +70,35 @@ func TestTelemetryWorkerEquivalence(t *testing.T) {
 		}
 		traces = append(traces, blob)
 	}
-	if !bytes.Equal(traces[0], traces[1]) {
-		t.Fatal("traces differ between -parallel 1 and -parallel 3")
+	for i, w := range []string{"1", "3"} {
+		if !bytes.Equal(traces[0], traces[i+1]) {
+			t.Fatalf("traces differ between the default and -workers %s", w)
+		}
+	}
+}
+
+// TestBatchKeepsTally: lockstep batching regroups trials but never changes
+// their plans, so the default, -batch 1 and -batch 64 print the same tally.
+func TestBatchKeepsTally(t *testing.T) {
+	var tallies []string
+	for _, batch := range []string{"", "1", "64"} {
+		args := []string{"-bench", "pathfinder", "-trials", "300", "-seed", "7"}
+		if batch != "" {
+			args = append(args, "-batch", batch)
+		}
+		code, out, errOut := runCmd(t, args)
+		if code != 0 {
+			t.Fatalf("batch=%q: exit %d, stderr: %s", batch, code, errOut)
+		}
+		i := strings.Index(out, "300 fault-injection trials")
+		if i < 0 {
+			t.Fatalf("batch=%q: no tally in output:\n%s", batch, out)
+		}
+		tallies = append(tallies, out[i:])
+	}
+	for i, batch := range []string{"1", "64"} {
+		if tallies[i+1] != tallies[0] {
+			t.Fatalf("-batch %s tally differs from the default:\n%s\nvs\n%s", batch, tallies[i+1], tallies[0])
+		}
 	}
 }

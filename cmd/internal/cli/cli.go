@@ -1,5 +1,5 @@
 // Package cli is the command-line surface the fi, peppax and experiments
-// tools share: the twelve FI and telemetry flags, the one rule that
+// tools share: the thirteen FI and telemetry flags, the one rule that
 // resolves them into core.FIOptions, and the telemetry setup each tool runs.
 // A shared flag means the same thing in every tool.
 package cli
@@ -38,10 +38,12 @@ type Flags struct {
 // help says so.
 func Register(fs *flag.FlagSet) *Flags {
 	f := &Flags{}
+	fs.IntVar(&f.Workers, "workers", 0,
+		"worker goroutines (0 = GOMAXPROCS, 1 = serial; results are identical for any value); fi: FI trials, or instructions with -perinstr; peppax: GA candidate evaluation and FI trials; experiments: concurrent experiments, GA evaluation and FI trials")
 	fs.Int64Var(&f.CheckpointInterval, "checkpoint-interval", 0,
 		"golden-prefix snapshot spacing for FI campaigns, in dynamic instructions (0 = auto, -1 = disable; results are identical either way)")
 	fs.IntVar(&f.BatchSize, "batch", 0,
-		"lockstep batch size for FI campaigns: trials sharing a checkpoint run as one batch with a shared trunk replay (0 = per-trial; batched campaigns draw per-trial RNG streams)")
+		"lockstep batch size for FI campaigns: trials sharing a checkpoint run as one batch with a shared trunk replay (0 or 1 = per-trial; results are identical at any size)")
 	fs.BoolVar(&f.Adaptive, "adaptive", false,
 		"adaptive stratified FI for the closing measurement and baseline candidates (fi: its campaign; Figure 5 checkpoints stay flat): stop each campaign once its composed 95% CI half-width falls below -ci-target; the flat trial count becomes the spend cap")
 	fs.Float64Var(&f.CITarget, "ci-target", 0,
@@ -68,9 +70,8 @@ func Register(fs *flag.FlagSet) *Flags {
 
 // FI resolves the FI flags into the shared option set: the fault model
 // through fault.CampaignModel (an unknown name fails with the registered
-// list) and -adaptive/-ci-target through core.CITargetFor. Workers and
-// ComposeTrials stay with the caller, since each tool spells them
-// differently.
+// list) and -adaptive/-ci-target through core.CITargetFor. ComposeTrials
+// stays with the caller.
 func (f *Flags) FI() (core.FIOptions, error) {
 	model, err := fault.CampaignModel(f.FaultModel)
 	if err != nil {

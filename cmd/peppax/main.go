@@ -13,10 +13,10 @@
 //	       [shared FI and telemetry flags]
 //	peppax -file prog.ir -spec "n:int:4:64:8,seed:int:1:100:7"
 //
-// The shared flags (-checkpoint-interval, -batch, -adaptive, -ci-target,
-// -compose, -compose-threshold, -fault-model, -heat-topk, -trace,
-// -trace-wallclock, -metrics, -metrics-addr) mean the same here as in fi
-// and experiments, and reach the -baseline run exactly as they reach the
+// The shared flags (-workers, -checkpoint-interval, -batch, -adaptive,
+// -ci-target, -compose, -compose-threshold, -fault-model, -heat-topk,
+// -trace, -trace-wallclock, -metrics, -metrics-addr) mean the same here as
+// in fi and experiments, and reach the -baseline run exactly as they reach the
 // search.
 //
 // -adaptive switches the closing FI measurement (and, with -baseline, each
@@ -77,7 +77,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		baseline    = fs.Bool("baseline", false, "also run the random+FI baseline with the same budget")
 		checkpoints = fs.String("checkpoints", "", "comma-separated generations to FI-measure (e.g. 50,100,200)")
 		maxSDC      = fs.Float64("max-sdc", 0, "CI gate (§7.1.2): exit non-zero if the SDC bound exceeds this fraction (0 disables)")
-		workers     = fs.Int("workers", 0, "worker count for GA candidate evaluation and baseline FI trials (0 = GOMAXPROCS, 1 = serial; results are identical for any value)")
 		cpuProfile  = fs.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 		memProfile  = fs.String("memprofile", "", "write an end-of-run heap profile to this file (go tool pprof)")
 		composeTr   = fs.Int("compose-trials", 0, "trial budget of a full -compose profile pass (0 = default 1600)")
@@ -148,7 +147,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	opts.FinalTrials = *trials
 	opts.TrialsPerRep = *trialsRep
 	opts.FIOptions = fi
-	opts.Workers = *workers
 	opts.ComposeTrials = *composeTr
 	opts.Trace = rec.Stream("search/" + b.Name)
 	if opts.Compose {

@@ -44,7 +44,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	refCounts := campaign.Overall(bench.Prog, ref, opts.FinalTrials, rng)
+	refCounts := campaign.OverallParallel(bench.Prog, ref, opts.FinalTrials, campaign.ParallelOptions{
+		Workers: opts.Workers, Seed: rng.Uint64(),
+	})
 	fmt.Printf("reference input: %v\n", bench.RefInput())
 	fmt.Printf("SDC probability: %.1f%%\n\n", refCounts.SDCProbability()*100)
 

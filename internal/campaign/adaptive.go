@@ -62,7 +62,7 @@ type AdaptiveOptions struct {
 	// Seed derives each trial's private RNG stream from
 	// (Seed, stratum, trial index).
 	Seed uint64
-	// Detector optionally models protection (see OverallProtected).
+	// Detector optionally models protection (see ParallelOptions.Detector).
 	Detector func(staticID int) bool
 	// BatchSize groups a round's trials into lockstep interp.BatchRun
 	// executions (see ParallelOptions.BatchSize); results are bit-identical

@@ -5,6 +5,12 @@
 // (1000 trials in the paper) and per-instruction SDC probability measurement
 // (100 trials per instruction in the paper's initial study, 30 in PEPPA-X's
 // reduced sensitivity derivation).
+//
+// Every campaign samples by one rule: each trial draws its plan and fault
+// bits from a private stream derived from the campaign seed and the trial's
+// index (per-instruction campaigns: the instruction's ID). Worker count,
+// batch size, shard layout and local or remote execution therefore never
+// change which plans a seed samples.
 package campaign
 
 import (
@@ -396,47 +402,6 @@ func (c Counts) SDCInterval() (lo, hi float64) {
 	return stats.WilsonInterval95(c.SDC, c.Trials)
 }
 
-// Overall measures the whole-program SDC probability of an input with the
-// given number of random single-bit-flip trials (the paper uses 1000).
-// Each trial samples a uniform dynamic instruction and flips a uniform bit
-// of its return value.
-func Overall(p *interp.Program, g *Golden, trials int, rng *xrand.RNG) Counts {
-	return OverallProtected(p, g, trials, rng, nil)
-}
-
-// OverallProtected is Overall with an optional protection detector: faults
-// landing on static instructions for which detector returns true are
-// classified Detected (used by the §6 stress-test case study).
-func OverallProtected(p *interp.Program, g *Golden, trials int, rng *xrand.RNG, detector func(int) bool) Counts {
-	return OverallCtx(nil, p, g, trials, rng, detector)
-}
-
-// OverallCtx is OverallProtected with cooperative cancellation: once ctx is
-// canceled the loop stops at the next trial boundary and returns the tally
-// of the trials that completed (Counts.Trials says how many). A nil or
-// Background ctx costs one nil check per trial.
-func OverallCtx(ctx context.Context, p *interp.Program, g *Golden, trials int, rng *xrand.RNG, detector func(int) bool) Counts {
-	return OverallModelCtx(ctx, p, g, trials, rng, detector, nil)
-}
-
-// OverallModelCtx is OverallCtx with an explicit fault model. A nil model is
-// the single-bit-flip default and reproduces OverallCtx byte-for-byte; other
-// models draw each trial's plan (and its injection-time corruption) from the
-// same serial stream.
-func OverallModelCtx(ctx context.Context, p *interp.Program, g *Golden, trials int, rng *xrand.RNG, detector func(int) bool, m fault.Model) Counts {
-	var c Counts
-	for i := 0; i < trials; i++ {
-		if ctxCanceled(ctx) {
-			break
-		}
-		plan := samplePlan(m, rng, g.DynCount)
-		o, _, dyn := Classify(p, g, plan, rng, detector)
-		c.Add(o)
-		c.DynInstrs += dyn
-	}
-	return c
-}
-
 // ctxDone returns ctx's cancellation channel in the form the interp layer
 // polls; nil contexts and context.Background both yield a nil channel, which
 // BatchRun never selects on.
@@ -456,28 +421,6 @@ func ctxCanceled(ctx context.Context) bool {
 type InstrResult struct {
 	ID     int
 	Counts Counts
-}
-
-// PerInstruction measures the SDC probability of each static instruction in
-// ids with trialsPerInstr faults targeted at random dynamic occurrences of
-// that instruction (the paper's per-instruction methodology). Instructions
-// that never execute under the input are skipped (zero-trial result).
-func PerInstruction(p *interp.Program, g *Golden, ids []int, trialsPerInstr int, rng *xrand.RNG) []InstrResult {
-	out := make([]InstrResult, 0, len(ids))
-	for _, id := range ids {
-		res := InstrResult{ID: id}
-		if execCount := g.InstrCounts[id]; execCount > 0 {
-			ty := p.InstrType(id)
-			for t := 0; t < trialsPerInstr; t++ {
-				plan := fault.SampleStatic(rng, id, ty, execCount)
-				o, _, dyn := Classify(p, g, plan, rng, nil)
-				res.Counts.Add(o)
-				res.Counts.DynInstrs += dyn
-			}
-		}
-		out = append(out, res)
-	}
-	return out
 }
 
 // AllInstructionIDs returns the IDs 0..n-1 for a program — convenience for

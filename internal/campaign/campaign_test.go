@@ -121,7 +121,6 @@ func TestNewGoldenRejectsOverBudget(t *testing.T) {
 }
 
 func TestOverallSDCSeparatesPrograms(t *testing.T) {
-	rng := xrand.New(11)
 	acc := buildAccumulator(t)
 	masked := buildMasked(t)
 	gAcc, err := NewGolden(acc, []uint64{200}, 0)
@@ -132,8 +131,8 @@ func TestOverallSDCSeparatesPrograms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cAcc := Overall(acc, gAcc, 400, rng)
-	cMasked := Overall(masked, gMasked, 400, rng)
+	cAcc := OverallParallel(acc, gAcc, 400, ParallelOptions{Seed: 11})
+	cMasked := OverallParallel(masked, gMasked, 400, ParallelOptions{Seed: 11})
 	if cAcc.Trials != 400 || cMasked.Trials != 400 {
 		t.Fatal("trial counts wrong")
 	}
@@ -171,8 +170,8 @@ func TestCountsBookkeeping(t *testing.T) {
 func TestClassifyDeterministicWithSeed(t *testing.T) {
 	p := buildAccumulator(t)
 	g, _ := NewGolden(p, []uint64{150}, 0)
-	a := Overall(p, g, 200, xrand.New(42))
-	b := Overall(p, g, 200, xrand.New(42))
+	a := OverallParallel(p, g, 200, ParallelOptions{Seed: 42})
+	b := OverallParallel(p, g, 200, ParallelOptions{Seed: 42})
 	if a != b {
 		t.Fatalf("campaign not reproducible: %+v vs %+v", a, b)
 	}
@@ -181,9 +180,8 @@ func TestClassifyDeterministicWithSeed(t *testing.T) {
 func TestClassifyDetected(t *testing.T) {
 	p := buildAccumulator(t)
 	g, _ := NewGolden(p, []uint64{100}, 0)
-	rng := xrand.New(3)
 	all := func(int) bool { return true }
-	c := OverallProtected(p, g, 100, rng, all)
+	c := OverallParallel(p, g, 100, ParallelOptions{Seed: 3, Detector: all})
 	if c.Detected != 100 {
 		t.Fatalf("full protection should detect every activated fault: %+v", c)
 	}
@@ -195,9 +193,8 @@ func TestClassifyDetected(t *testing.T) {
 func TestPerInstruction(t *testing.T) {
 	p := buildAccumulator(t)
 	g, _ := NewGolden(p, []uint64{100}, 0)
-	rng := xrand.New(17)
 	ids := AllInstructionIDs(p)
-	results := PerInstruction(p, g, ids, 30, rng)
+	results := PerInstructionParallel(p, g, ids, 30, ParallelOptions{Seed: 17})
 	if len(results) != len(ids) {
 		t.Fatalf("results = %d, want %d", len(results), len(ids))
 	}

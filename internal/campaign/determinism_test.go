@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/prog"
-	"repro/internal/xrand"
 )
 
 // TestFaultModelDeterminismMatrix is the pluggable-fault-model determinism
@@ -54,8 +53,8 @@ func TestFaultModelDeterminismMatrix(t *testing.T) {
 // TestDefaultModelMatchesHistoricalPath pins the Model interface to the
 // pre-interface behaviour: a campaign with a nil Model (the historical
 // hardcoded single-bit-flip path) and one passing fault.SingleFlip
-// explicitly must produce byte-identical tallies, on both the parallel
-// per-trial-stream path and the serial shared-stream path.
+// explicitly must produce byte-identical tallies at every worker count and
+// batch size.
 func TestDefaultModelMatchesHistoricalPath(t *testing.T) {
 	trials := 200
 	if testing.Short() {
@@ -76,11 +75,5 @@ func TestDefaultModelMatchesHistoricalPath(t *testing.T) {
 			t.Fatalf("workers=%d batch=%d: explicit single-flip %+v != nil-model default %+v",
 				cfg.workers, cfg.batch, explicit, legacy)
 		}
-	}
-	serialNil := OverallModelCtx(nil, b.Prog, g, trials, xrand.New(seed), nil, nil)
-	serialExplicit := OverallModelCtx(nil, b.Prog, g, trials, xrand.New(seed), nil, fault.SingleFlip)
-	if serialNil != serialExplicit {
-		t.Fatalf("serial path diverged: nil model %+v != explicit single-flip %+v",
-			serialNil, serialExplicit)
 	}
 }

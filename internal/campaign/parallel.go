@@ -11,19 +11,21 @@ import (
 
 // The paper notes (§5.2) that both PEPPA-X and the baseline parallelize
 // trivially — FI trials are independent — but reports unparallelized
-// numbers for fairness. This file provides the parallel campaign runner for
-// practical use, built on the repository-wide deterministic worker pool
-// (internal/parallel). Determinism is preserved by deriving each trial's
-// RNG from (seed, trial index) rather than sharing a stream, so results are
-// independent of scheduling and worker count.
+// numbers for fairness. This file provides the campaign runners, built on
+// the repository-wide deterministic worker pool (internal/parallel).
+// Determinism is preserved by deriving each trial's RNG from (seed, trial
+// index) rather than sharing a stream, so results are independent of
+// scheduling and worker count; Workers: 1 is the serial schedule.
 
-// ParallelOptions configures a parallel campaign.
+// ParallelOptions configures a campaign.
 type ParallelOptions struct {
 	// Workers is the goroutine count (<= 0: GOMAXPROCS).
 	Workers int
 	// Seed derives each trial's private RNG stream.
 	Seed uint64
-	// Detector optionally models protection (see OverallProtected).
+	// Detector optionally models protection: faults landing on static
+	// instructions for which it returns true classify as Detected (the §6
+	// stress-test case study).
 	Detector func(staticID int) bool
 	// BatchSize groups trials that resume from the same checkpoint into
 	// lockstep interp.BatchRun executions of at most this size, sharing one
@@ -60,57 +62,23 @@ func trialRNG(seed uint64, trial int) *xrand.RNG {
 	return xrand.New(seed ^ (uint64(trial)+1)*0x9E3779B97F4A7C15)
 }
 
-// trialOutcome is one trial's classification and cost. ok distinguishes a
-// trial that actually ran from one skipped by cancellation — the zero value
-// would otherwise tally as a Benign trial of zero cost.
-type trialOutcome struct {
-	o   Outcome
-	dyn int64
-	ok  bool
-}
-
-// OverallParallel measures the whole-program SDC probability like Overall,
-// fanning trials across workers. Each trial's randomness depends only on
-// (Seed, trial index), and trials are folded in index order, so for a fixed
-// (Seed, trials) configuration the result is identical regardless of
-// Workers — including the serial Workers=1 schedule.
+// OverallParallel measures the whole-program SDC probability of an input
+// with `trials` faults drawn from opts.Model (the paper uses 1000 single-bit
+// flips), fanning trials across workers. It is OverallShard over the whole
+// range [0, trials): each trial's plan and stream depend only on (Seed,
+// trial index) and trials fold in index order, so the tally is identical
+// for every Workers, BatchSize and shard layout.
 func OverallParallel(p *interp.Program, g *Golden, trials int, opts ParallelOptions) Counts {
-	if opts.BatchSize > 1 {
-		return overallBatched(p, g, trials, opts)
-	}
-	outcomes := parallel.Map(opts.Workers, trials, func(i int) trialOutcome {
-		if ctxCanceled(opts.Ctx) {
-			return trialOutcome{}
-		}
-		rng := trialRNG(opts.Seed, i)
-		plan := samplePlan(opts.Model, rng, g.DynCount)
-		o, _, dyn := Classify(p, g, plan, rng, opts.Detector)
-		return trialOutcome{o: o, dyn: dyn, ok: true}
-	})
-	return foldOutcomes(outcomes)
+	return OverallShard(p, g, 0, trials, opts)
 }
 
-// foldOutcomes tallies completed trials in index order, skipping the ones
-// cancellation left unrun.
-func foldOutcomes(outcomes []trialOutcome) Counts {
-	var c Counts
-	for _, t := range outcomes {
-		if !t.ok {
-			continue
-		}
-		c.Add(t.o)
-		c.DynInstrs += t.dyn
-	}
-	return c
-}
-
-// PerInstructionParallel is the parallel form of PerInstruction: the
-// instruction list is distributed across workers, each instruction's trials
-// seeded by its ID so the results match any worker count. With
-// opts.BatchSize > 1 each instruction's trials run in lockstep batches;
-// plans are pre-sampled from the same per-ID stream in the same order (and
-// static plans draw their fault bits eagerly, never at injection), so the
-// batched counts are bit-identical to the per-trial ones.
+// PerInstructionParallel measures the SDC probability of each static
+// instruction in ids with trialsPerInstr faults targeted at random dynamic
+// occurrences of that instruction (the paper's per-instruction
+// methodology); instructions that never execute under the input get a
+// zero-trial result. The instruction list fans out across workers and each
+// instruction's plans come from a stream seeded by (Seed, ID), so results
+// are identical for every Workers and BatchSize.
 func PerInstructionParallel(p *interp.Program, g *Golden, ids []int, trialsPerInstr int, opts ParallelOptions) []InstrResult {
 	return parallel.Map(opts.Workers, len(ids), func(k int) InstrResult {
 		id := ids[k]
@@ -121,87 +89,32 @@ func PerInstructionParallel(p *interp.Program, g *Golden, ids []int, trialsPerIn
 		}
 		ty := p.InstrType(id)
 		rng := trialRNG(opts.Seed, id)
-		if opts.BatchSize > 1 {
-			plans := make([]fault.Plan, trialsPerInstr)
-			for t := range plans {
-				plans[t] = fault.SampleStatic(rng, id, ty, execCount)
-			}
-			outs := make([]trialOutcome, trialsPerInstr)
-			// workers=1: instruction-level fan-out already occupies the
-			// pool; nesting another ForEach would oversubscribe it.
-			runBatchJobs(p, g, plans, func(int) *xrand.RNG { return rng }, opts.BatchSize, 1, nil, ctxDone(opts.Ctx), outs)
-			res.Counts = foldOutcomes(outs)
-			return res
+		plans := make([]fault.Plan, trialsPerInstr)
+		for t := range plans {
+			plans[t] = fault.SampleStatic(rng, id, ty, execCount)
 		}
-		for t := 0; t < trialsPerInstr; t++ {
-			if ctxCanceled(opts.Ctx) {
-				break
-			}
-			plan := fault.SampleStatic(rng, id, ty, execCount)
-			o, _, dyn := Classify(p, g, plan, rng, nil)
-			res.Counts.Add(o)
-			res.Counts.DynInstrs += dyn
-		}
+		// Static plans draw their fault bits eagerly, so the trials share
+		// the instruction's stream without consuming it. One worker: the
+		// instruction-level fan-out already occupies the pool.
+		res.Counts = tally(RunPlans(p, g, plans, func(int) *xrand.RNG { return rng }, ParallelOptions{
+			Workers: 1, BatchSize: opts.BatchSize, Ctx: opts.Ctx,
+		}))
 		return res
 	})
 }
 
-// overallBatched is OverallParallel's lockstep path. Plans and per-trial
-// RNGs are derived exactly as on the per-trial path (SampleDynamic is the
-// first draw on each trial's private stream; the fault-bit draw at
-// injection continues the same stream inside BatchRun), trials are grouped
-// by the snapshot ForPlan selects, and batches fan out across workers while
-// outcomes fold in trial-index order — so the counts are bit-identical for
-// every batch size and worker count.
-func overallBatched(p *interp.Program, g *Golden, trials int, opts ParallelOptions) Counts {
-	plans := make([]fault.Plan, trials)
-	rngs := make([]*xrand.RNG, trials)
-	for i := range plans {
-		rngs[i] = trialRNG(opts.Seed, i)
-		plans[i] = samplePlan(opts.Model, rngs[i], g.DynCount)
-	}
-	outcomes := make([]trialOutcome, trials)
-	runBatchJobs(p, g, plans, func(i int) *xrand.RNG { return rngs[i] }, opts.BatchSize, opts.Workers, opts.Detector, ctxDone(opts.Ctx), outcomes)
-	return foldOutcomes(outcomes)
-}
-
-// runBatchJobs executes the planned trials in lockstep batches, fanning the
-// batches across workers, and writes each trial's classified outcome into
-// outs[i]. rngFor supplies the RNG a trial injects with; batch telemetry
-// accumulates into g.Checkpoints (atomic, nil-safe). When done closes,
-// in-flight batches stop at their next boundary and unstarted trials leave
-// their outs entries with ok=false.
-func runBatchJobs(p *interp.Program, g *Golden, plans []fault.Plan, rngFor func(i int) *xrand.RNG, size, workers int, detector func(staticID int) bool, done <-chan struct{}, outs []trialOutcome) {
-	jobs := batchJobs(g, plans, size)
-	budget := g.DynCount*hangBudgetMultiplier + hangBudgetSlack
-	parallel.ForEach(workers, len(jobs), func(j int) {
-		if doneClosed(done) {
-			return
+// tally folds trial results in index order, skipping the trials
+// cancellation left unrun.
+func tally(res []TrialResult) Counts {
+	var c Counts
+	for _, t := range res {
+		if t.Skipped {
+			continue
 		}
-		job := &jobs[j]
-		bt := make([]interp.BatchTrial, len(job.idx))
-		for k, i := range job.idx {
-			bt[k] = interp.BatchTrial{Plan: plans[i], RNG: rngFor(i)}
-		}
-		st := interp.BatchRun(p, g.Input, job.snap, bt, interp.Options{MaxDyn: budget, Fused: true, Done: done}, func(k int, r *interp.Result) {
-			o, _ := classifyResult(g, r, detector)
-			outs[job.idx[k]] = trialOutcome{o: o, dyn: r.DynCount, ok: true}
-		})
-		g.Checkpoints.NoteBatch(st)
-	})
-}
-
-// doneClosed mirrors interp's Done polling for the job dispatcher.
-func doneClosed(done <-chan struct{}) bool {
-	if done == nil {
-		return false
+		c.Add(t.Outcome)
+		c.DynInstrs += t.Dyn
 	}
-	select {
-	case <-done:
-		return true
-	default:
-		return false
-	}
+	return c
 }
 
 // TrialResult is one classified FI trial: its outcome and the dynamic
@@ -214,31 +127,52 @@ type TrialResult struct {
 }
 
 // RunPlans classifies one trial per pre-sampled plan against the golden and
-// returns the results in plan order. rngFor supplies trial i's private RNG
-// (used for any fault bits a plan left pending); each trial must get a
-// stream derived only from its index, never one shared across trials. With
+// returns the results in plan order. rngFor supplies trial i's RNG, used
+// only for fault bits a plan left pending; a trial with pending bits must
+// get a stream derived only from its index, never one shared across
+// trials. With
 // opts.BatchSize > 1, trials sharing a checkpoint run in lockstep batches;
 // either way results depend only on (plans, rngFor), not on opts.Workers or
 // opts.BatchSize, so callers composing measurements from RunPlans inherit
 // the repository's bit-identity contract. opts.Seed is ignored — the plans
 // and rngFor already carry all randomness.
 func RunPlans(p *interp.Program, g *Golden, plans []fault.Plan, rngFor func(i int) *xrand.RNG, opts ParallelOptions) []TrialResult {
-	outs := make([]trialOutcome, len(plans))
-	if opts.BatchSize > 1 {
-		runBatchJobs(p, g, plans, rngFor, opts.BatchSize, opts.Workers, opts.Detector, ctxDone(opts.Ctx), outs)
-	} else {
+	res := make([]TrialResult, len(plans))
+	for i := range res {
+		res[i].Skipped = true // until the trial runs
+	}
+	if opts.BatchSize <= 1 {
 		parallel.ForEach(opts.Workers, len(plans), func(i int) {
 			if ctxCanceled(opts.Ctx) {
 				return
 			}
 			o, _, dyn := Classify(p, g, plans[i], rngFor(i), opts.Detector)
-			outs[i] = trialOutcome{o: o, dyn: dyn, ok: true}
+			res[i] = TrialResult{Outcome: o, Dyn: dyn}
 		})
+		return res
 	}
-	res := make([]TrialResult, len(outs))
-	for i, t := range outs {
-		res[i] = TrialResult{Outcome: t.o, Dyn: t.dyn, Skipped: !t.ok}
-	}
+	// Lockstep path: trials resuming from the same snapshot run as one
+	// BatchRun, and the batches fan out across workers. Batch telemetry
+	// accumulates into g.Checkpoints (atomic, nil-safe). Once ctx is
+	// canceled, in-flight batches stop at their next boundary.
+	jobs := batchJobs(g, plans, opts.BatchSize)
+	budget := g.DynCount*hangBudgetMultiplier + hangBudgetSlack
+	done := ctxDone(opts.Ctx)
+	parallel.ForEach(opts.Workers, len(jobs), func(j int) {
+		if ctxCanceled(opts.Ctx) {
+			return
+		}
+		job := &jobs[j]
+		bt := make([]interp.BatchTrial, len(job.idx))
+		for k, i := range job.idx {
+			bt[k] = interp.BatchTrial{Plan: plans[i], RNG: rngFor(i)}
+		}
+		st := interp.BatchRun(p, g.Input, job.snap, bt, interp.Options{MaxDyn: budget, Fused: true, Done: done}, func(k int, r *interp.Result) {
+			o, _ := classifyResult(g, r, opts.Detector)
+			res[job.idx[k]] = TrialResult{Outcome: o, Dyn: r.DynCount}
+		})
+		g.Checkpoints.NoteBatch(st)
+	})
 	return res
 }
 

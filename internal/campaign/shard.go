@@ -31,10 +31,11 @@ func ShardRange(trials, shard, shards int) (lo, hi int) {
 }
 
 // OverallShard runs the global trial indices [lo, hi) of a flat campaign
-// and returns their tally. Each trial's plan and RNG stream derive from its
-// GLOBAL index exactly as in OverallParallel, so summing shard tallies in
-// shard order (Counts.Merge) is bit-identical to the unsharded run for any
-// shard layout — including a remote process that knows only (seed, lo, hi,
+// and returns their tally — the one implementation of the flat campaign
+// (OverallParallel is the range [0, trials)). Each trial's plan and RNG
+// stream derive from its GLOBAL index, so summing shard tallies in shard
+// order (Counts.Merge) is bit-identical to the unsharded run for any shard
+// layout — including a remote process that knows only (seed, lo, hi,
 // golden).
 func OverallShard(p *interp.Program, g *Golden, lo, hi int, opts ParallelOptions) Counts {
 	if hi <= lo {
@@ -47,16 +48,7 @@ func OverallShard(p *interp.Program, g *Golden, lo, hi int, opts ParallelOptions
 		rngs[i] = trialRNG(opts.Seed, lo+i)
 		plans[i] = samplePlan(opts.Model, rngs[i], g.DynCount)
 	}
-	res := RunPlans(p, g, plans, func(i int) *xrand.RNG { return rngs[i] }, opts)
-	var c Counts
-	for _, t := range res {
-		if t.Skipped {
-			continue
-		}
-		c.Add(t.Outcome)
-		c.DynInstrs += t.Dyn
-	}
-	return c
+	return tally(RunPlans(p, g, plans, func(i int) *xrand.RNG { return rngs[i] }, opts))
 }
 
 // OverallSharded splits a flat campaign into `shards` contiguous ranges,

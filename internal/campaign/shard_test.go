@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/prog"
-	"repro/internal/xrand"
 )
 
 func TestShardRangePartitions(t *testing.T) {
@@ -147,9 +146,6 @@ func TestOverallShardedCancellation(t *testing.T) {
 	}
 	if c = OverallParallel(p, g, 100, ParallelOptions{Workers: 2, Seed: 3, Ctx: ctx}); c.Trials != 0 {
 		t.Fatalf("pre-canceled parallel campaign ran %d trials", c.Trials)
-	}
-	if c = OverallCtx(ctx, p, g, 100, xrand.New(3), nil); c.Trials != 0 {
-		t.Fatalf("pre-canceled serial campaign ran %d trials", c.Trials)
 	}
 
 	// Mid-flight cancel: fire after the first classified trial. The exact

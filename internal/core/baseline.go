@@ -257,7 +257,8 @@ func EvaluateInputCost(b *prog.Benchmark, input []float64, trials int, rng *xran
 	if err != nil {
 		return 0, 0, 0, 0, err
 	}
-	c := campaign.Overall(b.Prog, g, trials, rng)
+	// One worker: Table 6 reports single-thread cost per input.
+	c := campaign.OverallParallel(b.Prog, g, trials, campaign.ParallelOptions{Workers: 1, Seed: rng.Uint64()})
 	baselineTime := time.Since(t0)
 	baselineDyn := g.DynCount + c.DynInstrs
 	return peppaDyn, baselineDyn, peppaTime, baselineTime, nil

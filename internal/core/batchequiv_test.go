@@ -8,11 +8,10 @@ import (
 	"repro/internal/xrand"
 )
 
-// TestSearchBatchInvariance pins the batched pipeline's determinism
-// contract: once Options.BatchSize routes the FI campaigns through the
-// lockstep executor, the whole search result must be bit-identical for
-// every batch size and worker count (batched campaigns classify on
-// per-trial RNG streams, so the grouping cannot leak into the tallies).
+// TestSearchBatchInvariance pins the pipeline's determinism contract:
+// every FI campaign classifies on per-trial RNG streams, so the whole
+// search result must be bit-identical for every batch size — including 0,
+// the unbatched default — and worker count.
 func TestSearchBatchInvariance(t *testing.T) {
 	names := []string{"pathfinder", "fft"}
 	if testing.Short() {
@@ -30,7 +29,7 @@ func TestSearchBatchInvariance(t *testing.T) {
 
 			var want *Result
 			for _, w := range []int{1, 4} {
-				for _, batch := range []int{1, 8, 64} {
+				for _, batch := range []int{0, 1, 8, 64} {
 					opts.Workers = w
 					opts.BatchSize = batch
 					r, err := Search(b, opts, xrand.New(2026))

@@ -369,7 +369,7 @@ func TestGoldenReusableAcrossCampaigns(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := g.DynCount
-	campaign.Overall(b.Prog, g, 50, xrand.New(1))
+	campaign.OverallParallel(b.Prog, g, 50, campaign.ParallelOptions{Seed: 1})
 	if g.DynCount != before {
 		t.Fatal("campaign mutated golden")
 	}

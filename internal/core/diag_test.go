@@ -35,7 +35,7 @@ func TestDiagPathfinderFitness(t *testing.T) {
 			t.Logf("%v invalid", in)
 			continue
 		}
-		c := campaign.Overall(b.Prog, g, 400, rng)
+		c := campaign.OverallParallel(b.Prog, g, 400, campaign.ParallelOptions{Seed: rng.Uint64()})
 		t.Logf("input %-22v fitness %.3f  SDC %5.1f%%  dyn %d", in, f, c.SDCProbability()*100, g.DynCount)
 	}
 }

@@ -16,13 +16,11 @@ type FIOptions struct {
 	// drawn and folded serially, and every trial's RNG derives from its
 	// campaign seed and index, so results are bit-identical for every value.
 	Workers int
-	// BatchSize > 0 runs whole-program FI campaigns in lockstep batches of
+	// BatchSize > 1 runs whole-program FI campaigns in lockstep batches of
 	// at most this size on the checkpointed golden (see
 	// campaign.ParallelOptions.BatchSize), sharing one trunk replay per
-	// batch. The search's own campaigns then switch from the serial shared
-	// stream to per-trial streams drawn off one seed, so batching on and off
-	// sample different plans; batched tallies are bit-identical for every
-	// batch size and worker count. 0 keeps the unbatched paths.
+	// batch. Tallies are bit-identical for every batch size and worker
+	// count. 0 or 1 runs trial by trial.
 	BatchSize int
 	// CheckpointInterval controls golden-prefix snapshotting for every FI
 	// campaign: campaign.CheckpointAuto (0) tunes the spacing from each

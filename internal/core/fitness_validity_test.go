@@ -38,7 +38,7 @@ func TestFitnessCorrelatesWithSDC(t *testing.T) {
 					continue
 				}
 				f, _ := Fitness(b, dist.Scores, in)
-				c := campaign.Overall(b.Prog, g, 300, rng)
+				c := campaign.OverallParallel(b.Prog, g, 300, campaign.ParallelOptions{Seed: rng.Uint64()})
 				fits = append(fits, f)
 				sdcs = append(sdcs, c.SDCProbability())
 			}

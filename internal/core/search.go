@@ -430,25 +430,18 @@ func Search(b *prog.Benchmark, opts Options, rng *xrand.RNG) (*Result, error) {
 	return res, nil
 }
 
-// overallCampaign routes one whole-program FI campaign of the pipeline:
-// the serial shared-stream path by default, or — with Options.BatchSize
-// > 0 — the lockstep batched runner. The serial path interleaves each
-// trial's plan and fault-bit draws on one shared stream and therefore
-// cannot be regrouped into batches without changing the draws; the batched
-// path instead seeds per-trial streams from a single serial draw off the
-// same search RNG, keeping the search deterministic and the tallies
-// bit-identical for every batch size and worker count.
+// overallCampaign runs one whole-program FI campaign of the pipeline on
+// per-trial streams seeded by one draw off the search RNG, keeping the
+// search deterministic and the tally bit-identical for every worker count
+// and batch size.
 func overallCampaign(p *interp.Program, g *campaign.Golden, trials int, rng *xrand.RNG, opts Options) campaign.Counts {
-	if opts.BatchSize > 0 {
-		return campaign.OverallParallel(p, g, trials, campaign.ParallelOptions{
-			Workers:   opts.Workers,
-			Seed:      rng.Uint64(),
-			BatchSize: opts.BatchSize,
-			Ctx:       opts.Ctx,
-			Model:     opts.Model,
-		})
-	}
-	return campaign.OverallModelCtx(opts.Ctx, p, g, trials, rng, nil, opts.Model)
+	return campaign.OverallParallel(p, g, trials, campaign.ParallelOptions{
+		Workers:   opts.Workers,
+		Seed:      rng.Uint64(),
+		BatchSize: opts.BatchSize,
+		Ctx:       opts.Ctx,
+		Model:     opts.Model,
+	})
 }
 
 // Fitness is PEPPA-X's per-candidate evaluation (§4.2.5): one profiled

@@ -15,8 +15,9 @@
 // results catches any single corruption of that instruction's return value
 // before it propagates. Under the single-bit-flip, single-fault model this
 // is exact, so the stress-test campaign models protection as a detector
-// predicate over fault sites (campaign.OverallProtected) rather than
-// rewriting the IR.
+// predicate over fault sites (campaign.ParallelOptions.Detector) rather than
+// rewriting the IR. The package's campaigns run on one worker: their
+// callers (the experiment suite) already fan out.
 package duplication
 
 import (
@@ -39,7 +40,7 @@ type InstrProfile struct {
 // on the given input (the paper uses the default reference input here).
 func Profile(p *interp.Program, g *campaign.Golden, trialsPerInstr int, rng *xrand.RNG) []InstrProfile {
 	ids := campaign.AllInstructionIDs(p)
-	results := campaign.PerInstruction(p, g, ids, trialsPerInstr, rng)
+	results := campaign.PerInstructionParallel(p, g, ids, trialsPerInstr, campaign.ParallelOptions{Workers: 1, Seed: rng.Uint64()})
 	out := make([]InstrProfile, len(results))
 	for i, r := range results {
 		out[i] = InstrProfile{
@@ -65,7 +66,7 @@ type Protection struct {
 	Benefit float64
 }
 
-// Detector returns the predicate used by campaign.OverallProtected.
+// Detector returns the predicate for campaign.ParallelOptions.Detector.
 func (pr *Protection) Detector() func(int) bool {
 	return func(id int) bool {
 		return id >= 0 && id < len(pr.IsProtected) && pr.IsProtected[id]
@@ -175,23 +176,19 @@ type CoverageResult struct {
 	Coverage float64
 }
 
-// MeasureCoverage runs paired FI campaigns (with and without the protection
-// detector) on one input and computes the achieved SDC coverage.
+// MeasureCoverage runs paired FI campaigns on one input — the same trials
+// with and without the protection detector, on one seed drawn off rng —
+// and computes the achieved SDC coverage. The detector only reclassifies
+// trials, so the protected campaign never has more SDCs than the
+// unprotected one.
 func MeasureCoverage(p *interp.Program, g *campaign.Golden, pr *Protection, trials int, rng *xrand.RNG) CoverageResult {
-	res := CoverageResult{
-		Unprotected: campaign.Overall(p, g, trials, rng),
-		Protected:   campaign.OverallProtected(p, g, trials, rng, pr.Detector()),
-	}
-	pu := res.Unprotected.SDCProbability()
-	pp := res.Protected.SDCProbability()
-	if pu <= 0 {
-		res.Coverage = 1
-	} else {
-		cov := 1 - pp/pu
-		if cov < 0 {
-			cov = 0
-		}
-		res.Coverage = cov
+	opts := campaign.ParallelOptions{Workers: 1, Seed: rng.Uint64()}
+	res := CoverageResult{Unprotected: campaign.OverallParallel(p, g, trials, opts)}
+	opts.Detector = pr.Detector()
+	res.Protected = campaign.OverallParallel(p, g, trials, opts)
+	res.Coverage = 1
+	if pu := res.Unprotected.SDCProbability(); pu > 0 {
+		res.Coverage = 1 - res.Protected.SDCProbability()/pu
 	}
 	return res
 }

@@ -115,6 +115,29 @@ func TestCoverageBounds(t *testing.T) {
 	}
 }
 
+// TestMeasureCoveragePaired: the protected and unprotected campaigns run
+// the same trials, so they spend the same dynamic instructions and the
+// detector can only turn SDCs into detections, never add one.
+func TestMeasureCoveragePaired(t *testing.T) {
+	for _, name := range prog.Names() {
+		b := prog.Build(name)
+		g := refGolden(t, b)
+		profiles := make([]InstrProfile, len(g.InstrCounts))
+		for id, n := range g.InstrCounts {
+			profiles[id] = InstrProfile{ID: id, SDCProb: 1, ExecCount: n}
+		}
+		pr := Select(profiles, g.DynCount, 0.5)
+		res := MeasureCoverage(b.Prog, g, pr, 100, xrand.New(3))
+		u, p := res.Unprotected, res.Protected
+		if u.Trials != p.Trials || u.DynInstrs != p.DynInstrs {
+			t.Errorf("%s: campaigns not paired: unprotected %+v, protected %+v", name, u, p)
+		}
+		if p.SDC > u.SDC {
+			t.Errorf("%s: protection added SDCs: %d > %d", name, p.SDC, u.SDC)
+		}
+	}
+}
+
 func TestStressTestShape(t *testing.T) {
 	// The §6 result in miniature: expected coverage (reference input)
 	// should exceed actual coverage (a different, more SDC-prone input)

@@ -87,7 +87,7 @@ func TestPassDetectsInjectedFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := campaign.Overall(p2, g, 400, xrand.New(8))
+	c := campaign.OverallParallel(p2, g, 400, campaign.ParallelOptions{Seed: 8})
 	if c.Detected == 0 {
 		t.Fatal("no faults detected by the duplication instrumentation")
 	}
@@ -111,7 +111,7 @@ func TestPassAgreesWithDetectorModel(t *testing.T) {
 	profiles := Profile(b.Prog, refGolden, 10, rng)
 	sel := FilterDuplicable(b.Module, Select(profiles, refGolden.DynCount, 0.7))
 
-	model := campaign.OverallProtected(b.Prog, refGolden, 600, rng, sel.Detector())
+	model := campaign.OverallParallel(b.Prog, refGolden, 600, campaign.ParallelOptions{Seed: rng.Uint64(), Detector: sel.Detector()})
 
 	mod, err := ApplyPass(b.Module, sel.Protected)
 	if err != nil {
@@ -125,9 +125,9 @@ func TestPassAgreesWithDetectorModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pass := campaign.Overall(p2, g2, 600, rng)
+	pass := campaign.OverallParallel(p2, g2, 600, campaign.ParallelOptions{Seed: rng.Uint64()})
 
-	unprot := campaign.Overall(b.Prog, refGolden, 600, rng)
+	unprot := campaign.OverallParallel(b.Prog, refGolden, 600, campaign.ParallelOptions{Seed: rng.Uint64()})
 	if model.SDCProbability() >= unprot.SDCProbability() {
 		t.Fatalf("detector model did not reduce SDC: %.3f vs %.3f",
 			model.SDCProbability(), unprot.SDCProbability())

@@ -47,38 +47,14 @@ func AblationPruningBoundaries(s *Suite, bench string) (*AblationPruningResult, 
 	// Direct reference measurement.
 	ids := campaign.AllInstructionIDs(b.Prog)
 	direct := campaign.PerInstructionVector(b.Prog.NumInstrs(),
-		campaign.PerInstruction(b.Prog, small.Golden, ids, s.Cfg.PerInstrTrials, rng))
+		campaign.PerInstructionParallel(b.Prog, small.Golden, ids, s.Cfg.PerInstrTrials, oneWorker(rng)))
 
-	derive := func(groups []analysis.Group) []float64 {
-		raw := make([]float64, b.Prog.NumInstrs())
-		for _, grp := range groups {
-			rep := grp.Representative
-			if small.Golden.InstrCounts[rep] == 0 {
-				for _, m := range grp.Members {
-					if small.Golden.InstrCounts[m] > 0 {
-						rep = m
-						break
-					}
-				}
-			}
-			var prob float64
-			if small.Golden.InstrCounts[rep] > 0 {
-				r := campaign.PerInstruction(b.Prog, small.Golden, []int{rep}, s.Cfg.TrialsPerRep, rng)
-				prob = r[0].Counts.SDCProbability()
-			}
-			for _, m := range grp.Members {
-				raw[m] = prob
-			}
-		}
-		return raw
-	}
-
-	withB := derive(analysis.Prune(b.Module).Groups)
-	withoutB := derive(analysis.PruneNoBoundaries(b.Module).Groups)
-	if res.RhoWith, err = stats.Spearman(withB, direct); err != nil {
+	withB := sensitivity.DeriveGroups(b.Prog, small.Golden, analysis.Prune(b.Module).Groups, s.Cfg.TrialsPerRep, rng)
+	withoutB := sensitivity.DeriveGroups(b.Prog, small.Golden, analysis.PruneNoBoundaries(b.Module).Groups, s.Cfg.TrialsPerRep, rng)
+	if res.RhoWith, err = stats.Spearman(withB.RawProb, direct); err != nil {
 		return nil, err
 	}
-	if res.RhoWithout, err = stats.Spearman(withoutB, direct); err != nil {
+	if res.RhoWithout, err = stats.Spearman(withoutB.RawProb, direct); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -179,7 +155,7 @@ func AblationFitness(s *Suite, bench string) (*AblationFitnessResult, error) {
 		if err != nil {
 			return 0
 		}
-		return campaign.Overall(b.Prog, g, s.Cfg.OverallTrials, rng).SDCProbability()
+		return campaign.OverallParallel(b.Prog, g, s.Cfg.OverallTrials, oneWorker(rng)).SDCProbability()
 	}
 	return &AblationFitnessResult{
 		Bench:              bench,

@@ -100,7 +100,7 @@ func (s *Suite) heatMap(name string) (*HeatMap, error) {
 			in[sweep[1]] = yv
 			sdc := 0.0
 			if g, err := campaign.NewGoldenCheckpointed(b.Prog, b.Encode(in), b.MaxDyn, s.Cfg.CheckpointInterval); err == nil {
-				c := campaign.Overall(b.Prog, g, s.Cfg.HeatmapTrials, rng)
+				c := campaign.OverallParallel(b.Prog, g, s.Cfg.HeatmapTrials, oneWorker(rng))
 				sdc = c.SDCProbability()
 			}
 			row = append(row, sdc)

@@ -45,15 +45,10 @@ func MultiBit(s *Suite) (*MultiBitResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		single := campaign.Overall(b.Prog, g, s.Cfg.OverallTrials, rng)
-
-		var double campaign.Counts
-		for i := 0; i < s.Cfg.OverallTrials; i++ {
-			plan := fault.SampleDynamicMultiBit(rng, g.DynCount)
-			o, _, dyn := campaign.Classify(b.Prog, g, plan, rng, nil)
-			double.Add(o)
-			double.DynInstrs += dyn
-		}
+		single := campaign.OverallParallel(b.Prog, g, s.Cfg.OverallTrials, oneWorker(rng))
+		flip2 := oneWorker(rng)
+		flip2.Model = fault.DoubleFlip
+		double := campaign.OverallParallel(b.Prog, g, s.Cfg.OverallTrials, flip2)
 
 		sLo, sHi := single.SDCInterval()
 		dLo, dHi := double.SDCInterval()

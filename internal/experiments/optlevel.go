@@ -52,8 +52,8 @@ func OptLevel(s *Suite) (*OptLevelResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		c0 := campaign.Overall(b.Prog, g0, s.Cfg.OverallTrials, rng)
-		c1 := campaign.Overall(p2, g1, s.Cfg.OverallTrials, rng)
+		c0 := campaign.OverallParallel(b.Prog, g0, s.Cfg.OverallTrials, oneWorker(rng))
+		c1 := campaign.OverallParallel(p2, g1, s.Cfg.OverallTrials, oneWorker(rng))
 		res.Rows = append(res.Rows, OptLevelRow{
 			Bench:     name,
 			StaticO0:  b.Prog.NumInstrs(),

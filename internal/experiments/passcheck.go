@@ -49,8 +49,12 @@ func PassCheck(s *Suite) (*PassCheckResult, error) {
 		profiles := duplication.Profile(b.Prog, g, s.Cfg.StressProfileTrials, rng)
 		sel := duplication.FilterDuplicable(b.Module, duplication.Select(profiles, g.DynCount, level))
 
-		unprot := campaign.Overall(b.Prog, g, s.Cfg.StressTrials, rng)
-		model := campaign.OverallProtected(b.Prog, g, s.Cfg.StressTrials, rng, sel.Detector())
+		// The unprotected and model campaigns run the same trials: the
+		// detector only reclassifies them.
+		paired := oneWorker(rng)
+		unprot := campaign.OverallParallel(b.Prog, g, s.Cfg.StressTrials, paired)
+		paired.Detector = sel.Detector()
+		model := campaign.OverallParallel(b.Prog, g, s.Cfg.StressTrials, paired)
 
 		mod, err := duplication.ApplyPass(b.Module, sel.Protected)
 		if err != nil {
@@ -64,7 +68,7 @@ func PassCheck(s *Suite) (*PassCheckResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		pass := campaign.Overall(p2, g2, s.Cfg.StressTrials, rng)
+		pass := campaign.OverallParallel(p2, g2, s.Cfg.StressTrials, oneWorker(rng))
 
 		res.Rows = append(res.Rows, PassCheckRow{
 			Bench:          name,

@@ -76,7 +76,7 @@ func Strategies(s *Suite) (*StrategiesResult, error) {
 			}
 			sdc := 0.0
 			if g, err := campaign.NewGoldenCheckpointed(b.Prog, b.Encode(sr.Best), b.MaxDyn, s.Cfg.CheckpointInterval); err == nil {
-				sdc = campaign.Overall(b.Prog, g, s.Cfg.OverallTrials, rng).SDCProbability()
+				sdc = campaign.OverallParallel(b.Prog, g, s.Cfg.OverallTrials, oneWorker(rng)).SDCProbability()
 			}
 			res.Rows = append(res.Rows, StrategyRow{
 				Bench: name, Strategy: strat.Name(),

@@ -103,6 +103,13 @@ func (s *Suite) rng(purpose string, bench string) *xrand.RNG {
 	return xrand.New(h)
 }
 
+// oneWorker configures an FI campaign an experiment runs itself: seeded by
+// one draw off the experiment's stream, on one worker because the suite
+// already runs its experiments concurrently.
+func oneWorker(rng *xrand.RNG) campaign.ParallelOptions {
+	return campaign.ParallelOptions{Workers: 1, Seed: rng.Uint64()}
+}
+
 // Search runs (once) the full PEPPA-X search for a benchmark, with the
 // configured checkpoints — the shared artifact behind Figures 5, 7, 8 and 9.
 func (s *Suite) Search(name string) (*core.Result, error) {

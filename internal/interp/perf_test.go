@@ -62,10 +62,9 @@ func BenchmarkGoldenCheckpointed(b *testing.B) {
 // BenchmarkOverall compares a full statistical FI campaign (overallTrials
 // single-bit trials, the paper's 1000) across the three execution models:
 // from scratch, per-trial resume from golden-prefix snapshots, and lockstep
-// batches of trials forked copy-on-write off a shared trunk. The tallies of
-// scratch and checkpointed are bit-identical; batched draws its plans from
-// per-trial RNG streams (the campaign.OverallParallel contract) so its
-// tally differs from the serial ones but is itself deterministic.
+// batches of trials forked copy-on-write off a shared trunk. All three run
+// campaign.OverallParallel on one worker with seed 1, so they sample the
+// same plans and their tallies are bit-identical.
 // cmd/benchjson derives overall_speedup from the scratch/checkpointed
 // ns/op ratio and batch_speedup from checkpointed/batched.
 //
@@ -187,7 +186,7 @@ func benchmarkOverall(b *testing.B, bench *prog.Benchmark, g *campaign.Golden) {
 	var c campaign.Counts
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c = campaign.Overall(bench.Prog, g, overallTrials, xrand.New(1))
+		c = campaign.OverallParallel(bench.Prog, g, overallTrials, campaign.ParallelOptions{Workers: 1, Seed: 1})
 	}
 	b.StopTimer()
 	after := g.CheckpointStats()

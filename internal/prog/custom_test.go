@@ -7,7 +7,6 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/interp"
 	"repro/internal/ir"
-	"repro/internal/xrand"
 )
 
 // buildDotProduct constructs a small user program: a dot product of two
@@ -102,7 +101,7 @@ func TestLoadCustomRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := campaign.Overall(b.Prog, g, 150, xrand.New(1))
+	c := campaign.OverallParallel(b.Prog, g, 150, campaign.ParallelOptions{Seed: 1})
 	if c.Trials != 150 {
 		t.Fatalf("trials = %d", c.Trials)
 	}

@@ -57,58 +57,60 @@ type Options struct {
 }
 
 // Derive measures the SDC sensitivity distribution of the program on input
-// g (normally the small FI input from the step-① fuzzer). Representatives
-// of each pruning group receive TrialsPerRep targeted faults; the measured
-// SDC probability is propagated to all group members and min-max normalized
-// into scores.
+// g (normally the small FI input from the step-① fuzzer): it forms the
+// §4.2.2 pruning groups (or one group per instruction without pruning) and
+// measures them with DeriveGroups.
 func Derive(p *interp.Program, g *campaign.Golden, opts Options, rng *xrand.RNG) *Distribution {
 	if opts.Compose != nil {
 		return deriveComposed(g, opts.Compose)
 	}
-	trials := opts.TrialsPerRep
-	if trials <= 0 {
-		trials = DefaultTrialsPerRepresentative
-	}
-	n := p.NumInstrs()
-
 	var groups []analysis.Group
 	if opts.UsePruning {
-		pr := analysis.Prune(p.Mod)
-		groups = pr.Groups
+		groups = analysis.Prune(p.Mod).Groups
 	} else {
-		groups = make([]analysis.Group, n)
-		for id := 0; id < n; id++ {
+		groups = make([]analysis.Group, p.NumInstrs())
+		for id := range groups {
 			groups[id] = analysis.Group{Members: []int{id}, Representative: id}
 		}
 	}
+	return DeriveGroups(p, g, groups, opts.TrialsPerRep, rng)
+}
 
-	d := &Distribution{
-		RawProb:         make([]float64, n),
-		Representatives: len(groups),
+// DeriveGroups gives each group's representative trials targeted faults
+// (<= 0: DefaultTrialsPerRepresentative), propagates the measured SDC
+// probability to all group members and min-max normalizes it into scores.
+// A representative that never executes under g is replaced by an executed
+// member, so the group is still measured. All representatives are measured
+// in one serial per-instruction campaign seeded by one draw off rng.
+func DeriveGroups(p *interp.Program, g *campaign.Golden, groups []analysis.Group, trials int, rng *xrand.RNG) *Distribution {
+	if trials <= 0 {
+		trials = DefaultTrialsPerRepresentative
 	}
-	for _, grp := range groups {
-		rep := grp.Representative
-		// If the representative never executes under this input but some
-		// member does, fall back to an executed member so the group is
-		// still measured.
-		if g.InstrCounts[rep] == 0 {
-			for _, mID := range grp.Members {
-				if g.InstrCounts[mID] > 0 {
-					rep = mID
-					break
-				}
-			}
-		}
-		var prob float64
-		if g.InstrCounts[rep] > 0 {
-			res := campaign.PerInstruction(p, g, []int{rep}, trials, rng)
-			prob = res[0].Counts.SDCProbability()
-			d.FITrials += res[0].Counts.Trials
-			// Each trial costs roughly one golden-length execution.
-			d.FIDynInstrs += int64(res[0].Counts.Trials) * g.DynCount
+	reps := make([]int, len(groups))
+	for i, grp := range groups {
+		reps[i] = grp.Representative
+		if g.InstrCounts[reps[i]] > 0 {
+			continue
 		}
 		for _, mID := range grp.Members {
-			d.RawProb[mID] = prob
+			if g.InstrCounts[mID] > 0 {
+				reps[i] = mID
+				break
+			}
+		}
+	}
+	res := campaign.PerInstructionParallel(p, g, reps, trials, campaign.ParallelOptions{Workers: 1, Seed: rng.Uint64()})
+	d := &Distribution{
+		RawProb:         make([]float64, p.NumInstrs()),
+		Representatives: len(groups),
+	}
+	for i, grp := range groups {
+		c := res[i].Counts
+		d.FITrials += c.Trials
+		// Each trial costs roughly one golden-length execution.
+		d.FIDynInstrs += int64(c.Trials) * g.DynCount
+		for _, mID := range grp.Members {
+			d.RawProb[mID] = c.SDCProbability()
 		}
 	}
 	d.Scores = stats.Normalize(d.RawProb)

@@ -108,7 +108,7 @@ func TestStabilityAcrossInputs(t *testing.T) {
 	ids := campaign.AllInstructionIDs(b.Prog)
 	for _, in := range inputs {
 		g := goldenFor(t, b, in)
-		res := campaign.PerInstruction(b.Prog, g, ids, 20, rng)
+		res := campaign.PerInstructionParallel(b.Prog, g, ids, 20, campaign.ParallelOptions{Seed: rng.Uint64()})
 		vectors = append(vectors, campaign.PerInstructionVector(b.Prog.NumInstrs(), res))
 	}
 	rho, err := Stability(vectors)
@@ -131,7 +131,7 @@ func TestScoresCorrelateWithDirectMeasurement(t *testing.T) {
 	g := goldenFor(t, b, []float64{8, 5, 3, 3})
 	d := Derive(b.Prog, g, Options{TrialsPerRep: 30, UsePruning: true}, xrand.New(5))
 	ids := campaign.AllInstructionIDs(b.Prog)
-	res := campaign.PerInstruction(b.Prog, g, ids, 40, xrand.New(6))
+	res := campaign.PerInstructionParallel(b.Prog, g, ids, 40, campaign.ParallelOptions{Seed: 6})
 	direct := campaign.PerInstructionVector(b.Prog.NumInstrs(), res)
 	rho, err := Stability([][]float64{d.RawProb, direct})
 	if err != nil {
