@@ -38,9 +38,11 @@ bench-workers:
 
 # Checkpointed-execution equivalence gate: every resumed FI trial — and
 # every lockstep-batched one — must be bit-identical to a from-scratch one,
-# at the interpreter, campaign and parallel layers.
+# at the interpreter, campaign and parallel layers; a reused trial machine
+# (interp.Injector) must leak no state between trials and allocate only
+# each trial's Result.
 test-checkpoint:
-	$(GO) test -count=1 -run 'Batch|Checkpoint|RunFrom|Snapshot' \
+	$(GO) test -count=1 -run 'Batch|Checkpoint|RunFrom|Snapshot|Injector' \
 		./internal/interp ./internal/campaign
 
 # Measure golden-run and 1000-trial campaign throughput — from scratch,

@@ -272,53 +272,49 @@ func EmitBatchTelemetry(tr *telemetry.Stream, event string, st interp.Checkpoint
 		telemetry.F("trunk_dyn", st.TrunkDyn))
 }
 
-// Classify runs one faulty execution under plan and classifies it against
-// the golden run. The returned static ID is the instruction that received
-// the fault (-1 if the fault did not activate, which Classify reports as
-// Benign since the execution is then identical to golden). When the golden
-// carries checkpoints, the trial resumes from the nearest snapshot before
-// its injection point; outcome, injected ID/bit and dynamic count are
-// bit-identical to a from-scratch run either way.
-func Classify(p *interp.Program, g *Golden, plan fault.Plan, rng *xrand.RNG, detector func(staticID int) bool) (Outcome, int, int64) {
+// Classify runs one faulty execution under plan on the trial machine m and
+// classifies it against the golden run. It returns the outcome and the
+// trial's Result, whose Output is valid only until m's next trial. A fault
+// that never activated (Result.Injected false) is Benign, since the
+// execution is then identical to golden. When the golden carries
+// checkpoints, the trial resumes from the nearest snapshot before its
+// injection point; the Result is bit-identical to a from-scratch run
+// either way.
+func Classify(m *interp.Injector, g *Golden, plan *fault.Plan, rng *xrand.RNG, detector func(staticID int) bool) (Outcome, *interp.Result) {
 	budget := g.DynCount*hangBudgetMultiplier + hangBudgetSlack
-	r := interp.RunWithCheckpoints(p, g.Input, g.Checkpoints, interp.Options{
-		Plan:     &plan,
-		FaultRNG: rng,
-		MaxDyn:   budget,
-	})
-	o, id := classifyResult(g, r, detector)
-	return o, id, r.DynCount
+	r := m.Trial(g.Input, g.Checkpoints, plan, rng, budget)
+	return classifyResult(g, r, detector), r
 }
 
 // classifyResult classifies an already-executed trial Result against the
 // golden — the decision half of Classify, shared with the lockstep batch
 // path, which classifies inside BatchRun's report callback (the Result's
 // buffers are only borrowed there).
-func classifyResult(g *Golden, r *interp.Result, detector func(staticID int) bool) (Outcome, int) {
+func classifyResult(g *Golden, r *interp.Result, detector func(staticID int) bool) Outcome {
 	if !r.Injected {
-		return Benign, -1
+		return Benign
 	}
 	if r.DetectedFlag {
 		// The program's own duplication instrumentation (duplication pass)
 		// caught the corruption and fail-stopped.
-		return Detected, r.InjectedID
+		return Detected
 	}
 	if detector != nil && detector(r.InjectedID) {
 		// Selective instruction duplication compares the original and
 		// duplicated results at the protected instruction, detecting any
 		// corruption of its return value before it propagates.
-		return Detected, r.InjectedID
+		return Detected
 	}
 	if r.Trap != nil {
-		return Crash, r.InjectedID
+		return Crash
 	}
 	if r.BudgetExceeded {
-		return Hang, r.InjectedID
+		return Hang
 	}
 	if !interp.OutputEqual(g.Output, r.Output) {
-		return SDC, r.InjectedID
+		return SDC
 	}
-	return Benign, r.InjectedID
+	return Benign
 }
 
 // Counts aggregates trial outcomes.

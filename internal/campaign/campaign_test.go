@@ -223,9 +223,9 @@ func TestClassifyNonActivatedIsBenign(t *testing.T) {
 	p := buildAccumulator(t)
 	g, _ := NewGolden(p, []uint64{50}, 0)
 	plan := fault.Plan{Mode: fault.ModeDynamic, TargetDyn: g.DynCount + 999, Bit: 0}
-	o, id, _ := Classify(p, g, plan, xrand.New(1), nil)
-	if o != Benign || id != -1 {
-		t.Fatalf("non-activated fault: %v, %d", o, id)
+	o, r := Classify(interp.NewInjector(p), g, &plan, xrand.New(1), nil)
+	if o != Benign || r.Injected {
+		t.Fatalf("non-activated fault: %v, injected %v", o, r.Injected)
 	}
 }
 

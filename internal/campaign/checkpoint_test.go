@@ -56,14 +56,17 @@ func TestCheckpointedClassifyEquivalence(t *testing.T) {
 
 			planRNG := xrand.New(42)
 			rngA, rngB := xrand.New(7), xrand.New(7)
-			for i := 0; i < nPlans; i++ {
-				plan := fault.SampleDynamic(planRNG, gScratch.DynCount)
-				oA, idA, dynA := Classify(b.Prog, gScratch, plan, rngA, nil)
-				oB, idB, dynB := Classify(b.Prog, gCk, plan, rngB, nil)
-				if oA != oB || idA != idB || dynA != dynB {
-					t.Fatalf("dynamic plan %d (%v): scratch (%v, %d, %d) vs checkpointed (%v, %d, %d)",
-						i, plan, oA, idA, dynA, oB, idB, dynB)
+			mA, mB := interp.NewInjector(b.Prog), interp.NewInjector(b.Prog)
+			classifyBoth := func(kind string, i int, plan fault.Plan) {
+				oA, rA := Classify(mA, gScratch, &plan, rngA, nil)
+				oB, rB := Classify(mB, gCk, &plan, rngB, nil)
+				if oA != oB || rA.InjectedID != rB.InjectedID || rA.InjectedBit != rB.InjectedBit || rA.DynCount != rB.DynCount {
+					t.Fatalf("%s plan %d (%v): scratch (%v, %d, %d, %d) vs checkpointed (%v, %d, %d, %d)",
+						kind, i, plan, oA, rA.InjectedID, rA.InjectedBit, rA.DynCount, oB, rB.InjectedID, rB.InjectedBit, rB.DynCount)
 				}
+			}
+			for i := 0; i < nPlans; i++ {
+				classifyBoth("dynamic", i, fault.SampleDynamic(planRNG, gScratch.DynCount))
 			}
 
 			var ids []int
@@ -74,13 +77,7 @@ func TestCheckpointedClassifyEquivalence(t *testing.T) {
 			}
 			for i := 0; i < nPlans; i++ {
 				id := ids[i%len(ids)]
-				plan := fault.SampleStatic(planRNG, id, b.Prog.InstrType(id), gScratch.InstrCounts[id])
-				oA, idA, dynA := Classify(b.Prog, gScratch, plan, rngA, nil)
-				oB, idB, dynB := Classify(b.Prog, gCk, plan, rngB, nil)
-				if oA != oB || idA != idB || dynA != dynB {
-					t.Fatalf("static plan %d (%v): scratch (%v, %d, %d) vs checkpointed (%v, %d, %d)",
-						i, plan, oA, idA, dynA, oB, idB, dynB)
-				}
+				classifyBoth("static", i, fault.SampleStatic(planRNG, id, b.Prog.InstrType(id), gScratch.InstrCounts[id]))
 			}
 
 			if st := gCk.CheckpointStats(); st.Restored == 0 {

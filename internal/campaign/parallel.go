@@ -142,12 +142,18 @@ func RunPlans(p *interp.Program, g *Golden, plans []fault.Plan, rngFor func(i in
 		res[i].Skipped = true // until the trial runs
 	}
 	if opts.BatchSize <= 1 {
-		parallel.ForEach(opts.Workers, len(plans), func(i int) {
+		// One trial machine per worker, built on first use and dropped on
+		// return, so no machine memory outlives the call.
+		machines := make([]*interp.Injector, parallel.Workers(opts.Workers))
+		parallel.ForEachWorker(opts.Workers, len(plans), func(w, i int) {
 			if ctxCanceled(opts.Ctx) {
 				return
 			}
-			o, _, dyn := Classify(p, g, plans[i], rngFor(i), opts.Detector)
-			res[i] = TrialResult{Outcome: o, Dyn: dyn}
+			if machines[w] == nil {
+				machines[w] = interp.NewInjector(p)
+			}
+			o, r := Classify(machines[w], g, &plans[i], rngFor(i), opts.Detector)
+			res[i] = TrialResult{Outcome: o, Dyn: r.DynCount}
 		})
 		return res
 	}
@@ -168,8 +174,7 @@ func RunPlans(p *interp.Program, g *Golden, plans []fault.Plan, rngFor func(i in
 			bt[k] = interp.BatchTrial{Plan: plans[i], RNG: rngFor(i)}
 		}
 		st := interp.BatchRun(p, g.Input, job.snap, bt, interp.Options{MaxDyn: budget, Fused: true, Done: done}, func(k int, r *interp.Result) {
-			o, _ := classifyResult(g, r, opts.Detector)
-			res[job.idx[k]] = TrialResult{Outcome: o, Dyn: r.DynCount}
+			res[job.idx[k]] = TrialResult{Outcome: classifyResult(g, r, opts.Detector), Dyn: r.DynCount}
 		})
 		g.Checkpoints.NoteBatch(st)
 	})

@@ -3,6 +3,7 @@ package core
 import (
 	"repro/internal/campaign"
 	"repro/internal/fault"
+	"repro/internal/interp"
 	"repro/internal/prog"
 	"repro/internal/xrand"
 )
@@ -48,17 +49,19 @@ func GenerateSDCCorpus(b *prog.Benchmark, input []float64, target, maxTrials int
 		return nil, err
 	}
 	res := &CorpusResult{}
+	m := interp.NewInjector(b.Prog)
 	for len(res.Records) < target {
 		if maxTrials > 0 && res.Trials >= maxTrials {
 			break
 		}
 		plan := fault.SampleDynamic(rng, g.DynCount)
-		outcome, id, dyn := campaign.Classify(b.Prog, g, plan, rng, nil)
+		outcome, r := campaign.Classify(m, g, &plan, rng, nil)
 		res.Trials++
-		res.DynInstrs += dyn
+		res.DynInstrs += r.DynCount
 		if outcome == campaign.SDC {
 			res.Records = append(res.Records, SDCRecord{
-				StaticID:  id,
+				StaticID:  r.InjectedID,
+				Bit:       r.InjectedBit,
 				TargetDyn: plan.TargetDyn,
 			})
 		}

@@ -3,6 +3,8 @@ package core
 import (
 	"testing"
 
+	"repro/internal/fault"
+	"repro/internal/interp"
 	"repro/internal/prog"
 	"repro/internal/xrand"
 )
@@ -20,9 +22,20 @@ func TestGenerateSDCCorpus(t *testing.T) {
 	if res.Trials < 20 || res.DynInstrs <= 0 {
 		t.Fatalf("bookkeeping wrong: %+v", res)
 	}
+	in := b.Encode(b.RefInput())
+	golden := interp.Run(b.Prog, in, interp.Options{MaxDyn: b.MaxDyn})
 	for _, r := range res.Records {
 		if r.StaticID < 0 || r.StaticID >= b.Prog.NumInstrs() || r.TargetDyn < 1 {
 			t.Fatalf("bad record %+v", r)
+		}
+		// A record is a replayable fault: flipping its bit at its dynamic
+		// instruction reproduces an SDC at its static instruction.
+		plan := fault.Plan{Mode: fault.ModeDynamic, TargetDyn: r.TargetDyn, Bit: r.Bit}
+		rr := interp.Run(b.Prog, in, interp.Options{Plan: &plan, MaxDyn: golden.DynCount*3 + 10000})
+		if !rr.Injected || rr.InjectedID != r.StaticID || rr.Trap != nil || rr.BudgetExceeded ||
+			interp.OutputEqual(rr.Output, golden.Output) {
+			t.Errorf("record %+v does not replay as an SDC at its instruction: injected %v at %d, trap %v, hang %v",
+				r, rr.Injected, rr.InjectedID, rr.Trap, rr.BudgetExceeded)
 		}
 	}
 }

@@ -3,7 +3,6 @@ package interp
 import (
 	"container/heap"
 	"fmt"
-	"math"
 
 	"repro/internal/fault"
 	"repro/internal/xrand"
@@ -17,16 +16,15 @@ import (
 // captures a copy-on-write fork — pages shared with the previous fork via
 // the dirty map, exactly like interval checkpoints — at an instruction
 // boundary strictly before each trial's injection point. Every trial then
-// restores its fork, runs the generic engine only across the short
-// fork-to-injection window (so injections keep their exact per-dynamic-
-// instruction semantics, including targets inside fused pairs), and
-// finishes the post-injection tail on the lean fast-path loop.
+// runs on the trial machine (Injector) from its fork, so the generic
+// engine covers only the short fork-to-injection window before the
+// fast-path tail.
 //
 // Determinism: the fork points are functions of the dyn clock and the
 // trials' plans alone, each trial consumes only its own RNG (first at
 // injection, same as the serial path), and a fork restore reproduces the
 // golden prefix bit for bit — so results are identical to per-trial
-// RunWithCheckpoints for every batch size and worker count.
+// Injector.Trial for every batch size and worker count.
 
 // BatchTrial is one planned trial of a lockstep batch.
 type BatchTrial struct {
@@ -54,7 +52,7 @@ type BatchStats struct {
 	TrunkDyn    int64
 	ForkSkipped int64
 	// FallbackRestored/FallbackSkipped cover fallback trials that still
-	// resumed from the base snapshot on the serial path.
+	// resumed from the base snapshot.
 	FallbackRestored int
 	FallbackSkipped  int64
 }
@@ -233,90 +231,30 @@ func BatchRun(p *Program, args []uint64, base *Snapshot, trials []BatchTrial, op
 	_, trunkOK := te.run()
 	st.TrunkDyn = te.dyn - startDyn
 	_ = trunkOK // trunk end states (suspended, returned, trapped) all leave
-	// unforked trials to the serial fallback below.
+	// unforked trials to the fallback below.
 
-	// Trials, in index order: forked ones run on a single reused exec —
-	// generic engine to the injection, fast-path loop for the tail.
-	tx := newExec(p, Options{MaxDyn: opts.MaxDyn, MaxMemWords: opts.MaxMemWords, MaxDepth: opts.MaxDepth})
-	tx.blockCounts = make([]int64, p.CounterLen()) // runFast scratch; never read
-	tx.onBoundary = tx.injectBoundary
+	// Trials, in index order, on one trial machine: forked trials start
+	// from their fork, the rest (the trunk ended before their fork) from
+	// the base snapshot or the program entry.
+	m := newInjector(p, opts)
 	for i := range trials {
 		if batchCanceled(opts.Done) {
 			break // remaining trials stay unreported
 		}
-		f := forks[i]
-		if f == nil {
-			topts := opts
-			topts.Plan = &trials[i].Plan
-			topts.FaultRNG = trials[i].RNG
+		start := forks[i]
+		switch {
+		case start != nil:
+			st.Forked++
+			st.ForkSkipped += start.dyn
+		case base != nil:
+			start = base
 			st.Fallback++
-			var r *Result
-			if base != nil {
-				st.FallbackRestored++
-				st.FallbackSkipped += base.dyn
-				r = RunFrom(p, base, topts)
-			} else {
-				r = Run(p, args, topts)
-			}
-			report(i, r)
-			continue
+			st.FallbackRestored++
+			st.FallbackSkipped += base.dyn
+		default:
+			st.Fallback++
 		}
-		st.Forked++
-		st.ForkSkipped += f.dyn
-		report(i, runForked(tx, f, &trials[i]))
+		report(i, m.run(start, args, &trials[i].Plan, trials[i].RNG, opts.MaxDyn))
 	}
 	return st
-}
-
-// runForked executes one batched trial on the reused exec e: restore the
-// fork, run the generic engine until the fault fires (pausing at the next
-// boundary), then finish on the fast-path loop. Bit-identical to
-// RunFrom(p, fork, opts-with-plan): both phases replicate the serial
-// engine's dyn clock, trap points and budget ordering, and the fast path
-// takes over only downstream of the injection, where no plan state is
-// consulted anymore.
-func runForked(e *exec, f *Snapshot, t *BatchTrial) *Result {
-	e.trap = nil
-	e.budget = false
-	e.injected = false
-	e.injID = 0
-	e.injBit = 0
-	e.occSeen = 0
-	e.paused = false
-	e.overlay = e.overlay[:0]
-	f.restoreInto(e)
-	pl := &t.Plan
-	e.plan = pl
-	e.rng = t.RNG
-	if pl.Mode == fault.ModeStatic {
-		e.occSeen = f.counts[pl.StaticID]
-		e.nextCkpt = e.dyn + (pl.Occurrence - e.occSeen)
-	} else {
-		e.nextCkpt = pl.TargetDyn
-	}
-	ret, ok := e.run()
-	if !ok && e.paused {
-		e.paused = false
-		e.nextCkpt = math.MaxInt64
-		ret, _ = e.runFast(e.fusedExec)
-	}
-	return e.finish(ret)
-}
-
-// injectBoundary is the batch trial's boundary hook: once the fault has
-// fired the run suspends so runForked can switch to the fast-path tail.
-// Until then (a static plan whose conservative stop undershot the actual
-// occurrence) the stop is re-armed from the remaining occurrence distance,
-// which the target's at-most-one-per-dyn execution rate makes safe.
-func (e *exec) injectBoundary() bool {
-	if e.injected {
-		return false
-	}
-	if pl := e.plan; pl.Mode == fault.ModeStatic {
-		e.nextCkpt = e.dyn + (pl.Occurrence - e.occSeen)
-	} else {
-		// A dynamic target at or below the current dyn can no longer fire.
-		e.nextCkpt = math.MaxInt64
-	}
-	return true
 }

@@ -341,17 +341,28 @@ func RunFrom(p *Program, s *Snapshot, opts Options) *Result {
 // the RNG is first consumed at injection, and output/memory/stack state
 // below the snapshot is exactly the golden prefix's.
 func RunWithCheckpoints(p *Program, args []uint64, c *Checkpoints, opts Options) *Result {
+	if s := c.startFor(p, opts.Plan); s != nil {
+		return RunFrom(p, s, opts)
+	}
+	return Run(p, args, opts)
+}
+
+// startFor returns the snapshot a trial of plan on p resumes from (nil: the
+// program entry) and counts the choice in the usage counters. A nil c
+// counts nothing.
+func (c *Checkpoints) startFor(p *Program, plan *fault.Plan) *Snapshot {
 	if c == nil {
-		return Run(p, args, opts)
+		return nil
 	}
 	if c.prog != p {
 		panic(fmt.Sprintf("interp: checkpoints belong to a different program (%p vs %p)", c.prog, p))
 	}
-	if s := c.ForPlan(opts.Plan); s != nil {
-		c.restored.Add(1)
-		c.skipped.Add(s.dyn)
-		return RunFrom(p, s, opts)
+	s := c.ForPlan(plan)
+	if s == nil {
+		c.scratch.Add(1)
+		return nil
 	}
-	c.scratch.Add(1)
-	return Run(p, args, opts)
+	c.restored.Add(1)
+	c.skipped.Add(s.dyn)
+	return s
 }

@@ -105,6 +105,10 @@ type compiledFunc struct {
 	fused      []inst
 	fusedStart []int32
 	fusedOf    []int32
+
+	// traps describes each trap kind raised in this function; a trapping
+	// run points Result.Trap at one instead of allocating it.
+	traps [TrapStackOverflow + 1]Trap
 }
 
 // intrinsic IDs, fixed order for the dispatch table in exec.go.
@@ -329,6 +333,9 @@ type funcCompiler struct {
 
 func compileFunc(p *Program, f *ir.Function) (*compiledFunc, error) {
 	cf := &compiledFunc{name: f.Name, nParams: len(f.Params), retTy: f.RetTy}
+	for k := range cf.traps {
+		cf.traps[k] = Trap{Kind: TrapKind(k), Fn: f.Name}
+	}
 	fc := &funcCompiler{p: p, cf: cf, slotOf: make(map[*ir.Instr]int32), constIdx: make(map[uint64]map[ir.Type]ref)}
 
 	// Slot assignment: params 0..n-1, then every value-producing instr.

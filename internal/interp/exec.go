@@ -133,7 +133,7 @@ type Result struct {
 	Output []OutVal
 	// DynCount is the number of injectable dynamic instructions executed.
 	DynCount int64
-	// Trap is non-nil if the run died with a hardware-trap equivalent.
+	// Trap is non-nil if the run trapped; runs share it, so it is read-only.
 	Trap *Trap
 	// BudgetExceeded reports that MaxDyn was hit (hang classification).
 	BudgetExceeded bool
@@ -559,13 +559,13 @@ func (e *exec) applyMoves(moves []move, regs, consts []uint64, taint []bool) boo
 }
 
 // checkAddr validates a memory word address for load/store.
-func (e *exec) checkAddr(fn string, addr uint64) bool {
+func (e *exec) checkAddr(cf *compiledFunc, addr uint64) bool {
 	if addr == 0 {
-		e.trap = &Trap{Kind: TrapNull, Fn: fn}
+		e.trap = &cf.traps[TrapNull]
 		return false
 	}
 	if addr >= uint64(e.memTop) {
-		e.trap = &Trap{Kind: TrapOOB, Fn: fn}
+		e.trap = &cf.traps[TrapOOB]
 		return false
 	}
 	return true
@@ -726,7 +726,7 @@ func (e *exec) run() (uint64, bool) {
 
 		case opFusedLoadArith:
 			addr := get(regs, consts, in.a)
-			if !e.checkAddr(cf.name, addr) {
+			if !e.checkAddr(cf, addr) {
 				return 0, false
 			}
 			var tIn bool
@@ -788,7 +788,7 @@ func (e *exec) run() (uint64, bool) {
 				}
 			}
 			addr := get(regs, consts, in.a2)
-			if !e.checkAddr(cf.name, addr) {
+			if !e.checkAddr(cf, addr) {
 				return 0, false
 			}
 			var tIn2 bool
@@ -832,7 +832,7 @@ func (e *exec) run() (uint64, bool) {
 				}
 			}
 			addr := get(regs, consts, in.b2)
-			if !e.checkAddr(cf.name, addr) {
+			if !e.checkAddr(cf, addr) {
 				return 0, false
 			}
 			e.mem[addr] = get(regs, consts, in.a2)
@@ -916,7 +916,7 @@ func (e *exec) run() (uint64, bool) {
 			x := ir.SignedValue(in.ty, get(regs, consts, in.a))
 			y := ir.SignedValue(in.ty, get(regs, consts, in.b))
 			if y == 0 {
-				e.trap = &Trap{Kind: TrapDivZero, Fn: cf.name}
+				e.trap = &cf.traps[TrapDivZero]
 				return 0, false
 			}
 			minInt := int64(math.MinInt64)
@@ -924,7 +924,7 @@ func (e *exec) run() (uint64, bool) {
 				minInt = math.MinInt32
 			}
 			if x == minInt && y == -1 {
-				e.trap = &Trap{Kind: TrapDivOverflow, Fn: cf.name}
+				e.trap = &cf.traps[TrapDivOverflow]
 				return 0, false
 			}
 			if in.op == ir.OpSDiv {
@@ -1002,7 +1002,7 @@ func (e *exec) run() (uint64, bool) {
 		case ir.OpAlloca:
 			count := int64(get(regs, consts, in.a))
 			if count < 0 || count > e.maxMem || e.memTop+count > e.maxMem {
-				e.trap = &Trap{Kind: TrapBadAlloc, Fn: cf.name}
+				e.trap = &cf.traps[TrapBadAlloc]
 				return 0, false
 			}
 			base := e.memTop
@@ -1023,7 +1023,7 @@ func (e *exec) run() (uint64, bool) {
 			v = uint64(base)
 		case ir.OpLoad:
 			addr := get(regs, consts, in.a)
-			if !e.checkAddr(cf.name, addr) {
+			if !e.checkAddr(cf, addr) {
 				return 0, false
 			}
 			if track && e.taintMem[addr] {
@@ -1032,7 +1032,7 @@ func (e *exec) run() (uint64, bool) {
 			v = ir.CanonInt(in.ty, e.mem[addr])
 		case ir.OpStore:
 			addr := get(regs, consts, in.b)
-			if !e.checkAddr(cf.name, addr) {
+			if !e.checkAddr(cf, addr) {
 				return 0, false
 			}
 			e.mem[addr] = get(regs, consts, in.a)
@@ -1059,7 +1059,7 @@ func (e *exec) run() (uint64, bool) {
 				// User call: suspend this frame and push the callee; its
 				// return value is delivered by the OpRet resume path above.
 				if len(e.frames) >= e.maxDep {
-					e.trap = &Trap{Kind: TrapStackOverflow, Fn: e.p.funcs[in.callee].name}
+					e.trap = &e.p.funcs[in.callee].traps[TrapStackOverflow]
 					return 0, false
 				}
 				fr.pc = pc

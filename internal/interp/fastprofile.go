@@ -515,7 +515,7 @@ func (e *exec) runFast(fusedRun bool) (uint64, bool) {
 
 		case opFusedLoadArith:
 			addr := get(regs, consts, in.a)
-			if !e.checkAddr(cf.name, addr) {
+			if !e.checkAddr(cf, addr) {
 				fr.pc, e.dyn = pc, dyn
 				return 0, false
 			}
@@ -548,7 +548,7 @@ func (e *exec) runFast(fusedRun bool) (uint64, bool) {
 			}
 			regs[in.dst] = v1
 			addr := get(regs, consts, in.a2)
-			if !e.checkAddr(cf.name, addr) {
+			if !e.checkAddr(cf, addr) {
 				e.overlay = append(e.overlay, in.id)
 				fr.pc, e.dyn = pc, dyn
 				return 0, false
@@ -574,7 +574,7 @@ func (e *exec) runFast(fusedRun bool) (uint64, bool) {
 			}
 			regs[in.dst] = v1
 			addr := get(regs, consts, in.b2)
-			if !e.checkAddr(cf.name, addr) {
+			if !e.checkAddr(cf, addr) {
 				e.overlay = append(e.overlay, in.id)
 				fr.pc, e.dyn = pc, dyn
 				return 0, false
@@ -655,7 +655,7 @@ func (e *exec) runFast(fusedRun bool) (uint64, bool) {
 			x := ir.SignedValue(in.ty, get(regs, consts, in.a))
 			y := ir.SignedValue(in.ty, get(regs, consts, in.b))
 			if y == 0 {
-				e.trap = &Trap{Kind: TrapDivZero, Fn: cf.name}
+				e.trap = &cf.traps[TrapDivZero]
 				fr.pc, e.dyn = pc, dyn
 				return 0, false
 			}
@@ -664,7 +664,7 @@ func (e *exec) runFast(fusedRun bool) (uint64, bool) {
 				minInt = math.MinInt32
 			}
 			if x == minInt && y == -1 {
-				e.trap = &Trap{Kind: TrapDivOverflow, Fn: cf.name}
+				e.trap = &cf.traps[TrapDivOverflow]
 				fr.pc, e.dyn = pc, dyn
 				return 0, false
 			}
@@ -696,7 +696,7 @@ func (e *exec) runFast(fusedRun bool) (uint64, bool) {
 		case ir.OpAlloca:
 			count := int64(get(regs, consts, in.a))
 			if count < 0 || count > e.maxMem || e.memTop+count > e.maxMem {
-				e.trap = &Trap{Kind: TrapBadAlloc, Fn: cf.name}
+				e.trap = &cf.traps[TrapBadAlloc]
 				fr.pc, e.dyn = pc, dyn
 				return 0, false
 			}
@@ -711,14 +711,14 @@ func (e *exec) runFast(fusedRun bool) (uint64, bool) {
 			v = uint64(base)
 		case ir.OpLoad:
 			addr := get(regs, consts, in.a)
-			if !e.checkAddr(cf.name, addr) {
+			if !e.checkAddr(cf, addr) {
 				fr.pc, e.dyn = pc, dyn
 				return 0, false
 			}
 			v = ir.CanonInt(in.ty, e.mem[addr])
 		case ir.OpStore:
 			addr := get(regs, consts, in.b)
-			if !e.checkAddr(cf.name, addr) {
+			if !e.checkAddr(cf, addr) {
 				fr.pc, e.dyn = pc, dyn
 				return 0, false
 			}
@@ -728,7 +728,7 @@ func (e *exec) runFast(fusedRun bool) (uint64, bool) {
 		case ir.OpCall:
 			if in.callee >= 0 {
 				if len(e.frames) >= e.maxDep {
-					e.trap = &Trap{Kind: TrapStackOverflow, Fn: e.p.funcs[in.callee].name}
+					e.trap = &e.p.funcs[in.callee].traps[TrapStackOverflow]
 					fr.pc, e.dyn = pc, dyn
 					return 0, false
 				}

@@ -64,15 +64,13 @@ func BenchmarkGoldenCheckpointed(b *testing.B) {
 // from scratch, per-trial resume from golden-prefix snapshots, and lockstep
 // batches of trials forked copy-on-write off a shared trunk. All three run
 // campaign.OverallParallel on one worker with seed 1, so they sample the
-// same plans and their tallies are bit-identical.
-// cmd/benchjson derives overall_speedup from the scratch/checkpointed
-// ns/op ratio and batch_speedup from checkpointed/batched.
-//
-// The checkpointed golden is hand-built on the generic (unfused) engine,
-// pinning the measurement to the per-trial resume path as it shipped —
-// NewGoldenCheckpointed now records fused snapshots, so using it here would
-// fold the fused engine's gain into the checkpointed baseline and
-// understate batch_speedup's own contribution.
+// same plans and their tallies are bit-identical. Every trial runs on the
+// one trial engine (interp.Injector): generic engine through the
+// injection, fast-path loop for the tail. The checkpointed and batched
+// models share the campaign golden (NewGoldenCheckpointed), so
+// cmd/benchjson's overall_speedup (scratch/checkpointed ns/op) isolates
+// the skipped golden prefix and its batch_speedup (checkpointed/batched)
+// isolates the shared trunk.
 func BenchmarkOverall(b *testing.B) {
 	b.Run("scratch", func(b *testing.B) {
 		for _, name := range prog.Names() {
@@ -90,20 +88,9 @@ func BenchmarkOverall(b *testing.B) {
 		for _, name := range prog.Names() {
 			b.Run(name, func(b *testing.B) {
 				bench := prog.Build(name)
-				in := bench.Encode(bench.RefInput())
-				plain := interp.Run(bench.Prog, in, interp.Options{MaxDyn: bench.MaxDyn})
-				r := interp.Run(bench.Prog, in, interp.Options{
-					Profile:            true,
-					MaxDyn:             bench.MaxDyn,
-					CheckpointInterval: interp.AutoCheckpointInterval(plain.DynCount),
-				})
-				g := &campaign.Golden{
-					Input:       in,
-					Output:      r.Output,
-					DynCount:    r.DynCount,
-					InstrCounts: r.InstrCounts,
-					NumInstrs:   bench.Prog.NumInstrs(),
-					Checkpoints: r.Checkpoints,
+				g, err := campaign.NewGoldenCheckpointed(bench.Prog, bench.Encode(bench.RefInput()), bench.MaxDyn, campaign.CheckpointAuto)
+				if err != nil {
+					b.Fatal(err)
 				}
 				benchmarkOverall(b, bench, g)
 			})
@@ -119,8 +106,7 @@ func BenchmarkOverall(b *testing.B) {
 				}
 				// Workers: 1 keeps the comparison single-threaded: the ratio
 				// to checkpointed then isolates the batching mechanics
-				// (shared trunk + COW forks + lean tail loop), not thread
-				// parallelism.
+				// (shared trunk + COW forks), not thread parallelism.
 				before := g.CheckpointStats()
 				var c campaign.Counts
 				b.ResetTimer()

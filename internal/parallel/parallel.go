@@ -66,6 +66,13 @@ func SetObserver(o Observer) {
 // distributed by an atomic cursor, so scheduling is dynamic; determinism is
 // fn's responsibility per the package contract.
 func ForEach(workers, n int, fn func(i int)) {
+	ForEachWorker(workers, n, func(_, i int) { fn(i) })
+}
+
+// ForEachWorker is ForEach that also passes fn the index, in
+// [0, Workers(workers)), of the worker running item i. One worker runs its
+// items one at a time, so fn may reuse per-worker state indexed by it.
+func ForEachWorker(workers, n int, fn func(worker, i int)) {
 	if n <= 0 {
 		return
 	}
@@ -83,7 +90,7 @@ func ForEach(workers, n int, fn func(i int)) {
 	}
 	if w <= 1 {
 		for i := 0; i < n; i++ {
-			fn(i)
+			fn(0, i)
 		}
 		if obs != nil {
 			obs(1, n, []int{n}, time.Since(start))
@@ -107,7 +114,7 @@ func ForEach(workers, n int, fn func(i int)) {
 				if i >= n {
 					return
 				}
-				fn(i)
+				fn(k, i)
 				if tasks != nil {
 					tasks[k]++
 				}

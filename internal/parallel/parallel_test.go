@@ -39,6 +39,32 @@ func TestForEachCoversEveryIndexOnce(t *testing.T) {
 	ForEach(4, -1, func(int) { t.Fatal("fn called for n<0") })
 }
 
+// TestForEachWorkerStateExclusive uses per-worker state without
+// synchronization, the way campaign.RunPlans keeps one trial machine per
+// worker; under -race it fails if two goroutines ever share a worker index.
+func TestForEachWorkerStateExclusive(t *testing.T) {
+	for _, workers := range []int{1, 2, 4, 64} {
+		const n = 1000
+		busy := make([]bool, Workers(workers))
+		ran := make([]int, Workers(workers))
+		ForEachWorker(workers, n, func(w, i int) {
+			if busy[w] {
+				t.Errorf("workers=%d: worker %d ran two items at once", workers, w)
+			}
+			busy[w] = true
+			ran[w]++
+			busy[w] = false
+		})
+		total := 0
+		for _, r := range ran {
+			total += r
+		}
+		if total != n {
+			t.Fatalf("workers=%d: ran %d items, want %d", workers, total, n)
+		}
+	}
+}
+
 func TestForEachSerialRunsInOrder(t *testing.T) {
 	var order []int
 	ForEach(1, 10, func(i int) { order = append(order, i) })
