@@ -1,19 +1,24 @@
 // Command benchjson converts `go test -bench` output on stdin into a
 // machine-readable JSON artifact: one record per benchmark (ns/op plus any
-// custom metrics such as dyn/op, skipped/op and allocs/op) and derived
-// speedup tables — for the BenchmarkOverall scratch/checkpointed pairs the
-// per-program campaign speedup of golden-prefix checkpointing, for the
+// custom metrics such as dyn/op, skipped/op, converged/op and allocs/op)
+// and derived speedup tables — for the BenchmarkOverall
+// scratch/checkpointed pairs the per-program campaign speedup of
+// checkpointing (the skipped golden prefix plus the tails of trials that
+// re-join the golden at a snapshot), for the
 // checkpointed/batched pairs the additional speedup of lockstep batching
 // (both in BENCH_fi.json), for the BenchmarkFitnessProfile
 // perinstr/fused pairs the per-program and geomean speedup of the fused
 // profiling fast path (BENCH_fitness.json), and for the
 // BenchmarkSensitivityCompose scratch/incremental pairs the dyn/op-based
 // FI-spend saving of compositional sensitivity derivation
-// (BENCH_compose.json).
+// (BENCH_compose.json). A benchmark that appears several times (go test
+// -count N) becomes one record holding the median of each value, so a
+// committed baseline can be the median of several runs.
 //
 // Usage:
 //
 //	go test -run '^$' -bench 'Benchmark(Overall|Golden)' ./internal/interp | benchjson > BENCH_fi.json
+//	go test -run '^$' -bench 'Benchmark(Overall|Golden)' -count 5 ./internal/interp | benchjson > BENCH_fi.json
 //	go test -run '^$' -bench BenchmarkFitnessProfile ./internal/interp | benchjson > BENCH_fitness.json
 //	go test -run '^$' -bench BenchmarkSensitivityCompose ./internal/sensitivity | benchjson > BENCH_compose.json
 //
@@ -51,7 +56,10 @@ type Report struct {
 	Env        map[string]string `json:"env,omitempty"`
 	Benchmarks []Benchmark       `json:"benchmarks"`
 	// OverallSpeedup maps each program benchmark to
-	// scratch ns/op ÷ checkpointed ns/op for BenchmarkOverall.
+	// scratch ns/op ÷ checkpointed ns/op for BenchmarkOverall. The scratch
+	// golden has no snapshots, so the ratio counts both what snapshots
+	// save: the golden prefix each trial skips and the tails of trials
+	// that end early by re-joining the golden.
 	OverallSpeedup map[string]float64 `json:"overall_speedup,omitempty"`
 	// BatchSpeedup maps each program benchmark to
 	// checkpointed ns/op ÷ batched ns/op for BenchmarkOverall — the
@@ -228,6 +236,7 @@ func run(in io.Reader, out, errw io.Writer) error {
 	if len(rep.Benchmarks) == 0 {
 		return fmt.Errorf("no benchmark lines on stdin")
 	}
+	rep.Benchmarks = medianOfRepeats(rep.Benchmarks)
 	rep.OverallSpeedup = speedups(rep.Benchmarks)
 	rep.BatchSpeedup = batchSpeedups(rep.Benchmarks)
 	rep.FitnessSpeedup = fitnessSpeedups(rep.Benchmarks, errw)
@@ -267,6 +276,55 @@ func parseBench(line string) (Benchmark, error) {
 		b.Metrics[f[i+1]] = v
 	}
 	return b, nil
+}
+
+// medianOfRepeats folds the records of a benchmark that ran several times
+// into one, in first-appearance order, holding the median ns/op and the
+// median of each metric (the mean of the middle two for an even count).
+// Iterations is the first run's.
+func medianOfRepeats(benches []Benchmark) []Benchmark {
+	runs := map[string][]Benchmark{}
+	var names []string
+	for _, b := range benches {
+		if _, ok := runs[b.Name]; !ok {
+			names = append(names, b.Name)
+		}
+		runs[b.Name] = append(runs[b.Name], b)
+	}
+	out := make([]Benchmark, 0, len(names))
+	for _, name := range names {
+		rs := runs[name]
+		b := rs[0]
+		if len(rs) > 1 {
+			ns := make([]float64, len(rs))
+			for i, r := range rs {
+				ns[i] = r.NsPerOp
+			}
+			b.NsPerOp = median(ns)
+			b.Metrics = map[string]float64{}
+			for k := range rs[0].Metrics {
+				var vs []float64
+				for _, r := range rs {
+					if v, ok := r.Metrics[k]; ok {
+						vs = append(vs, v)
+					}
+				}
+				b.Metrics[k] = median(vs)
+			}
+		}
+		out = append(out, b)
+	}
+	return out
+}
+
+// median returns the median of vs, which it sorts.
+func median(vs []float64) float64 {
+	sort.Float64s(vs)
+	n := len(vs)
+	if n%2 == 1 {
+		return vs[n/2]
+	}
+	return (vs[n/2-1] + vs[n/2]) / 2
 }
 
 // trimProcs strips the trailing -<GOMAXPROCS> suffix from a benchmark name.

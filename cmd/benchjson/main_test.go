@@ -158,6 +158,38 @@ func TestRunBatchSpeedup(t *testing.T) {
 	}
 }
 
+// Repeated runs of a benchmark (go test -count N) fold into one record
+// holding the median of each value, and the speedups use the medians.
+const repeatedSample = `goos: linux
+BenchmarkOverall/scratch/pathfinder-8        3   900 ns/op   10 dyn/op
+BenchmarkOverall/checkpointed/pathfinder-8   3   300 ns/op   10 dyn/op
+BenchmarkOverall/scratch/pathfinder-8        3   400 ns/op   10 dyn/op
+BenchmarkOverall/checkpointed/pathfinder-8   3   200 ns/op   10 dyn/op
+BenchmarkOverall/scratch/pathfinder-8        3   600 ns/op   10 dyn/op
+BenchmarkOverall/checkpointed/pathfinder-8   3   100 ns/op   10 dyn/op
+PASS
+`
+
+func TestRunMedianOfRepeats(t *testing.T) {
+	var out, errOut bytes.Buffer
+	if err := run(strings.NewReader(repeatedSample), &out, &errOut); err != nil {
+		t.Fatal(err)
+	}
+	var rep Report
+	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
+		t.Fatalf("output is not valid JSON: %v\n%s", err, out.String())
+	}
+	if len(rep.Benchmarks) != 2 {
+		t.Fatalf("got %d records, want one per benchmark name: %+v", len(rep.Benchmarks), rep.Benchmarks)
+	}
+	if rep.Benchmarks[0].NsPerOp != 600 || rep.Benchmarks[1].NsPerOp != 200 || rep.Benchmarks[0].Metrics["dyn/op"] != 10 {
+		t.Fatalf("records %+v, want the medians 600 and 200 ns/op", rep.Benchmarks)
+	}
+	if got := rep.OverallSpeedup["pathfinder"]; got != 3 {
+		t.Fatalf("pathfinder overall speedup = %v, want 3 (median over median)", got)
+	}
+}
+
 // The compose speedup must come from the dyn/op metric, not ns/op: dyn/op
 // is deterministic, so the committed ratio is host-independent.
 const composeSample = `goos: linux

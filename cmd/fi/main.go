@@ -331,14 +331,15 @@ func runRemote(stdout, stderr io.Writer, b *prog.Benchmark, in []float64, spec *
 }
 
 // printCheckpointSummary reports how much golden-prefix replay the snapshot
-// schedule saved; silent when checkpointing is disabled.
+// schedule saved, and how many trial tails ended early by re-joining the
+// golden run; silent when checkpointing is disabled.
 func printCheckpointSummary(w io.Writer, g *campaign.Golden) {
 	st := g.CheckpointStats()
 	if st.Snapshots == 0 {
 		return
 	}
-	fmt.Fprintf(w, "checkpoints: %d snapshots every %d dynamic instructions; %d/%d trials resumed, %d prefix instructions skipped\n\n",
-		st.Snapshots, st.Interval, st.Restored, st.Restored+st.Scratch, st.SkippedDyn)
+	fmt.Fprintf(w, "checkpoints: %d snapshots every %d dynamic instructions; %d/%d trials resumed, %d prefix instructions skipped; %d trials converged, %d tail instructions skipped\n\n",
+		st.Snapshots, st.Interval, st.Restored, st.Restored+st.Scratch, st.SkippedDyn, st.Converged, st.ConvergedDyn)
 }
 
 // printBatchSummary reports lockstep batch usage; silent when no batches

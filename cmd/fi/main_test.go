@@ -24,8 +24,10 @@ func TestRunSmoke(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errOut)
 	}
-	if !strings.Contains(out, "fault-injection trials") || !strings.Contains(out, "telemetry summary") {
-		t.Fatalf("unexpected output:\n%s", out)
+	for _, want := range []string{"fault-injection trials", "telemetry summary", "trials converged", "checkpoint.converged_dyn"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("output lacks %q:\n%s", want, out)
+		}
 	}
 	blob, err := os.ReadFile(trace)
 	if err != nil {

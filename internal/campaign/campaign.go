@@ -77,8 +77,9 @@ type Golden struct {
 	// Checkpoints, when non-nil, holds golden-prefix snapshots of the run
 	// (NewGoldenCheckpointed / EnsureCheckpoints); Classify then resumes
 	// each trial from the nearest snapshot before its injection point
-	// instead of re-interpreting the shared prefix. Results are
-	// bit-identical either way.
+	// instead of re-interpreting the shared prefix, and ends a trial early
+	// once it re-joins the golden's exact state at a later snapshot.
+	// Results are bit-identical either way.
 	Checkpoints *interp.Checkpoints
 }
 
@@ -234,8 +235,9 @@ func (g *Golden) CheckpointStats() interp.CheckpointStats {
 // EmitCheckpointTelemetry folds a checkpoint usage sample into a telemetry
 // stream: recorder counters plus one trace event. Every field derives from
 // the dynamic-instruction clock (snapshot positions, per-trial prefix
-// skips), never from wall time or scheduling, so traces stay byte-identical
-// across worker counts. No-op for an un-checkpointed sample.
+// skips, converged tails), never from wall time or scheduling, so traces
+// stay byte-identical across worker counts. No-op for an un-checkpointed
+// sample.
 func EmitCheckpointTelemetry(tr *telemetry.Stream, event string, st interp.CheckpointStats) {
 	if st.Snapshots == 0 {
 		return
@@ -244,12 +246,16 @@ func EmitCheckpointTelemetry(tr *telemetry.Stream, event string, st interp.Check
 	tr.Count("checkpoint.restored", st.Restored)
 	tr.Count("checkpoint.scratch", st.Scratch)
 	tr.Count("checkpoint.skipped_dyn", st.SkippedDyn)
+	tr.Count("checkpoint.converged", st.Converged)
+	tr.Count("checkpoint.converged_dyn", st.ConvergedDyn)
 	tr.Emit(event,
 		telemetry.F("snapshots", st.Snapshots),
 		telemetry.F("interval", st.Interval),
 		telemetry.F("restored", st.Restored),
 		telemetry.F("scratch", st.Scratch),
-		telemetry.F("skipped_dyn", st.SkippedDyn))
+		telemetry.F("skipped_dyn", st.SkippedDyn),
+		telemetry.F("converged", st.Converged),
+		telemetry.F("converged_dyn", st.ConvergedDyn))
 }
 
 // EmitBatchTelemetry folds a lockstep-batching usage sample into a
@@ -278,8 +284,9 @@ func EmitBatchTelemetry(tr *telemetry.Stream, event string, st interp.Checkpoint
 // that never activated (Result.Injected false) is Benign, since the
 // execution is then identical to golden. When the golden carries
 // checkpoints, the trial resumes from the nearest snapshot before its
-// injection point; the Result is bit-identical to a from-scratch run
-// either way.
+// injection point and ends at a later one if it re-joins the golden's
+// state there; the Result is bit-identical to a from-scratch run either
+// way.
 func Classify(m *interp.Injector, g *Golden, plan *fault.Plan, rng *xrand.RNG, detector func(staticID int) bool) (Outcome, *interp.Result) {
 	budget := g.DynCount*hangBudgetMultiplier + hangBudgetSlack
 	r := m.Trial(g.Input, g.Checkpoints, plan, rng, budget)

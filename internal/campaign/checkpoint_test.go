@@ -128,6 +128,62 @@ func TestCheckpointedParallelEquivalence(t *testing.T) {
 	}
 }
 
+// TestCheckpointConvergedCounters: trials that re-join the golden end
+// early without changing the tally, and the converged counters derive from
+// the dyn clock alone, so every checkpoint counter is identical at workers
+// 1 and 4 and at shards 1 and 2.
+func TestCheckpointConvergedCounters(t *testing.T) {
+	trials := 300
+	if testing.Short() {
+		trials = 100
+	}
+	const seed = 5
+	for _, name := range []string{"needle", "pathfinder"} {
+		b := prog.Build(name)
+		in := b.Encode(b.RefInput())
+		gScratch, err := NewGolden(b.Prog, in, b.MaxDyn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := OverallParallel(b.Prog, gScratch, trials, ParallelOptions{Workers: 1, Seed: seed})
+		var want interp.CheckpointStats
+		for k, run := range []struct {
+			label string
+			run   func(g *Golden) Counts
+		}{
+			{"workers 1", func(g *Golden) Counts {
+				return OverallParallel(b.Prog, g, trials, ParallelOptions{Workers: 1, Seed: seed})
+			}},
+			{"workers 4", func(g *Golden) Counts {
+				return OverallParallel(b.Prog, g, trials, ParallelOptions{Workers: 4, Seed: seed})
+			}},
+			{"shards 1", func(g *Golden) Counts {
+				return OverallSharded(b.Prog, g, trials, 1, ParallelOptions{Workers: 2, Seed: seed})
+			}},
+			{"shards 2", func(g *Golden) Counts {
+				return OverallSharded(b.Prog, g, trials, 2, ParallelOptions{Workers: 2, Seed: seed})
+			}},
+		} {
+			g, err := NewGoldenCheckpointed(b.Prog, in, b.MaxDyn, CheckpointAuto)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c := run.run(g); c != ref {
+				t.Fatalf("%s %s: tally %+v, scratch %+v", name, run.label, c, ref)
+			}
+			st := g.CheckpointStats()
+			if k == 0 {
+				if st.Converged == 0 || st.ConvergedDyn == 0 {
+					t.Fatalf("%s: no trial converged: %+v", name, st)
+				}
+				want = st
+			} else if st != want {
+				t.Fatalf("%s %s: checkpoint counters %+v, workers 1 %+v", name, run.label, st, want)
+			}
+		}
+	}
+}
+
 // TestCheckpointedPropagationEquivalence compares full interp results —
 // output sequence, propagation statistics, injected bit — between scratch
 // and checkpoint-resumed taint-tracking runs on a real benchmark.

@@ -173,7 +173,7 @@ func RunPlans(p *interp.Program, g *Golden, plans []fault.Plan, rngFor func(i in
 		for k, i := range job.idx {
 			bt[k] = interp.BatchTrial{Plan: plans[i], RNG: rngFor(i)}
 		}
-		st := interp.BatchRun(p, g.Input, job.snap, bt, interp.Options{MaxDyn: budget, Fused: true, Done: done}, func(k int, r *interp.Result) {
+		st := interp.BatchRun(p, g.Input, g.Checkpoints, job.snap, bt, interp.Options{MaxDyn: budget, Fused: true, Done: done}, func(k int, r *interp.Result) {
 			res[job.idx[k]] = TrialResult{Outcome: classifyResult(g, r, opts.Detector), Dyn: r.DynCount}
 		})
 		g.Checkpoints.NoteBatch(st)

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"context"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/prog"
@@ -150,12 +151,12 @@ func TestOverallShardedCancellation(t *testing.T) {
 
 	// Mid-flight cancel: fire after the first classified trial. The exact
 	// stopping point is scheduling-dependent; the invariant is partial and
-	// honest, not a specific count.
+	// honest, not a specific count. The two shards run concurrently, so
+	// the detector's flag is shared between goroutines.
 	ctx2, cancel2 := context.WithCancel(context.Background())
-	fired := false
+	var fired atomic.Bool
 	det := func(int) bool {
-		if !fired {
-			fired = true
+		if fired.CompareAndSwap(false, true) {
 			cancel2()
 		}
 		return false

@@ -104,7 +104,10 @@ func batchCanceled(done <-chan struct{}) bool {
 // BatchRun executes a batch of fault-injection trials that share the base
 // snapshot (nil to share the program entry) in lockstep, calling report
 // once per trial index, in index order, with a Result that is only valid
-// during the call — its Output buffer is reused by the next trial. opts
+// during the call — its Output buffer is reused by the next trial. c is the
+// golden's checkpoints (nil: none), which base, if set, must belong to;
+// trial tails that re-join the golden at one of its snapshots end there,
+// as in Injector.Trial. opts
 // supplies the per-trial limits (MaxDyn, MaxMemWords, MaxDepth) and the
 // engine for base-less batches (Fused); Plan, FaultRNG, Profile,
 // TrackPropagation and CheckpointInterval must be unset — trials carry
@@ -116,7 +119,7 @@ func batchCanceled(done <-chan struct{}) bool {
 // are complete and valid, the rest are never reported. Callers that need
 // to distinguish completed from skipped trials must track which indices
 // report delivered.
-func BatchRun(p *Program, args []uint64, base *Snapshot, trials []BatchTrial, opts Options, report func(i int, r *Result)) BatchStats {
+func BatchRun(p *Program, args []uint64, c *Checkpoints, base *Snapshot, trials []BatchTrial, opts Options, report func(i int, r *Result)) BatchStats {
 	if opts.Plan != nil || opts.FaultRNG != nil || opts.Profile || opts.TrackPropagation || opts.CheckpointInterval > 0 {
 		panic("interp: BatchRun options must not set Plan, FaultRNG, Profile, TrackPropagation or CheckpointInterval")
 	}
@@ -254,7 +257,7 @@ func BatchRun(p *Program, args []uint64, base *Snapshot, trials []BatchTrial, op
 		default:
 			st.Fallback++
 		}
-		report(i, m.run(start, args, &trials[i].Plan, trials[i].RNG, opts.MaxDyn))
+		report(i, m.run(c, start, args, &trials[i].Plan, trials[i].RNG, opts.MaxDyn))
 	}
 	return st
 }

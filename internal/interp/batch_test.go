@@ -51,7 +51,7 @@ func TestBatchInjectFirstInstructionAfterCheckpoint(t *testing.T) {
 		plan := fault.Plan{Mode: fault.ModeDynamic, TargetDyn: base.dyn + 1, Bit: 0}
 		want := runSerialRef(p, base, plan, xrand.New(1), budget)
 		var got Result
-		st := BatchRun(p, args, base, []BatchTrial{{Plan: plan, RNG: xrand.New(1)}},
+		st := BatchRun(p, args, g.Checkpoints, base, []BatchTrial{{Plan: plan, RNG: xrand.New(1)}},
 			Options{MaxDyn: budget}, func(i int, r *Result) { got = *r })
 		if st.Forked != 1 || st.Fallback != 0 {
 			t.Fatalf("dyn %d: expected a fork, got %+v", base.dyn+1, st)
@@ -85,7 +85,7 @@ func TestBatchSameDynIndexTrials(t *testing.T) {
 		runSerialRef(p, base, trials[1].Plan, xrand.New(200), budget),
 	}
 	var got []Result
-	st := BatchRun(p, args, base, trials, Options{MaxDyn: budget}, func(i int, r *Result) {
+	st := BatchRun(p, args, g.Checkpoints, base, trials, Options{MaxDyn: budget}, func(i int, r *Result) {
 		got = append(got, *r)
 	})
 	if st.Forked != 2 {
@@ -122,7 +122,7 @@ func TestBatchInjectEveryDynIndex(t *testing.T) {
 				trials = append(trials, BatchTrial{Plan: plan})
 			}
 			idx := 0
-			BatchRun(p, args, base, trials, Options{MaxDyn: budget}, func(i int, r *Result) {
+			BatchRun(p, args, g.Checkpoints, base, trials, Options{MaxDyn: budget}, func(i int, r *Result) {
 				sameResult(t, "sweep", wants[i], r)
 				idx++
 			})
@@ -151,7 +151,7 @@ func TestBatchStaticOccurrenceSweep(t *testing.T) {
 			trials = append(trials, BatchTrial{Plan: plan})
 		}
 	}
-	st := BatchRun(p, args, base, trials, Options{MaxDyn: budget}, func(i int, r *Result) {
+	st := BatchRun(p, args, g.Checkpoints, base, trials, Options{MaxDyn: budget}, func(i int, r *Result) {
 		sameResult(t, "static-sweep", wants[i], r)
 	})
 	if st.Forked != len(trials) {
@@ -175,7 +175,7 @@ func TestBatchFallbackPastTrunkEnd(t *testing.T) {
 		runSerialRef(p, base, past, nil, budget),
 	}
 	var n int
-	st := BatchRun(p, args, base, []BatchTrial{{Plan: inRange}, {Plan: past}},
+	st := BatchRun(p, args, g.Checkpoints, base, []BatchTrial{{Plan: inRange}, {Plan: past}},
 		Options{MaxDyn: budget}, func(i int, r *Result) {
 			sameResult(t, "fallback", wants[i], r)
 			n++
@@ -224,7 +224,7 @@ func TestBatchSnapshotImmutableUnderConcurrentForks(t *testing.T) {
 			for i := range plans {
 				trials[i] = BatchTrial{Plan: plans[i], RNG: xrand.New(uint64(i) + 77)}
 			}
-			BatchRun(p, args, base, trials, Options{MaxDyn: budget}, func(i int, r *Result) {
+			BatchRun(p, args, g.Checkpoints, base, trials, Options{MaxDyn: budget}, func(i int, r *Result) {
 				sameResult(t, "concurrent", wants[i], r)
 			})
 		}()
@@ -253,5 +253,5 @@ func TestBatchRunRejectsCampaignOptions(t *testing.T) {
 			t.Fatal("BatchRun accepted a Profile option")
 		}
 	}()
-	BatchRun(p, []uint64{5}, nil, []BatchTrial{{}}, Options{Profile: true}, func(int, *Result) {})
+	BatchRun(p, []uint64{5}, nil, nil, []BatchTrial{{}}, Options{Profile: true}, func(int, *Result) {})
 }

@@ -13,10 +13,13 @@ import (
 // randomness before the flip and reads no state the golden run did not
 // produce — so a campaign of T trials on a D-instruction program wastes
 // ~T·D/2 steps replaying the shared prefix. The golden run instead records
-// a Snapshot of the complete machine state every `interval` dynamic
-// instructions; each trial then resumes from the latest snapshot strictly
-// before its injection point and produces bit-identical results (outcome,
-// injected ID/bit, dynamic count, output) at a fraction of the work.
+// a Snapshot of the complete machine state at the first basic-block entry
+// at least `interval` dynamic instructions after the previous one (the
+// first: after the start); each trial then resumes from the latest
+// snapshot strictly before its injection point and produces bit-identical
+// results (outcome, injected ID/bit, dynamic count, output) at a fraction
+// of the work. Block entries are also where a trial's fast-path tail
+// compares itself with the snapshots (converge.go).
 //
 // Memory is captured copy-on-write at page granularity: the checkpointed
 // run tracks written pages, and each snapshot shares every untouched page
@@ -64,19 +67,22 @@ type Snapshot struct {
 // Dyn returns the dynamic instruction count at which the snapshot was taken.
 func (s *Snapshot) Dyn() int64 { return s.dyn }
 
-// Checkpoints is the ordered snapshot sequence of one golden run, plus
-// usage counters. The counters are updated atomically so parallel campaign
-// workers can share one Checkpoints; everything they count is derived from
-// the dyn clock, never from scheduling, so they are identical for any
-// worker count.
+// Checkpoints is the ordered snapshot sequence of one golden run, how the
+// run ended, and usage counters. The counters are updated atomically so
+// parallel campaign workers can share one Checkpoints; everything they
+// count is derived from the dyn clock, never from scheduling, so they are
+// identical for any worker count.
 type Checkpoints struct {
 	prog     *Program
 	interval int64
 	snaps    []*Snapshot
+	end      *goldenEnd // nil when the run did not return
 
-	restored atomic.Int64
-	scratch  atomic.Int64
-	skipped  atomic.Int64
+	restored     atomic.Int64
+	scratch      atomic.Int64
+	skipped      atomic.Int64
+	converged    atomic.Int64
+	convergedDyn atomic.Int64
 
 	batches       atomic.Int64
 	batchedTrials atomic.Int64
@@ -106,6 +112,12 @@ type CheckpointStats struct {
 	// SkippedDyn is the total count of golden-prefix dynamic instructions
 	// the resumed trials did not have to re-execute.
 	SkippedDyn int64
+	// Converged counts trials whose tail re-joined the golden run's exact
+	// state at a snapshot and ended there; ConvergedDyn is the tail dynamic
+	// instructions they did not execute. Their Results still report the
+	// full run's DynCount.
+	Converged    int64
+	ConvergedDyn int64
 	// Batches counts lockstep BatchRun executions, BatchedTrials the trials
 	// they covered, and TrunkDyn the dynamic instructions the shared batch
 	// trunks executed — prefix work paid once per batch instead of once per
@@ -126,6 +138,8 @@ func (st *CheckpointStats) Accumulate(o CheckpointStats) {
 	st.Restored += o.Restored
 	st.Scratch += o.Scratch
 	st.SkippedDyn += o.SkippedDyn
+	st.Converged += o.Converged
+	st.ConvergedDyn += o.ConvergedDyn
 	st.Batches += o.Batches
 	st.BatchedTrials += o.BatchedTrials
 	st.TrunkDyn += o.TrunkDyn
@@ -142,6 +156,8 @@ func (c *Checkpoints) Stats() CheckpointStats {
 		Restored:      c.restored.Load(),
 		Scratch:       c.scratch.Load(),
 		SkippedDyn:    c.skipped.Load(),
+		Converged:     c.converged.Load(),
+		ConvergedDyn:  c.convergedDyn.Load(),
 		Batches:       c.batches.Load(),
 		BatchedTrials: c.batchedTrials.Load(),
 		TrunkDyn:      c.trunkDyn.Load(),
@@ -178,8 +194,17 @@ func AutoCheckpointInterval(dynCount int64) int64 {
 	return k
 }
 
+// atBlockEntry reports whether pc is the first instruction of its basic
+// block in the code array the machine runs.
+func (e *exec) atBlockEntry(cf *compiledFunc, pc int32) bool {
+	if e.fusedExec {
+		return cf.fusedStart[cf.fusedOf[pc]] == pc
+	}
+	return cf.blockStart[cf.blockOf[pc]] == pc
+}
+
 // takeSnapshot records the current machine state into e.ckpt and arms the
-// next checkpoint. Called only at instruction boundaries of a fault-free
+// next checkpoint. Called only at block entries of a fault-free
 // checkpointed run, where fr.pc has been synced.
 func (e *exec) takeSnapshot() {
 	c := e.ckpt

@@ -93,12 +93,14 @@ type Options struct {
 	// tainted branch decisions are counted.
 	TrackPropagation bool
 	// CheckpointInterval, when positive, records a Snapshot of the complete
-	// machine state roughly every CheckpointInterval dynamic instructions
-	// (at the next instruction boundary). The snapshots are returned in
-	// Result.Checkpoints; RunWithCheckpoints uses them to resume later
-	// fault-injection trials past the shared golden prefix. Combining a
-	// CheckpointInterval with a fault Plan panics: snapshots must capture
-	// fault-free state.
+	// machine state at the first basic-block entry at least
+	// CheckpointInterval dynamic instructions after the previous snapshot
+	// (the first: after the start). The snapshots, and how the run
+	// returned, are kept in Result.Checkpoints; RunWithCheckpoints uses them
+	// to resume later fault-injection trials past the shared golden prefix,
+	// and the trial machine to end trials that re-join the golden run
+	// early. Combining a CheckpointInterval with a fault Plan panics:
+	// snapshots must capture fault-free state.
 	CheckpointInterval int64
 	// Fused executes the superinstruction code arrays instead of the
 	// unfused ones. The generic engine dispatches each fused slot
@@ -279,6 +281,10 @@ type exec struct {
 	nextCkpt int64
 	dirty    []bool
 
+	// Trial-tail snapshot comparisons (converge.go); conv.at is
+	// math.MaxInt64 unless a trial tail armed it.
+	conv convergence
+
 	// Batch-execution hooks (see batch.go). onBoundary, when non-nil,
 	// replaces snapshot recording at armed instruction boundaries
 	// (dyn >= nextCkpt): the batch trunk captures COW forks there and batch
@@ -309,6 +315,7 @@ func newExec(p *Program, opts Options) *exec {
 		regSlab:   make([]uint64, initialSlabSlots),
 		nextCkpt:  math.MaxInt64,
 		fusedExec: opts.Fused,
+		conv:      convergence{at: math.MaxInt64},
 	}
 	if e.maxMem <= 0 {
 		e.maxMem = defaultMaxMemWords
@@ -368,7 +375,13 @@ func Run(p *Program, args []uint64, opts Options) *Result {
 	}
 	e.pushFrame(p.entry)
 	copy(e.regSlab[:len(args)], args)
-	ret, _ := e.run()
+	ret, ok := e.run()
+	if ok && e.ckpt != nil {
+		e.ckpt.end = &goldenEnd{
+			dyn: e.dyn, ret: ret, output: append([]OutVal(nil), e.output...),
+			detected: e.detected, maxMem: e.maxMem, maxDep: e.maxDep,
+		}
+	}
 	return e.finish(ret)
 }
 
@@ -616,7 +629,7 @@ func (e *exec) run() (uint64, bool) {
 					e.paused = true
 					return 0, false
 				}
-			} else {
+			} else if e.atBlockEntry(cf, pc) {
 				e.takeSnapshot()
 			}
 		}

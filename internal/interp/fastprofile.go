@@ -424,7 +424,9 @@ func evalFusedArith(op ir.Op, ty ir.Type, x, y uint64) uint64 {
 // — the legacy loop's reenter closure forces its captured locals (pc, regs,
 // code) into heap cells, which is exactly the overhead a fitness-evaluation
 // inner loop cannot afford. The dyn clock lives in a local and is synced to
-// e.dyn at every exit.
+// e.dyn at every exit. In a trial tail every block entry past e.conv.at
+// compares the machine with a golden snapshot (converge.go); elsewhere
+// conv.at is math.MaxInt64 and the check is a load and a compare.
 func (e *exec) runFast(fusedRun bool) (uint64, bool) {
 	var (
 		fr     *frame
@@ -464,7 +466,10 @@ func (e *exec) runFast(fusedRun bool) (uint64, bool) {
 			}
 			counters[in.blkA]++
 			pc = in.jumpA
-			continue
+			if dyn < e.conv.at || !e.converge(fr, pc, dyn) {
+				continue
+			}
+			return e.conv.c.end.ret, true
 
 		case ir.OpCondBr:
 			moves, edge, blk, jump := in.movesB, in.edgeB, in.blkB, in.jumpB
@@ -482,7 +487,10 @@ func (e *exec) runFast(fusedRun bool) (uint64, bool) {
 			}
 			counters[blk]++
 			pc = jump
-			continue
+			if dyn < e.conv.at || !e.converge(fr, pc, dyn) {
+				continue
+			}
+			return e.conv.c.end.ret, true
 
 		case opFusedCmpBr:
 			v := evalCmp(in.op1, in.srcTy, get(regs, consts, in.a), get(regs, consts, in.b))
@@ -511,7 +519,10 @@ func (e *exec) runFast(fusedRun bool) (uint64, bool) {
 			}
 			counters[blk]++
 			pc = jump
-			continue
+			if dyn < e.conv.at || !e.converge(fr, pc, dyn) {
+				continue
+			}
+			return e.conv.c.end.ret, true
 
 		case opFusedLoadArith:
 			addr := get(regs, consts, in.a)
@@ -754,7 +765,10 @@ func (e *exec) runFast(fusedRun bool) (uint64, bool) {
 				}
 				pc = 0
 				counters[cf.blockBase]++
-				continue
+				if dyn < e.conv.at || !e.converge(fr, pc, dyn) {
+					continue
+				}
+				return e.conv.c.end.ret, true
 			}
 			v = e.intrinsic(in, regs, consts, nil)
 			if in.dst < 0 { // void call (print intrinsics)

@@ -18,6 +18,8 @@ import (
 // on the lean fast-path loop: no plan state is consulted downstream of the
 // injection, and both loops keep the same dyn clock, trap points and budget
 // order, so results are bit-identical to Run or RunFrom of the same plan.
+// Against a checkpointed golden the tail also ends early once the machine
+// is back in the golden's exact state at one of its snapshots (converge.go).
 //
 // An Injector is not safe for concurrent use; campaigns keep one per worker.
 type Injector struct {
@@ -41,15 +43,18 @@ func newInjector(p *Program, limits Options) *Injector {
 // resumes from the latest of the golden's checkpoints c that precedes the
 // injection point and counts the resume in c's usage counters, like
 // RunWithCheckpoints; with no such snapshot (or c nil) it starts at the
-// program entry. rng resolves the plan's deferred fault bits. The Result's
-// Output is the machine's buffer, valid only until its next trial.
+// program entry. A tail that re-joins the golden at one of c's snapshots
+// ends there with the golden's end state, counted in c's usage counters.
+// rng resolves the plan's deferred fault bits. The Result's Output is the
+// machine's buffer, valid only until its next trial.
 func (m *Injector) Trial(args []uint64, c *Checkpoints, plan *fault.Plan, rng *xrand.RNG, maxDyn int64) *Result {
-	return m.run(c.startFor(m.e.p, plan), args, plan, rng, maxDyn)
+	return m.run(c, c.startFor(m.e.p, plan), args, plan, rng, maxDyn)
 }
 
 // run executes one trial from snapshot s, or from the program entry with
-// args when s is nil. s must precede the plan's injection point.
-func (m *Injector) run(s *Snapshot, args []uint64, plan *fault.Plan, rng *xrand.RNG, maxDyn int64) *Result {
+// args when s is nil, and compares its tail with the golden checkpoints c
+// (nil: none). s must precede the plan's injection point.
+func (m *Injector) run(c *Checkpoints, s *Snapshot, args []uint64, plan *fault.Plan, rng *xrand.RNG, maxDyn int64) *Result {
 	e := m.e
 	// resetFast leaves memory as it is: every word below memTop is either
 	// restored from s, which copies every snapshot page, or claimed by an
@@ -79,6 +84,7 @@ func (m *Injector) run(s *Snapshot, args []uint64, plan *fault.Plan, rng *xrand.
 	ret, ok := e.run()
 	if !ok && e.paused {
 		e.paused = false
+		e.armConvergence(c)
 		ret, _ = e.runFast(e.fusedExec)
 	}
 	return e.finish(ret)

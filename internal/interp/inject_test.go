@@ -1,7 +1,10 @@
 package interp_test
 
 import (
+	"fmt"
 	"math"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/duplication"
@@ -188,6 +191,10 @@ func TestInjectorAllocs(t *testing.T) {
 		if crashes == 0 {
 			t.Fatalf("%s: the plan set has no crashing trial", name)
 		}
+		// Finish any collection the set-up started: under -race, a cycle
+		// that completes inside the measured runs adds runtime allocations
+		// that no trial made.
+		runtime.GC()
 		allocs := testing.AllocsPerRun(3, func() {
 			for i := range plans {
 				m.Trial(in, c, &plans[i], rngs[i], d*3+10000)
@@ -197,4 +204,96 @@ func TestInjectorAllocs(t *testing.T) {
 			t.Errorf("%s: %.2f allocations per trial (%d of %d trials crash), want at most 1", name, perTrial, crashes, len(plans))
 		}
 	}
+}
+
+// sameTrialResult fails unless got equals want in every Result field,
+// outputs compared by value.
+func sameTrialResult(t *testing.T, label string, got, want *interp.Result) {
+	t.Helper()
+	g, w := *got, *want
+	if !interp.OutputEqual(g.Output, w.Output) {
+		t.Fatalf("%s: output %v, fresh run %v", label, g.Output, w.Output)
+	}
+	g.Output, w.Output = nil, nil
+	if !reflect.DeepEqual(g, w) {
+		t.Fatalf("%s: machine %+v, fresh run %+v", label, g, w)
+	}
+}
+
+// TestInjectorConvergence runs trials from every fault model plus static
+// plans against a checkpointed golden of every kernel, on one machine per
+// kernel and through BatchRun, and requires every Result field to equal a
+// fresh Run of the same plan. Trials that re-join the golden at a snapshot
+// end there, so this is the exactness gate for converged trials; both
+// paths must have ended some trials early.
+func TestInjectorConvergence(t *testing.T) {
+	per := 20
+	if testing.Short() {
+		per = 4
+	}
+	rng := xrand.New(19)
+	var trialConv, batchConv int64
+	for _, name := range prog.Names() {
+		b := prog.Build(name)
+		in := b.Encode(b.RefInput())
+		golden := interp.Run(b.Prog, in, interp.Options{Profile: true})
+		d := golden.DynCount
+		c := interp.Run(b.Prog, in, interp.Options{Profile: true, CheckpointInterval: interp.AutoCheckpointInterval(d), Fused: true}).Checkpoints
+		var ids []int
+		for id, cnt := range golden.InstrCounts {
+			if cnt > 0 {
+				ids = append(ids, id)
+			}
+		}
+		var plans []fault.Plan
+		for k := 0; k < per; k++ {
+			for _, m := range fault.Models() {
+				plans = append(plans, m.Sample(rng, d))
+			}
+			id := ids[rng.Intn(len(ids))]
+			plans = append(plans, fault.SampleStatic(rng, id, b.Prog.InstrType(id), golden.InstrCounts[id]))
+		}
+		budget := d*3 + 10000
+		wants := make([]*interp.Result, len(plans))
+		for i := range plans {
+			wants[i] = interp.Run(b.Prog, in, interp.Options{Plan: &plans[i], FaultRNG: xrand.New(uint64(i)), MaxDyn: budget})
+		}
+
+		before := c.Stats().Converged
+		m := interp.NewInjector(b.Prog)
+		for i := range plans {
+			got := m.Trial(in, c, &plans[i], xrand.New(uint64(i)), budget)
+			sameTrialResult(t, fmt.Sprintf("%s trial %d (%v)", name, i, plans[i]), got, wants[i])
+		}
+		mid := c.Stats().Converged
+
+		// Batches group trials by the snapshot they resume from, as
+		// campaigns do.
+		var bases []*interp.Snapshot
+		groups := make(map[*interp.Snapshot][]int)
+		for i := range plans {
+			s := c.ForPlan(&plans[i])
+			if _, ok := groups[s]; !ok {
+				bases = append(bases, s)
+			}
+			groups[s] = append(groups[s], i)
+		}
+		for _, s := range bases {
+			idx := groups[s]
+			bt := make([]interp.BatchTrial, len(idx))
+			for k, i := range idx {
+				bt[k] = interp.BatchTrial{Plan: plans[i], RNG: xrand.New(uint64(i))}
+			}
+			interp.BatchRun(b.Prog, in, c, s, bt, interp.Options{MaxDyn: budget, Fused: true}, func(k int, r *interp.Result) {
+				i := idx[k]
+				sameTrialResult(t, fmt.Sprintf("%s batched trial %d (%v)", name, i, plans[i]), r, wants[i])
+			})
+		}
+		trialConv += mid - before
+		batchConv += c.Stats().Converged - mid
+	}
+	if trialConv == 0 || batchConv == 0 {
+		t.Fatalf("no trial converged: %d per trial, %d batched", trialConv, batchConv)
+	}
+	t.Logf("%d trials converged per trial, %d batched", trialConv, batchConv)
 }

@@ -13,9 +13,11 @@ import (
 // The perf suite behind `make bench-fi`: golden-run interpreter throughput,
 // checkpointed golden overhead, and the from-scratch vs checkpointed
 // campaign comparison that BENCH_fi.json reports. Every benchmark reports
-// dyn/op (dynamic instructions interpreted per iteration) so ns/dyn is
-// recoverable; campaign benchmarks also report skipped/op, the golden-prefix
-// instructions the snapshot schedule saved.
+// dyn/op, the dynamic instructions per iteration as modeled (a trial that
+// ended early by re-joining the golden counts its full run); campaign
+// benchmarks also report skipped/op, the golden-prefix instructions the
+// snapshot schedule saved, and converged/op, the trials per iteration that
+// ended early.
 
 const overallTrials = 1000
 
@@ -67,10 +69,11 @@ func BenchmarkGoldenCheckpointed(b *testing.B) {
 // same plans and their tallies are bit-identical. Every trial runs on the
 // one trial engine (interp.Injector): generic engine through the
 // injection, fast-path loop for the tail. The checkpointed and batched
-// models share the campaign golden (NewGoldenCheckpointed), so
-// cmd/benchjson's overall_speedup (scratch/checkpointed ns/op) isolates
-// the skipped golden prefix and its batch_speedup (checkpointed/batched)
-// isolates the shared trunk.
+// models share the campaign golden (NewGoldenCheckpointed); the scratch
+// golden has no snapshots, so its trials neither resume nor end early.
+// cmd/benchjson's overall_speedup (scratch/checkpointed ns/op) therefore
+// counts the skipped golden prefix and the converged trials' tails, and
+// its batch_speedup (checkpointed/batched) isolates the shared trunk.
 func BenchmarkOverall(b *testing.B) {
 	b.Run("scratch", func(b *testing.B) {
 		for _, name := range prog.Names() {
@@ -119,6 +122,7 @@ func BenchmarkOverall(b *testing.B) {
 				after := g.CheckpointStats()
 				b.ReportMetric(float64(c.DynInstrs), "dyn/op")
 				b.ReportMetric(float64(after.SkippedDyn-before.SkippedDyn)/float64(b.N), "skipped/op")
+				b.ReportMetric(float64(after.Converged-before.Converged)/float64(b.N), "converged/op")
 				b.ReportMetric(float64(after.Batches-before.Batches)/float64(b.N), "batches/op")
 			})
 		}
@@ -178,4 +182,5 @@ func benchmarkOverall(b *testing.B, bench *prog.Benchmark, g *campaign.Golden) {
 	after := g.CheckpointStats()
 	b.ReportMetric(float64(c.DynInstrs), "dyn/op")
 	b.ReportMetric(float64(after.SkippedDyn-before.SkippedDyn)/float64(b.N), "skipped/op")
+	b.ReportMetric(float64(after.Converged-before.Converged)/float64(b.N), "converged/op")
 }
