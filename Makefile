@@ -76,21 +76,22 @@ bench-regression:
 	$(GO) run ./cmd/benchjson < BENCH_shard.new.txt > BENCH_shard.new.json
 	$(GO) run ./cmd/benchjson -compare BENCH_shard.json BENCH_shard.new.json -tolerance $(TOLERANCE)
 
-# Profiling fast-path equivalence gate: block-granular and fused-
-# superinstruction profiled runs must be bit-identical to the legacy
-# per-instruction engine (outputs, dynamic counts, traps, reconstructed
-# per-instruction vectors), at the interpreter, benchmark and full-pipeline
-# layers.
+# Profiling fast-path equivalence gate: the fused profiler's runs must be
+# bit-identical to the reference engine, a profiled interp.Run over the
+# unfused arrays (outputs, dynamic counts, traps, reconstructed
+# per-instruction vectors), on white-box programs, trap cases, random
+# modules, every kernel and a reused profiler.
 test-fusion:
-	$(GO) test -count=1 -run 'Fusion|BlockProfile|ProfileEquiv' \
-		./internal/interp ./internal/core
+	$(GO) test -count=1 -run 'Fusion|BlockProfile|ProfileEquiv' ./internal/interp
 
-# Measure one GA candidate evaluation on the legacy per-instruction engine
-# vs the block-granular and fused fast paths, and render the
-# machine-readable BENCH_fitness.json artifact (per-benchmark ns/op,
-# dyn/op, allocs/op, and the perinstr/fused speedup with its geomean).
+# Measure one GA candidate evaluation on the reference engine (a profiled
+# interp.Run with per-instruction counts) vs the fused fast path on every
+# kernel, and render the machine-readable BENCH_fitness.json artifact
+# (per-benchmark ns/op, dyn/op, allocs/op, and the perinstr/fused speedup
+# with its geomean). Five repeats are folded into medians: single runs of
+# one kernel move by up to 1.5x on a shared host.
 bench-fitness:
-	$(GO) test -run='^$$' -bench=BenchmarkFitnessProfile -benchtime=200x \
+	$(GO) test -run='^$$' -bench=BenchmarkFitnessProfile -benchtime=200x -count=5 \
 		./internal/interp | tee BENCH_fitness.txt
 	$(GO) run ./cmd/benchjson < BENCH_fitness.txt > BENCH_fitness.json
 	@echo "wrote BENCH_fitness.json"
@@ -151,15 +152,14 @@ test-service:
 		./internal/campaign ./internal/service ./cmd/benchjson ./cmd/peppaxd
 
 # Rare-branch fuzzing + fault-model gate: the fuzz engine unit suite, the
-# fixed-seed fuzz-vs-naive coverage parity acceptance test (the guided
-# fuzzer must reach the 0.95×max coverage target in fewer evaluations than
-# the naive widening-range fuzzer on >= 5 benchmarks), the fault-model
-# registry/corruption tests, and the determinism matrix (every model
-# bit-identical at workers 1/4 × batch 1/64 × shards 1/2; the default
-# single-flip path pinned byte-identical to the pre-interface behaviour).
+# search-strategy suite (TestAllStrategiesImprove drives the fuzz strategy
+# through Objective.Probe), the fault-model registry/corruption tests, and
+# the determinism matrix (every model bit-identical at workers 1/4 × batch
+# 1/64 × shards 1/2; the default single-flip path pinned byte-identical to
+# the pre-interface behaviour).
 test-fuzz:
 	$(GO) test -count=1 ./internal/fuzz
-	$(GO) test -count=1 -run 'Fuzz' ./internal/core
+	$(GO) test -count=1 ./internal/search
 	$(GO) test -count=1 ./internal/fault
 	$(GO) test -count=1 -run 'FaultModelDeterminismMatrix|DefaultModelMatchesHistoricalPath' \
 		./internal/campaign

@@ -68,11 +68,11 @@ type Report struct {
 	BatchSpeedup map[string]float64 `json:"batch_speedup,omitempty"`
 	// FitnessSpeedup maps each program benchmark to perinstr ns/op ÷
 	// fused ns/op for BenchmarkFitnessProfile, plus a "geomean" entry —
-	// the speedup of the fused profiling fast path over the legacy
-	// per-instruction fitness evaluation. The geomean entry is null (with
-	// a warning on stderr) when no positive finite speedup exists to
-	// average — committing NaN or -Inf into a BENCH artifact would poison
-	// every downstream consumer of the file.
+	// the speedup of the fused profiling fast path over the reference
+	// engine's per-instruction fitness evaluation. The geomean entry is
+	// null (with a warning on stderr) when no positive finite speedup
+	// exists to average — committing NaN or -Inf into a BENCH artifact
+	// would poison every downstream consumer of the file.
 	FitnessSpeedup map[string]*float64 `json:"fitness_speedup,omitempty"`
 	// ComposeSpeedup maps each program benchmark to scratch dyn/op ÷
 	// incremental dyn/op for BenchmarkSensitivityCompose — the FI-spend

@@ -20,8 +20,6 @@ import (
 // without sharing mutable state.
 type FitnessEval struct {
 	b             *prog.Benchmark
-	mode          interp.ProfileMode
-	scores        []float64
 	counterScores []float64
 	pool          sync.Pool
 }
@@ -31,28 +29,12 @@ type fitnessCtx struct {
 	args []uint64
 }
 
-// NewFitnessEval builds an evaluator using the fused fast path (the
-// default engine).
+// NewFitnessEval builds an evaluator for b under the per-instruction
+// scores.
 func NewFitnessEval(b *prog.Benchmark, scores []float64) *FitnessEval {
-	return NewFitnessEvalMode(b, scores, interp.ProfileFused)
-}
-
-// NewFitnessEvalMode builds an evaluator for an explicit engine mode.
-// ProfileFused and ProfileBlock produce bit-identical fitness values;
-// ProfileLegacy reproduces the pre-fast-path per-instruction evaluation
-// (same fitness up to float summation order) and is kept for differential
-// tests and benchmarks.
-func NewFitnessEvalMode(b *prog.Benchmark, scores []float64, mode interp.ProfileMode) *FitnessEval {
-	fe := &FitnessEval{b: b, mode: mode, scores: scores}
-	if mode != interp.ProfileLegacy {
-		fe.counterScores = b.Prog.CounterScores(scores)
-	}
+	fe := &FitnessEval{b: b, counterScores: b.Prog.CounterScores(scores)}
 	fe.pool.New = func() any {
-		ctx := &fitnessCtx{}
-		if fe.mode != interp.ProfileLegacy {
-			ctx.prof = interp.NewProfilerMode(fe.b.Prog, fe.mode)
-		}
-		return ctx
+		return &fitnessCtx{prof: interp.NewProfiler(b.Prog)}
 	}
 	return fe
 }
@@ -63,20 +45,6 @@ func NewFitnessEvalMode(b *prog.Benchmark, scores []float64, mode interp.Profile
 func (fe *FitnessEval) Eval(input []float64) (float64, int64) {
 	ctx := fe.pool.Get().(*fitnessCtx)
 	ctx.args = fe.b.EncodeInto(ctx.args[:0], input)
-	if fe.mode == interp.ProfileLegacy {
-		r := interp.Run(fe.b.Prog, ctx.args, interp.Options{Profile: true, MaxDyn: fe.b.MaxDyn})
-		fe.pool.Put(ctx)
-		if r.Trap != nil || r.BudgetExceeded || r.DynCount == 0 {
-			return 0, r.DynCount
-		}
-		var acc float64
-		for id, n := range r.InstrCounts {
-			if n > 0 {
-				acc += fe.scores[id] * float64(n)
-			}
-		}
-		return acc / float64(r.DynCount), r.DynCount
-	}
 	r := ctx.prof.Run(ctx.args, fe.b.MaxDyn)
 	f := r.Fitness(fe.counterScores)
 	dyn := r.DynCount
@@ -88,18 +56,14 @@ func (fe *FitnessEval) Eval(input []float64) (float64, int64) {
 // block/edge hit counters into dst (grown as needed) and returns them with
 // the fitness and dynamic-instruction spend. Failed runs return nil counters
 // (and fitness 0), which is the rare-branch fuzzer's invalid-candidate
-// signal. Fast-path modes only — ProfileLegacy has no counter space. Safe
-// for concurrent use, though each caller should own its dst.
+// signal. Safe for concurrent use, though each caller should own its dst.
 func (fe *FitnessEval) EvalProbe(input []float64, dst []int64) (float64, []int64, int64) {
-	if fe.mode == interp.ProfileLegacy {
-		panic("core: EvalProbe requires a fast-path profile mode")
-	}
 	ctx := fe.pool.Get().(*fitnessCtx)
 	ctx.args = fe.b.EncodeInto(ctx.args[:0], input)
 	r := ctx.prof.Run(ctx.args, fe.b.MaxDyn)
 	f := r.Fitness(fe.counterScores)
 	dyn := r.DynCount
-	if r.Failed() || r.DetectedFlag {
+	if r.Failed() {
 		fe.pool.Put(ctx)
 		return 0, nil, dyn
 	}

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/campaign"
+	"repro/internal/ir"
 	"repro/internal/prog"
 	"repro/internal/sensitivity"
 	"repro/internal/stats"
@@ -51,5 +53,49 @@ func TestFitnessCorrelatesWithSDC(t *testing.T) {
 				t.Errorf("%s: fitness does not track SDC (rho %.3f)", name, rho)
 			}
 		})
+	}
+}
+
+// TestFitnessRejectsDetectedRuns: an input whose fault-free run raises
+// sdc_detect is invalid (§3.1.2), and NewGolden rejects it. Fitness must
+// score it 0 like every other failed run, and EvalProbe must report it
+// invalid, or the GA could rank it best and report an input the closing
+// campaign cannot measure.
+func TestFitnessRejectsDetectedRuns(t *testing.T) {
+	// main(n) { v = n*3; if n > 100 { sdc_detect() }; print v; return v }
+	m := ir.NewModule("detectabove")
+	f := m.NewFunc("main", ir.I64, &ir.Param{Name: "n", Ty: ir.I64})
+	b := ir.NewBuilder(f)
+	v := b.Mul(b.Param(0), ir.I64c(3))
+	detect := b.Block("detect")
+	done := b.Block("done")
+	b.CondBr(b.ICmp(ir.OpICmpSGT, b.Param(0), ir.I64c(100)), detect, done)
+	b.SetBlock(detect)
+	b.Call(ir.Void, "sdc_detect")
+	b.Br(done)
+	b.SetBlock(done)
+	b.Call(ir.Void, "print_i64", v)
+	b.Ret(v)
+	bench, err := prog.Custom(m, []prog.ArgSpec{{Name: "n", Kind: prog.ArgInt, Min: 1, Max: 200, SmallMin: 1, SmallMax: 20, Ref: 50}}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scores := make([]float64, bench.Prog.NumInstrs())
+	for i := range scores {
+		scores[i] = 1
+	}
+	fe := NewFitnessEval(bench, scores)
+	if f, _ := fe.Eval([]float64{50}); f != 1 {
+		t.Fatalf("valid input scored %v, want 1", f)
+	}
+	detected := []float64{150}
+	if _, err := campaign.NewGolden(bench.Prog, bench.Encode(detected), bench.MaxDyn); !errors.Is(err, campaign.ErrInvalidInput) {
+		t.Fatalf("NewGolden accepted a run that raised sdc_detect: %v", err)
+	}
+	if f, dyn := fe.Eval(detected); f != 0 || dyn == 0 {
+		t.Fatalf("run that raised sdc_detect scored %v after %d dyn, want 0 after a full run", f, dyn)
+	}
+	if f, counters, _ := fe.EvalProbe(detected, nil); f != 0 || counters != nil {
+		t.Fatalf("EvalProbe accepted a run that raised sdc_detect: fitness %v, counters %v", f, counters)
 	}
 }

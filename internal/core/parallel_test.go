@@ -32,19 +32,28 @@ func normalizeResult(r *Result) {
 	}
 }
 
+// TestSearchWorkerEquivalence: a ten-generation pathfinder search must
+// produce bit-identical results — best input and fitness, fitness/cost
+// histories, evaluation counts and the closing FI campaign — at every
+// worker count. TestSearchProfileEquiv runs a short search on each kernel.
 func TestSearchWorkerEquivalence(t *testing.T) {
-	b := prog.Build("pathfinder")
 	opts := DefaultOptions()
 	opts.Generations = 10
 	opts.PopSize = 8
 	opts.TrialsPerRep = 5
 	opts.FinalTrials = 100
 	opts.Checkpoints = []int{5, 10}
+	searchWorkerEquiv(t, prog.Build("pathfinder"), opts, 77, workerCounts())
+}
 
+// searchWorkerEquiv runs the search on b from the same seed at each worker
+// count and requires every result to equal the first.
+func searchWorkerEquiv(t *testing.T, b *prog.Benchmark, opts Options, seed uint64, workers []int) {
+	t.Helper()
 	var want *Result
-	for _, w := range workerCounts() {
+	for _, w := range workers {
 		opts.Workers = w
-		r, err := Search(b, opts, xrand.New(77))
+		r, err := Search(b, opts, xrand.New(seed))
 		if err != nil {
 			t.Fatalf("Workers=%d: %v", w, err)
 		}
@@ -54,9 +63,9 @@ func TestSearchWorkerEquivalence(t *testing.T) {
 			continue
 		}
 		if !reflect.DeepEqual(r, want) {
-			t.Errorf("Workers=%d diverged from Workers=1:\n got best %v fitness %v SDC %v\nwant best %v fitness %v SDC %v",
-				w, r.BestInput, r.BestFitness, r.SDCBound(),
-				want.BestInput, want.BestFitness, want.SDCBound())
+			t.Errorf("Workers=%d diverged from Workers=%d:\n got best %v fitness %v SDC %v evals %d\nwant best %v fitness %v SDC %v evals %d",
+				w, workers[0], r.BestInput, r.BestFitness, r.SDCBound(), r.Evaluations,
+				want.BestInput, want.BestFitness, want.SDCBound(), want.Evaluations)
 		}
 	}
 }

@@ -46,13 +46,6 @@ type Options struct {
 	// derivation; when false the reference input is used (the other half
 	// of Table 5's "without heuristics" cost).
 	UseSmallInput bool
-	// ProfileMode selects the interpreter engine for candidate profiling
-	// (GA fitness and the small-input fuzzer's coverage checks). The zero
-	// value is interp.ProfileFused — block-granular counting over the fused
-	// superinstruction array; interp.ProfileBlock produces bit-identical
-	// results over the unfused array, and interp.ProfileLegacy keeps the
-	// pre-fast-path per-instruction engine for differential runs.
-	ProfileMode interp.ProfileMode
 	// Trace, when non-nil, receives the search's telemetry: phase events
 	// for the Figure 8 sensitivity-vs-search cost split (small_input,
 	// sensitivity, search, final_fi), per-generation GA and cost events,
@@ -207,7 +200,7 @@ func Search(b *prog.Benchmark, opts Options, rng *xrand.RNG) (*Result, error) {
 	// Step ①: small FI input.
 	t0 := time.Now()
 	endPhase := tr.Phase("small_input")
-	small, err := FindSmallFIInputMode(b, opts.CoverageTargetFrac, opts.ProfileMode, rng)
+	small, err := FindSmallFIInput(b, opts.CoverageTargetFrac, rng)
 	if err != nil {
 		return nil, err
 	}
@@ -280,7 +273,7 @@ func Search(b *prog.Benchmark, opts Options, rng *xrand.RNG) (*Result, error) {
 	// accumulator is atomic and integer, so its per-generation totals are
 	// independent of evaluation order.
 	var searchDyn atomic.Int64
-	fe := NewFitnessEvalMode(b, dist.Scores, opts.ProfileMode)
+	fe := NewFitnessEval(b, dist.Scores)
 	fitness := func(g ga.Genome) float64 {
 		f, dyn := fe.Eval(g)
 		searchDyn.Add(dyn)
@@ -450,9 +443,9 @@ func overallCampaign(p *interp.Program, g *campaign.Golden, trials int, rng *xra
 // run fails score 0 (§3.1.2 excludes error-raising inputs). It returns the
 // fitness and the dynamic instructions spent.
 //
-// This is the one-shot convenience form; it runs on the fused profiling
-// fast path. Loops evaluating many candidates should build a FitnessEval
-// once and call Eval, which reuses the profiling context.
+// This is the one-shot convenience form. Loops evaluating many candidates
+// should build a FitnessEval once and call Eval, which reuses the profiling
+// context.
 func Fitness(b *prog.Benchmark, scores []float64, input []float64) (float64, int64) {
 	return NewFitnessEval(b, scores).Eval(input)
 }

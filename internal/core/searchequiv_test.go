@@ -1,20 +1,18 @@
 package core
 
 import (
-	"reflect"
 	"testing"
 
-	"repro/internal/interp"
 	"repro/internal/prog"
-	"repro/internal/xrand"
 )
 
 // TestSearchProfileEquiv is the pipeline-level half of the fast-path
-// equivalence gate: the full PEPPA-X search must produce bit-identical
-// results — best input and fitness, fitness/cost histories, evaluation
-// counts, and the closing FI campaign — whether candidates are profiled on
-// the fused superinstruction array or the plain block-counting array, and
-// for serial and parallel candidate evaluation alike.
+// equivalence gate: on every kernel, the full PEPPA-X search — which
+// profiles each candidate on the fused profiler — must produce
+// bit-identical results (best input and fitness, fitness/cost histories,
+// evaluation counts and the closing FI campaign) for serial and parallel
+// candidate evaluation. The profiler-level half, fused profiler against
+// the reference engine, is internal/interp's fusion gate.
 func TestSearchProfileEquiv(t *testing.T) {
 	names := prog.Names()
 	if testing.Short() {
@@ -22,35 +20,13 @@ func TestSearchProfileEquiv(t *testing.T) {
 	}
 	for _, name := range names {
 		t.Run(name, func(t *testing.T) {
-			b := prog.Build(name)
 			opts := DefaultOptions()
 			opts.Generations = 3
 			opts.PopSize = 4
 			opts.TrialsPerRep = 4
 			opts.FinalTrials = 30
 			opts.Checkpoints = []int{2}
-
-			var want *Result
-			for _, mode := range []interp.ProfileMode{interp.ProfileFused, interp.ProfileBlock} {
-				for _, w := range []int{1, 4} {
-					opts.ProfileMode = mode
-					opts.Workers = w
-					r, err := Search(b, opts, xrand.New(2026))
-					if err != nil {
-						t.Fatalf("%v workers=%d: %v", mode, w, err)
-					}
-					normalizeResult(r)
-					if want == nil {
-						want = r
-						continue
-					}
-					if !reflect.DeepEqual(r, want) {
-						t.Errorf("%v workers=%d diverged from fused workers=1:\n got best %v fitness %v SDC %v evals %d\nwant best %v fitness %v SDC %v evals %d",
-							mode, w, r.BestInput, r.BestFitness, r.SDCBound(), r.Evaluations,
-							want.BestInput, want.BestFitness, want.SDCBound(), want.Evaluations)
-					}
-				}
-			}
+			searchWorkerEquiv(t, prog.Build(name), opts, 2026, []int{1, 4})
 		})
 	}
 }

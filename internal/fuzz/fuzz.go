@@ -5,9 +5,8 @@
 // rarest edge, and a per-seed mutation mask freezes the input positions
 // whose mutation loses that edge — so the search keeps pressure on the
 // branches random sampling reaches least often. The engine is generic over
-// an Exec callback, which is what lets one implementation drive both the
-// step-① small-input fuzzer (core.FindSmallFIInputFuzz) and the "fuzz"
-// search strategy (internal/search) over the GA's fitness objective.
+// an Exec callback; the "fuzz" search strategy (internal/search) drives it
+// over the GA's fitness objective.
 package fuzz
 
 import (
@@ -42,14 +41,6 @@ type Options struct {
 	// Target, when positive, stops the run as soon as a valid candidate
 	// scores at least this much.
 	Target float64
-	// Universe, when non-nil, restricts the rarity map to the counter
-	// indices marked true — e.g. the edges the reference input covers, so
-	// rarity pressure aims at coverage parity rather than at edges the
-	// target coverage does not contain. Nil tracks every counter.
-	Universe []bool
-	// MutantsPerSeed is the number of mutants generated per seed selection
-	// before re-consulting the rarity map (default 8).
-	MutantsPerSeed int
 	// CorpusCap bounds the corpus (default 64). Eviction prefers the
 	// lowest-scoring entry that is not the sole coverer of any edge.
 	CorpusCap int
@@ -76,15 +67,17 @@ type Result struct {
 }
 
 const (
-	defaultMutantsPerSeed = 8
-	defaultCorpusCap      = 64
+	// mutantsPerSeed is the number of mutants generated per seed selection
+	// before re-consulting the rarity map.
+	mutantsPerSeed   = 8
+	defaultCorpusCap = 64
 	// maxPursuitSteps bounds the greedy line search that extends a
 	// score-improving single-coordinate mutation.
 	maxPursuitSteps = 6
 )
 
-// entry is one corpus member: a valid input, the universe counter indices
-// its run covered (with their AFL-style hit-count buckets), and its score.
+// entry is one corpus member: a valid input, the counter indices its run
+// covered (with their AFL-style hit-count buckets), and its score.
 type entry struct {
 	id     int
 	input  []float64
@@ -180,9 +173,6 @@ func Run(opts Options, exec Exec, rng *xrand.RNG) (*Result, error) {
 	if opts.MutateAt == nil {
 		opts.MutateAt = defaultMutateAt
 	}
-	if opts.MutantsPerSeed <= 0 {
-		opts.MutantsPerSeed = defaultMutantsPerSeed
-	}
 	if opts.CorpusCap <= 0 {
 		opts.CorpusCap = defaultCorpusCap
 	}
@@ -211,7 +201,7 @@ func Run(opts Options, exec Exec, rng *xrand.RNG) (*Result, error) {
 		}
 		seed := e.seedFor(rare)
 		mask := e.maskFor(seed, rare)
-		for t := 0; t < opts.MutantsPerSeed && !e.done(); t++ {
+		for t := 0; t < mutantsPerSeed && !e.done(); t++ {
 			cand := cloneVec(seed.input)
 			if t%4 == 3 {
 				// Havoc mutant: re-draw every free position at once. The
@@ -284,7 +274,7 @@ func (e *engine) admit(cand []float64, counters []int64, score, parentScore floa
 	buckets := make([]int8, 0, 16)
 	novel := false
 	for c, n := range counters {
-		if n <= 0 || (e.opts.Universe != nil && !e.opts.Universe[c]) {
+		if n <= 0 {
 			continue
 		}
 		bk := countBucket(n)

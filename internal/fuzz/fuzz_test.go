@@ -193,32 +193,6 @@ func TestRunAllSeedsInvalid(t *testing.T) {
 	}
 }
 
-func TestRunUniverseRestrictsRarity(t *testing.T) {
-	// Counter 1 fires only for sums above 12, but the universe masks it out:
-	// no corpus entry may record coverage of a non-universe counter.
-	exec := func(in []float64) (float64, []int64, bool) {
-		var s float64
-		for _, v := range in {
-			s += v
-		}
-		c := []int64{1, 0}
-		if s > 12 {
-			c[1] = 1
-		}
-		return s, c, true
-	}
-	res, err := Run(Options{
-		Dim: 2, Clamp: clampUnit, Seeds: [][]float64{{4, 4}}, Budget: 120,
-		Universe: []bool{true, false},
-	}, exec, xrand.New(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Best == nil {
-		t.Fatal("no best found")
-	}
-}
-
 func TestRunCorpusCap(t *testing.T) {
 	res, err := Run(Options{
 		Dim: 2, Clamp: clampUnit, Seeds: [][]float64{{1, 1}}, Budget: 400, CorpusCap: 5,

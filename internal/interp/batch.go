@@ -11,14 +11,13 @@ import (
 // Lockstep batch execution. A fault-injection campaign resumes many trials
 // from the same golden checkpoint and replays the same fault-free stretch
 // up to each injection point; BatchRun pays that stretch once. A single
-// profiled trunk runs forward from the shared base snapshot on the engine
-// the snapshot belongs to (campaign goldens record fused checkpoints) and
-// captures a copy-on-write fork — pages shared with the previous fork via
-// the dirty map, exactly like interval checkpoints — at an instruction
-// boundary strictly before each trial's injection point. Every trial then
-// runs on the trial machine (Injector) from its fork, so the generic
-// engine covers only the short fork-to-injection window before the
-// fast-path tail.
+// profiled trunk runs forward from the shared base snapshot on the fused
+// code arrays and captures a copy-on-write fork — pages shared with the
+// previous fork via the dirty map, exactly like interval checkpoints — at
+// an instruction boundary strictly before each trial's injection point.
+// Every trial then runs on the trial machine (Injector) from its fork, so
+// the generic engine covers only the short fork-to-injection window before
+// the fast-path tail.
 //
 // Determinism: the fork points are functions of the dyn clock and the
 // trials' plans alone, each trial consumes only its own RNG (first at
@@ -107,12 +106,11 @@ func batchCanceled(done <-chan struct{}) bool {
 // during the call — its Output buffer is reused by the next trial. c is the
 // golden's checkpoints (nil: none), which base, if set, must belong to;
 // trial tails that re-join the golden at one of its snapshots end there,
-// as in Injector.Trial. opts
-// supplies the per-trial limits (MaxDyn, MaxMemWords, MaxDepth) and the
-// engine for base-less batches (Fused); Plan, FaultRNG, Profile,
-// TrackPropagation and CheckpointInterval must be unset — trials carry
-// their own plans and streams. Static-mode trials require a profiled base
-// (or a base-less batch), like RunFrom.
+// as in Injector.Trial. opts supplies the per-trial limits (MaxDyn,
+// MaxMemWords, MaxDepth); Plan, FaultRNG, Profile, TrackPropagation and
+// CheckpointInterval must be unset — trials carry their own plans and
+// streams. Static-mode trials require a profiled base (or a base-less
+// batch), like RunFrom.
 //
 // When opts.Done closes mid-batch the trunk suspends at its next boundary
 // and the trial loop stops before its next trial: trials already reported
@@ -147,7 +145,7 @@ func BatchRun(p *Program, args []uint64, c *Checkpoints, base *Snapshot, trials 
 
 	te := newExec(p, Options{
 		MaxDyn: opts.MaxDyn, MaxMemWords: opts.MaxMemWords, MaxDepth: opts.MaxDepth,
-		Profile: trunkProfile, Fused: opts.Fused,
+		Profile: trunkProfile,
 	})
 	startDyn := int64(0)
 	if base != nil {

@@ -8,12 +8,11 @@ import (
 	"repro/internal/xrand"
 )
 
-// batchGolden runs the program with fused profiling checkpoints at the
-// given interval and returns the result (whose Checkpoints carry fused
-// snapshots, like campaign goldens).
+// batchGolden runs the program with profiling checkpoints at the given
+// interval and returns the result.
 func batchGolden(t *testing.T, p *Program, args []uint64, interval int64) *Result {
 	t.Helper()
-	r := Run(p, args, Options{Profile: true, CheckpointInterval: interval, Fused: true})
+	r := Run(p, args, Options{Profile: true, CheckpointInterval: interval})
 	if r.Trap != nil {
 		t.Fatalf("golden trapped: %v", r.Trap)
 	}

@@ -47,7 +47,8 @@ func (e *exec) markDirty(lo, hi int64) {
 }
 
 // Snapshot is a resumable copy of the machine state at one dynamic
-// instruction boundary of a fault-free run.
+// instruction boundary of a fault-free run. Its frame pcs index the fused
+// code arrays, which every run resumed from it executes.
 type Snapshot struct {
 	dyn      int64
 	memTop   int64
@@ -58,10 +59,6 @@ type Snapshot struct {
 	output   []OutVal
 	counts   []int64 // per-static-instruction execution counts (profiled runs)
 	detected bool
-	// fused records which code array the frame pcs index — restoring the
-	// snapshot resumes on that engine (the two arrays use different pc
-	// coordinate spaces, but produce bit-identical results).
-	fused bool
 }
 
 // Dyn returns the dynamic instruction count at which the snapshot was taken.
@@ -195,12 +192,9 @@ func AutoCheckpointInterval(dynCount int64) int64 {
 }
 
 // atBlockEntry reports whether pc is the first instruction of its basic
-// block in the code array the machine runs.
-func (e *exec) atBlockEntry(cf *compiledFunc, pc int32) bool {
-	if e.fusedExec {
-		return cf.fusedStart[cf.fusedOf[pc]] == pc
-	}
-	return cf.blockStart[cf.blockOf[pc]] == pc
+// block in the fused code array, which checkpointed runs execute.
+func atBlockEntry(cf *compiledFunc, pc int32) bool {
+	return cf.fusedStart[cf.fusedOf[pc]] == pc
 }
 
 // takeSnapshot records the current machine state into e.ckpt and arms the
@@ -255,7 +249,6 @@ func (e *exec) captureSnapshot(prev *Snapshot) *Snapshot {
 		slabTop:  e.slabTop,
 		output:   append([]OutVal(nil), e.output...),
 		detected: e.detected,
-		fused:    e.fusedExec,
 	}
 	if e.counts != nil {
 		s.counts = append([]int64(nil), e.counts...)
@@ -264,9 +257,8 @@ func (e *exec) captureSnapshot(prev *Snapshot) *Snapshot {
 }
 
 // restoreInto rebuilds the snapshot's machine state inside a fresh (or
-// batch-reset) exec, including the engine selection its pcs belong to.
+// reset) exec.
 func (s *Snapshot) restoreInto(e *exec) {
-	e.fusedExec = s.fused
 	e.dyn = s.dyn
 	e.memTop = s.memTop
 	if covered := int64(len(s.pages)) * pageWords; int64(len(e.mem)) < covered {

@@ -97,11 +97,11 @@ type compiledFunc struct {
 	blockStart []int32 // phi-skipped start pc of each block
 	blockOf    []int32 // pc -> local block index
 
-	// fused is the superinstruction code array used by profile-mode runs:
-	// identical control flow, with hot adjacent pairs combined into opFused*
-	// slots. Jump targets are remapped into fused pcs; observable semantics
-	// (outputs, traps, dynamic counts, per-instruction counts) are
-	// bit-identical to code.
+	// fused is the superinstruction code array every machine except a
+	// plain Run executes (see Run): identical control flow, with hot
+	// adjacent pairs combined into opFused* slots. Jump targets are
+	// remapped into fused pcs; observable semantics (outputs, traps,
+	// dynamic counts, per-instruction counts) are bit-identical to code.
 	fused      []inst
 	fusedStart []int32
 	fusedOf    []int32
@@ -190,8 +190,7 @@ func (p *Program) CounterLen() int { return p.numBlocks + p.numEdges }
 //
 // so the fitness numerator needs no per-instruction loop and no
 // InstrCounts materialization. The counter-order summation is the
-// canonical fitness association for both fused and unfused fast-path runs,
-// keeping fitness values bit-identical between the two.
+// canonical fitness association of the fast loop.
 func (p *Program) CounterScores(scores []float64) []float64 {
 	if len(scores) != p.numInstrs {
 		panic(fmt.Sprintf("interp: CounterScores got %d scores for %d instructions", len(scores), p.numInstrs))

@@ -43,11 +43,10 @@ type convergence struct {
 // first snapshot at or after it. It arms nothing unless c recorded how the
 // golden returned, the golden's end fits the trial's dyn budget and its
 // memory and depth limits (limits only ever turn a run into a trap, so
-// larger ones cannot change a run that did not trap), and c's snapshots
-// index the code array the tail runs on.
+// larger ones cannot change a run that did not trap).
 func (e *exec) armConvergence(c *Checkpoints) {
 	e.conv = convergence{at: math.MaxInt64}
-	if c == nil || c.end == nil || len(c.snaps) == 0 || c.snaps[0].fused != e.fusedExec ||
+	if c == nil || c.end == nil || len(c.snaps) == 0 ||
 		c.end.dyn > e.maxDyn || c.end.maxMem > e.maxMem || c.end.maxDep > e.maxDep {
 		return
 	}

@@ -79,11 +79,10 @@ func buildMasking(t testing.TB) maskProg {
 	return maskProg{p: p, args: []uint64{60, 1}, dead: dead.ID, stored: stored.ID, kept: kept.ID}
 }
 
-// checkpointsOf records mp's golden with snapshots every 10 instructions
-// on the fused or unfused code arrays.
-func (mp maskProg) checkpointsOf(t *testing.T, fused bool) (*Result, *Checkpoints) {
+// checkpointsOf records mp's golden with snapshots every 10 instructions.
+func (mp maskProg) checkpointsOf(t *testing.T) (*Result, *Checkpoints) {
 	t.Helper()
-	g := Run(mp.p, mp.args, Options{Profile: true, CheckpointInterval: 10, Fused: fused})
+	g := Run(mp.p, mp.args, Options{Profile: true, CheckpointInterval: 10})
 	if g.Trap != nil || g.Checkpoints.end == nil || len(g.Checkpoints.snaps) < 8 {
 		t.Fatalf("bad golden: trap %v, %d snapshots", g.Trap, len(g.Checkpoints.snaps))
 	}
@@ -113,7 +112,7 @@ func (mp maskProg) convergeTrial(t *testing.T, c *Checkpoints, id int, occ, maxD
 // golden's return value and output.
 func TestInjectorConvergesOnMaskedFaults(t *testing.T) {
 	mp := buildMasking(t)
-	g, c := mp.checkpointsOf(t, true)
+	g, c := mp.checkpointsOf(t)
 	for _, id := range []int{mp.dead, mp.stored} {
 		r, conv := mp.convergeTrial(t, c, id, 30, g.DynCount*3)
 		if conv != 1 {
@@ -133,7 +132,7 @@ func TestInjectorConvergesOnMaskedFaults(t *testing.T) {
 // golden's end a masked trial must not converge; it stays a hang.
 func TestInjectorConvergenceNeedsBudget(t *testing.T) {
 	mp := buildMasking(t)
-	g, c := mp.checkpointsOf(t, true)
+	g, c := mp.checkpointsOf(t)
 	r, conv := mp.convergeTrial(t, c, mp.dead, 30, g.DynCount-1)
 	if conv != 0 || !r.BudgetExceeded {
 		t.Fatalf("budget %d below the golden's %d: converged %d, budget exceeded %v", g.DynCount-1, g.DynCount, conv, r.BudgetExceeded)
@@ -147,7 +146,7 @@ func TestInjectorConvergenceNeedsBudget(t *testing.T) {
 func TestInjectorConvergenceNeedsGoldenEnd(t *testing.T) {
 	mp := buildMasking(t)
 	mp.args = []uint64{60, 0}
-	g := Run(mp.p, mp.args, Options{Profile: true, CheckpointInterval: 10, Fused: true})
+	g := Run(mp.p, mp.args, Options{Profile: true, CheckpointInterval: 10})
 	if g.Trap == nil || g.Checkpoints.end != nil {
 		t.Fatalf("golden dividing by zero: trap %v, end %+v", g.Trap, g.Checkpoints.end)
 	}
@@ -156,7 +155,7 @@ func TestInjectorConvergenceNeedsGoldenEnd(t *testing.T) {
 	}
 
 	mp.args = []uint64{60, 1}
-	g, c := mp.checkpointsOf(t, true)
+	g, c := mp.checkpointsOf(t)
 	const maxMem = 32 // the loop peaks at 6 words, big needs 66
 	plan := fault.Plan{Mode: fault.ModeStatic, StaticID: mp.dead, Occurrence: 30, Bit: 5}
 	want := Run(mp.p, mp.args, Options{Plan: &plan, MaxDyn: g.DynCount * 3, MaxMemWords: maxMem})
@@ -172,38 +171,28 @@ func TestInjectorConvergenceNeedsGoldenEnd(t *testing.T) {
 	}
 }
 
-// TestInjectorUnfusedCheckpointsConvergeOnlyUnfused: snapshots of an
-// unfused golden hold unfused pcs, so only tails that resumed from one of
-// them (and so run unfused) compare with them. A trial injected before the
-// first snapshot starts at the entry on the fused arrays and runs to its
-// end.
-func TestInjectorUnfusedCheckpointsConvergeOnlyUnfused(t *testing.T) {
+// TestInjectorConvergesFromEntry: a trial injected before the first
+// snapshot starts at the program entry, with no snapshot to resume from,
+// and its tail still re-joins the golden at a later snapshot.
+func TestInjectorConvergesFromEntry(t *testing.T) {
 	mp := buildMasking(t)
-	g, fused := mp.checkpointsOf(t, true)
-	_, unfused := mp.checkpointsOf(t, false)
-	budget := g.DynCount * 3
-	for _, tc := range []struct {
-		c    *Checkpoints
-		occ  int64
-		want int64
-	}{
-		{fused, 1, 1},
-		{unfused, 1, 0},
-		{unfused, 30, 1},
-	} {
-		if _, conv := mp.convergeTrial(t, tc.c, mp.dead, tc.occ, budget); conv != tc.want {
-			t.Fatalf("fused %v, occurrence %d: converged %d, want %d", tc.c.snaps[0].fused, tc.occ, conv, tc.want)
-		}
+	g, c := mp.checkpointsOf(t)
+	before := c.Stats()
+	if _, conv := mp.convergeTrial(t, c, mp.dead, 1, g.DynCount*3); conv != 1 {
+		t.Fatalf("trial from the entry: converged %d, want 1", conv)
+	}
+	if st := c.Stats(); st.Scratch != before.Scratch+1 {
+		t.Fatalf("trial before the first snapshot did not start at the entry: %+v", st)
 	}
 }
 
 // TestInjectorConvergenceComparesObservableState drives converge directly
 // on a machine restored to a snapshot: it matches as restored and with a
 // changed word above memTop, and never with one changed register, memory
-// word below memTop or output value, or on the other code array.
+// word below memTop or output value.
 func TestInjectorConvergenceComparesObservableState(t *testing.T) {
 	mp := buildMasking(t)
-	g, c := mp.checkpointsOf(t, true)
+	g, c := mp.checkpointsOf(t)
 	s := c.snaps[len(c.snaps)/2]
 	if len(s.output) != 0 {
 		t.Fatal("mid-run snapshot has output")
@@ -221,7 +210,6 @@ func TestInjectorConvergenceComparesObservableState(t *testing.T) {
 		{"register", func(e *exec) { e.regSlab[e.slabTop-1] ^= 1 << 40 }, false, false},
 		{"word below memTop", func(e *exec) { e.mem[e.memTop-1]++ }, false, false},
 		{"output value", func(e *exec) { e.output[0].Bits++ }, true, false},
-		{"other code array", func(e *exec) { e.fusedExec = !e.fusedExec }, false, false},
 	} {
 		snap := *s
 		if tc.output {

@@ -102,14 +102,6 @@ type Options struct {
 	// early. Combining a CheckpointInterval with a fault Plan panics:
 	// snapshots must capture fault-free state.
 	CheckpointInterval int64
-	// Fused executes the superinstruction code arrays instead of the
-	// unfused ones. The generic engine dispatches each fused slot
-	// sub-instruction by sub-instruction — the dyn clock, injection points
-	// (including mid-pair targets), traps, budget ordering and taint
-	// propagation are bit-identical to the unfused array; only dispatch
-	// count changes. Snapshots recorded by a fused run carry fused pcs and
-	// resume on the fused engine automatically.
-	Fused bool
 	// Done, when non-nil, is a cooperative cancellation signal (a
 	// context.Context's Done channel). BatchRun polls it at checkpoint
 	// boundaries: once closed, the shared trunk suspends at its next
@@ -270,8 +262,11 @@ type exec struct {
 	overlay     []int32
 
 	// fusedExec selects the fused superinstruction code arrays in run().
-	// Restoring a Snapshot overwrites it with the engine the snapshot's pcs
-	// belong to.
+	// Every machine runs them except a plain Run, the reference engine (see
+	// Run). The generic engine dispatches each fused slot sub-instruction by
+	// sub-instruction, so the dyn clock, injection points (including
+	// mid-pair targets), traps, budget order and taint propagation are
+	// bit-identical on both arrays; only the dispatch count differs.
 	fusedExec bool
 
 	// Golden-prefix checkpointing (nil / maxInt unless the run was started
@@ -314,7 +309,7 @@ func newExec(p *Program, opts Options) *exec {
 		frames:    make([]frame, 0, 8),
 		regSlab:   make([]uint64, initialSlabSlots),
 		nextCkpt:  math.MaxInt64,
-		fusedExec: opts.Fused,
+		fusedExec: true,
 		conv:      convergence{at: math.MaxInt64},
 	}
 	if e.maxMem <= 0 {
@@ -359,8 +354,14 @@ func (e *exec) finish(ret uint64) *Result {
 // Run executes the program entry function with the given argument slot
 // values. It never panics on program-level failures; traps, hangs and
 // injected faults are reported in the Result.
+//
+// A run without checkpoints dispatches the unfused code arrays: it is the
+// reference engine that every equivalence suite compares the fast loop,
+// snapshots and trials against. A checkpointed run records its snapshots
+// on the fused arrays, which every trial resumes and finishes on.
 func Run(p *Program, args []uint64, opts Options) *Result {
 	e := newExec(p, opts)
+	e.fusedExec = opts.CheckpointInterval > 0
 	if opts.CheckpointInterval > 0 {
 		if opts.Plan != nil {
 			panic("interp: CheckpointInterval with a fault plan — snapshots must capture fault-free state")
@@ -629,7 +630,7 @@ func (e *exec) run() (uint64, bool) {
 					e.paused = true
 					return 0, false
 				}
-			} else if e.atBlockEntry(cf, pc) {
+			} else if atBlockEntry(cf, pc) {
 				e.takeSnapshot()
 			}
 		}

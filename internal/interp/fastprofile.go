@@ -7,15 +7,16 @@ import (
 	"repro/internal/ir"
 )
 
-// This file implements the profiling fast path used by GA fitness
-// evaluation and the small-input fuzzer's coverage checks: a dispatch loop
-// stripped of fault injection, taint tracking and checkpointing, counting
-// executions per basic block (one counter bump per block entry, Ball–Larus
-// style) instead of per static instruction, optionally over the fused
-// superinstruction code array. Observable behaviour — outputs, return
-// value, dynamic instruction count, traps, budget exhaustion and the
-// reconstructed per-instruction count vector — is bit-identical to a
-// profiled interp.Run.
+// This file implements the fast loop: the profiling path behind GA fitness
+// evaluation and the small-input fuzzer's coverage checks, and the tail of
+// every fault-injection trial. It is a dispatch loop over the fused
+// superinstruction code array, stripped of fault injection, taint tracking
+// and checkpointing, counting executions per basic block (one counter bump
+// per block entry, Ball–Larus style) instead of per static instruction.
+// Observable behaviour — outputs, return value, dynamic instruction count,
+// traps, budget exhaustion and the reconstructed per-instruction count
+// vector — is bit-identical to a profiled interp.Run, the reference engine
+// over the unfused arrays.
 //
 // Counter model. The program has one int64 counter per basic block followed
 // by one per phi-carrying CFG edge (Program.CounterLen() total). A block's
@@ -33,61 +34,23 @@ import (
 // id); handlers append additional overlay entries for work completed inside
 // the aborting slot (finished phi moves, the first half of a fused pair).
 
-// ProfileMode selects the execution engine behind a Profiler.
-type ProfileMode uint8
-
-const (
-	// ProfileFused runs the block-counting fast path over the fused
-	// superinstruction code array (the default).
-	ProfileFused ProfileMode = iota
-	// ProfileBlock runs the block-counting fast path over the unfused code.
-	ProfileBlock
-	// ProfileLegacy delegates to interp.Run with Options.Profile — the
-	// pre-fast-path per-instruction engine, kept for differential testing
-	// and benchmarking.
-	ProfileLegacy
-)
-
-func (m ProfileMode) String() string {
-	switch m {
-	case ProfileFused:
-		return "fused"
-	case ProfileBlock:
-		return "block"
-	case ProfileLegacy:
-		return "legacy"
-	default:
-		return fmt.Sprintf("mode(%d)", uint8(m))
-	}
-}
-
 // Profiler runs profiled executions of one Program with zero steady-state
 // allocation: the machine state (memory, register slabs, counters, output
 // buffer) is owned by the Profiler and reused across Run calls. A Profiler
 // is not safe for concurrent use; pool one per worker.
 type Profiler struct {
 	p       *Program
-	mode    ProfileMode
 	e       *exec
 	run     ProfileRun
 	scratch []int64
 }
 
-// NewProfiler returns a Profiler using the fused fast path.
-func NewProfiler(p *Program) *Profiler { return NewProfilerMode(p, ProfileFused) }
-
-// NewProfilerMode returns a Profiler for an explicit engine mode.
-func NewProfilerMode(p *Program, mode ProfileMode) *Profiler {
-	pr := &Profiler{p: p, mode: mode}
-	if mode != ProfileLegacy {
-		pr.e = newExec(p, Options{})
-		pr.e.blockCounts = make([]int64, p.CounterLen())
-	}
+// NewProfiler returns a Profiler for p.
+func NewProfiler(p *Program) *Profiler {
+	pr := &Profiler{p: p, e: newExec(p, Options{})}
+	pr.e.blockCounts = make([]int64, p.CounterLen())
 	return pr
 }
-
-// Mode returns the profiler's engine mode.
-func (pr *Profiler) Mode() ProfileMode { return pr.mode }
 
 // Program returns the compiled program this profiler executes.
 func (pr *Profiler) Program() *Program { return pr.p }
@@ -100,17 +63,6 @@ func (pr *Profiler) Program() *Program { return pr.p }
 func (pr *Profiler) Run(args []uint64, maxDyn int64) *ProfileRun {
 	r := &pr.run
 	*r = ProfileRun{prog: pr.p, prof: pr}
-	if pr.mode == ProfileLegacy {
-		res := Run(pr.p, args, Options{MaxDyn: maxDyn, Profile: true})
-		r.Ret = res.Ret
-		r.Output = res.Output
-		r.DynCount = res.DynCount
-		r.Trap = res.Trap
-		r.BudgetExceeded = res.BudgetExceeded
-		r.DetectedFlag = res.DetectedFlag
-		r.legacy = res.InstrCounts
-		return r
-	}
 	e := pr.e
 	entry := pr.p.funcs[pr.p.entry]
 	if len(args) != entry.nParams {
@@ -120,10 +72,9 @@ func (pr *Profiler) Run(args []uint64, maxDyn int64) *ProfileRun {
 	e.pushFrame(pr.p.entry)
 	copy(e.regSlab[:len(args)], args)
 	e.blockCounts[entry.blockBase]++
-	fused := pr.mode == ProfileFused
-	ret, ok := e.runFast(fused)
+	ret, ok := e.runFast()
 	if !ok {
-		e.fixupAbort(fused)
+		e.fixupAbort()
 	}
 	r.Ret = ret
 	r.Output = e.output
@@ -149,19 +100,19 @@ type ProfileRun struct {
 
 	prog     *Program
 	prof     *Profiler
-	counters []int64 // borrowed block/edge counter space (fast modes)
-	overlay  []int32 // borrowed abort-overlay id list (fast modes)
-	legacy   []int64 // per-instruction counts (legacy mode)
+	counters []int64 // borrowed block/edge counter space
+	overlay  []int32 // borrowed abort-overlay id list
 }
 
 // Program returns the compiled program the run executed.
 func (r *ProfileRun) Program() *Program { return r.prog }
 
 // Failed reports whether the run is unusable for fitness or coverage:
-// it trapped, exhausted its dynamic budget, or executed no injectable
-// instructions.
+// it trapped, exhausted its dynamic budget, executed no injectable
+// instructions, or raised sdc_detect — the same fault-free failures
+// NewGolden rejects (§3.1.2).
 func (r *ProfileRun) Failed() bool {
-	return r.Trap != nil || r.BudgetExceeded || r.DynCount == 0
+	return r.Trap != nil || r.BudgetExceeded || r.DynCount == 0 || r.DetectedFlag
 }
 
 // Fitness evaluates Σ_c S_c·C_c / N_total over the block/edge counter
@@ -169,14 +120,11 @@ func (r *ProfileRun) Failed() bool {
 // per-instruction score vector. No per-instruction loop, no InstrCounts
 // materialization. Failed runs score zero (a candidate that crashes, hangs
 // or does nothing exposes no SDC surface). The counter-order summation is
-// the canonical float association: fused and unfused fast-path runs produce
-// bit-identical fitness values.
+// the canonical float association, so fitness is independent of how the
+// counters were reached.
 func (r *ProfileRun) Fitness(counterScores []float64) float64 {
 	if r.Failed() {
 		return 0
-	}
-	if r.counters == nil {
-		panic("interp: ProfileRun.Fitness requires a fast-path profile mode")
 	}
 	var acc float64
 	for c, n := range r.counters {
@@ -199,10 +147,6 @@ func (r *ProfileRun) InstrCounts(dst []int64) []int64 {
 		dst = dst[:n]
 		clear(dst)
 	}
-	if r.legacy != nil {
-		copy(dst, r.legacy)
-		return dst
-	}
 	for id := 0; id < n; id++ {
 		if b := r.prog.instrBlock[id]; b >= 0 {
 			dst[id] = r.counters[b]
@@ -224,14 +168,11 @@ func (r *ProfileRun) InstrCounts(dst []int64) []int64 {
 // needed) and returns it. Unlike the borrowed internal state, the copy stays
 // valid across the profiler's subsequent runs. Counter indices are stable
 // per program (Program.CounterLen()), so cross-run comparisons — e.g. the
-// edge-rarity map of the rare-branch fuzzer — are well-defined. Fast-path
-// modes only; the abort overlay (partial counts of the block in flight when
-// a run aborts) is not folded in, which is fine for coverage-style uses
-// because aborted runs are discarded as Failed.
+// edge-rarity map of the rare-branch fuzzer — are well-defined. The abort
+// overlay (partial counts of the block in flight when a run aborts) is not
+// folded in, which is fine for coverage-style uses because aborted runs are
+// discarded as Failed.
 func (r *ProfileRun) Counters(dst []int64) []int64 {
-	if r.counters == nil {
-		panic("interp: ProfileRun.Counters requires a fast-path profile mode")
-	}
 	if cap(dst) < len(r.counters) {
 		dst = make([]int64, len(r.counters))
 	} else {
@@ -243,13 +184,9 @@ func (r *ProfileRun) Counters(dst []int64) []int64 {
 
 // CoveredInstrs counts static instructions executed at least once.
 func (r *ProfileRun) CoveredInstrs() int {
-	counts := r.legacy
-	if counts == nil {
-		r.prof.scratch = r.InstrCounts(r.prof.scratch)
-		counts = r.prof.scratch
-	}
+	r.prof.scratch = r.InstrCounts(r.prof.scratch)
 	n := 0
-	for _, c := range counts {
+	for _, c := range r.prof.scratch {
 		if c > 0 {
 			n++
 		}
@@ -322,19 +259,15 @@ func (e *exec) applyMovesFast(moves []move, regs, consts []uint64, dyn int64) (i
 // frame's pc — for suspended frames that excludes the pending call, which
 // only counts at return) are appended to the overlay. Combined with the
 // handler-appended overlays for partial slots, the reconstructed counts
-// match the legacy engine's exactly.
-func (e *exec) fixupAbort(fused bool) {
+// match a profiled Run's exactly.
+func (e *exec) fixupAbort() {
 	for i := range e.frames {
 		fr := &e.frames[i]
 		cf := e.p.funcs[fr.fi]
-		blockOf, blockStart, code := cf.blockOf, cf.blockStart, cf.code
-		if fused {
-			blockOf, blockStart, code = cf.fusedOf, cf.fusedStart, cf.fused
-		}
-		lb := blockOf[fr.pc]
+		lb := cf.fusedOf[fr.pc]
 		e.blockCounts[cf.blockBase+lb]--
-		for p := blockStart[lb]; p < fr.pc; p++ {
-			in := &code[p]
+		for p := cf.fusedStart[lb]; p < fr.pc; p++ {
+			in := &cf.fused[p]
 			if in.id >= 0 {
 				e.overlay = append(e.overlay, in.id)
 			}
@@ -381,7 +314,7 @@ func evalCmp(op ir.Op, srcTy ir.Type, x, y uint64) uint64 {
 }
 
 // evalFusedArith evaluates a fusableArith opcode on raw operand bits,
-// reproducing the legacy dispatch loop's semantics case for case.
+// reproducing the generic dispatch loop's semantics case for case.
 func evalFusedArith(op ir.Op, ty ir.Type, x, y uint64) uint64 {
 	switch op {
 	case ir.OpAdd:
@@ -417,17 +350,17 @@ func evalFusedArith(op ir.Op, ty ir.Type, x, y uint64) uint64 {
 	}
 }
 
-// runFast is the profiling fast path's dispatch loop: the legacy run()
+// runFast is the fast loop over the fused code arrays: the generic run()
 // minus fault injection, taint tracking and checkpointing, with block/edge
-// counters in place of per-instruction counting, superinstruction handlers
-// when fusedRun is set, and the frame re-entry and abort paths hand-inlined
-// — the legacy loop's reenter closure forces its captured locals (pc, regs,
-// code) into heap cells, which is exactly the overhead a fitness-evaluation
-// inner loop cannot afford. The dyn clock lives in a local and is synced to
+// counters in place of per-instruction counting, superinstruction handlers,
+// and the frame re-entry and abort paths hand-inlined — the generic loop's
+// reenter closure forces its captured locals (pc, regs, code) into heap
+// cells, which is exactly the overhead a fitness-evaluation inner loop
+// cannot afford. The dyn clock lives in a local and is synced to
 // e.dyn at every exit. In a trial tail every block entry past e.conv.at
 // compares the machine with a golden snapshot (converge.go); elsewhere
 // conv.at is math.MaxInt64 and the check is a load and a compare.
-func (e *exec) runFast(fusedRun bool) (uint64, bool) {
+func (e *exec) runFast() (uint64, bool) {
 	var (
 		fr     *frame
 		cf     *compiledFunc
@@ -444,11 +377,7 @@ func (e *exec) runFast(fusedRun bool) (uint64, bool) {
 	cf = e.p.funcs[fr.fi]
 	regs = e.regSlab[fr.regOff : fr.regOff+fr.nSlots]
 	consts = cf.consts
-	if fusedRun {
-		code = cf.fused
-	} else {
-		code = cf.code
-	}
+	code = cf.fused
 	pc = fr.pc
 
 	for {
@@ -631,11 +560,7 @@ func (e *exec) runFast(fusedRun bool) (uint64, bool) {
 			cf = e.p.funcs[fr.fi]
 			regs = e.regSlab[fr.regOff : fr.regOff+fr.nSlots]
 			consts = cf.consts
-			if fusedRun {
-				code = cf.fused
-			} else {
-				code = cf.code
-			}
+			code = cf.fused
 			pc = fr.pc
 			// pc is the caller's suspended OpCall (never fused); complete it.
 			cin := &code[pc]
@@ -758,11 +683,7 @@ func (e *exec) runFast(fusedRun bool) (uint64, bool) {
 				cf = e.p.funcs[fr.fi]
 				regs = e.regSlab[fr.regOff : fr.regOff+fr.nSlots]
 				consts = cf.consts
-				if fusedRun {
-					code = cf.fused
-				} else {
-					code = cf.code
-				}
+				code = cf.fused
 				pc = 0
 				counters[cf.blockBase]++
 				if dyn < e.conv.at || !e.converge(fr, pc, dyn) {

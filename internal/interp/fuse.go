@@ -2,7 +2,7 @@ package interp
 
 import "repro/internal/ir"
 
-// Superinstruction fusion (profiling fast path). The fused code array
+// Superinstruction fusion. The fused code array
 // combines hot adjacent instruction pairs into single dispatch slots, in the
 // style of threaded-code superinstructions (Ertl & Gregg): a comparison
 // feeding the block's conditional branch, a load feeding arithmetic,

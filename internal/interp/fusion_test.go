@@ -11,21 +11,17 @@ import (
 	"repro/internal/xrand"
 )
 
-// The fast-path equivalence gate (`make test-fusion`): every observable of a
-// block-counting run — over the fused superinstruction array or the plain
-// one — must be bit-identical to the legacy per-instruction engine, at every
-// possible abort point. The harness runs all three engines on the same
-// (program, args, budget) triple and compares return value, output, dynamic
-// count, trap, budget flag, detected flag, coverage and the reconstructed
-// per-instruction count vector; block and fused fitness must agree bit for
-// bit, and both must match the per-instruction ground truth to tolerance
-// (the summation order differs, so exact float equality across engines is
-// not required — only across the two fast modes, which share the canonical
-// counter-order association).
+// The fast-path equivalence gate (`make test-fusion`): every observable of
+// a fused profiled run must be bit-identical to the reference engine, a
+// profiled interp.Run over the unfused arrays, at every possible abort
+// point. The harness runs both on the same (program, args, budget) triple
+// and compares return value, output, dynamic count, trap, budget flag,
+// detected flag, coverage and the reconstructed per-instruction count
+// vector; fitness must match the per-instruction ground truth to tolerance
+// (the summation order differs, so exact float equality is not required).
 
 type equivHarness struct {
 	p      *Program
-	block  *Profiler
 	fused  *Profiler
 	scores []float64
 	cs     []float64
@@ -38,16 +34,19 @@ func newEquivHarness(p *Program, rng *xrand.RNG) *equivHarness {
 	}
 	return &equivHarness{
 		p:      p,
-		block:  NewProfilerMode(p, ProfileBlock),
-		fused:  NewProfilerMode(p, ProfileFused),
+		fused:  NewProfiler(p),
 		scores: scores,
 		cs:     p.CounterScores(scores),
 	}
 }
 
-func (h *equivHarness) checkOne(t *testing.T, label string, pr *Profiler, want *Result, args []uint64, maxDyn int64) float64 {
+// check runs the reference engine as ground truth and the fused profiler
+// against it, returning the reference result (for deriving budget
+// cutoffs).
+func (h *equivHarness) check(t *testing.T, label string, args []uint64, maxDyn int64) *Result {
 	t.Helper()
-	r := pr.Run(args, maxDyn)
+	want := Run(h.p, args, Options{Profile: true, MaxDyn: maxDyn})
+	r := h.fused.Run(args, maxDyn)
 	if r.Ret != want.Ret || r.DynCount != want.DynCount ||
 		r.BudgetExceeded != want.BudgetExceeded || r.DetectedFlag != want.DetectedFlag {
 		t.Fatalf("%s: result mismatch: ret %d/%d dyn %d/%d budget %v/%v detected %v/%v",
@@ -67,27 +66,15 @@ func (h *equivHarness) checkOne(t *testing.T, label string, pr *Profiler, want *
 				t.Errorf("%s: instr %d count %d, want %d", label, id, got[id], want.InstrCounts[id])
 			}
 		}
-		t.Fatalf("%s: reconstructed InstrCounts differ from legacy", label)
+		t.Fatalf("%s: reconstructed InstrCounts differ from the reference", label)
 	}
 	if cov, wantCov := r.Coverage(), want.Coverage(h.p.NumInstrs()); cov != wantCov {
 		t.Fatalf("%s: coverage %v, want %v", label, cov, wantCov)
 	}
-	return r.Fitness(h.cs)
-}
-
-// check runs the legacy engine as ground truth and both fast engines
-// against it, returning the legacy result (for deriving budget cutoffs).
-func (h *equivHarness) check(t *testing.T, label string, args []uint64, maxDyn int64) *Result {
-	t.Helper()
-	want := Run(h.p, args, Options{Profile: true, MaxDyn: maxDyn})
-	fb := h.checkOne(t, label+"/block", h.block, want, args, maxDyn)
-	ff := h.checkOne(t, label+"/fused", h.fused, want, args, maxDyn)
-	if math.Float64bits(fb) != math.Float64bits(ff) {
-		t.Fatalf("%s: fitness bits differ between block and fused: %v vs %v", label, fb, ff)
-	}
-	if want.Trap != nil || want.BudgetExceeded || want.DynCount == 0 {
-		if fb != 0 {
-			t.Fatalf("%s: failed run fitness %v, want 0", label, fb)
+	fit := r.Fitness(h.cs)
+	if want.Trap != nil || want.BudgetExceeded || want.DynCount == 0 || want.DetectedFlag {
+		if fit != 0 {
+			t.Fatalf("%s: failed run fitness %v, want 0", label, fit)
 		}
 		return want
 	}
@@ -95,9 +82,9 @@ func (h *equivHarness) check(t *testing.T, label string, args []uint64, maxDyn i
 	for id, c := range want.InstrCounts {
 		acc += h.scores[id] * float64(c)
 	}
-	legacyFit := acc / float64(want.DynCount)
-	if diff := math.Abs(fb - legacyFit); diff > 1e-9*math.Max(1, math.Abs(legacyFit)) {
-		t.Fatalf("%s: fitness %v too far from per-instruction ground truth %v", label, fb, legacyFit)
+	refFit := acc / float64(want.DynCount)
+	if diff := math.Abs(fit - refFit); diff > 1e-9*math.Max(1, math.Abs(refFit)) {
+		t.Fatalf("%s: fitness %v too far from per-instruction ground truth %v", label, fit, refFit)
 	}
 	return want
 }
@@ -254,7 +241,8 @@ func TestBlockProfileEquivWhiteBox(t *testing.T) {
 
 // TestFusionTrapEquiv drives traps through fused pairs (first and second
 // sub-op), division, allocation, recursion depth and the detect intrinsic,
-// checking all three engines agree on every observable.
+// checking the fused profiler agrees with the reference on every
+// observable.
 func TestFusionTrapEquiv(t *testing.T) {
 	rng := xrand.New(7)
 	minInt64 := uint64(1) << 63
@@ -291,7 +279,7 @@ func TestFusionTrapEquiv(t *testing.T) {
 			t.Errorf("%s: trap %v, want %v", tc.name, got, tc.want)
 		}
 		// Sweep cutoffs around the failure point too: aborting before the
-		// trap must be a plain budget abort in every engine.
+		// trap must be a plain budget abort on both engines.
 		for _, cut := range []int64{1, want.DynCount / 2, want.DynCount, want.DynCount + 1} {
 			if cut > 0 {
 				h.check(t, fmt.Sprintf("%s/cut%d", tc.name, cut), tc.args, cut)
@@ -306,8 +294,8 @@ func TestFusionTrapEquiv(t *testing.T) {
 }
 
 // TestBlockProfileEquivRandomModules is the property test over random IR
-// modules: block-derived InstrCounts must equal the legacy per-instruction
-// vector for arbitrary well-typed programs, at full runs and at budget
+// modules: block-derived InstrCounts must equal the reference engine's
+// per-instruction vector for arbitrary well-typed programs, at full runs and at budget
 // cutoffs (including cut = dyn, the no-abort boundary).
 func TestBlockProfileEquivRandomModules(t *testing.T) {
 	rng := xrand.New(0x5eed)
@@ -342,26 +330,24 @@ func TestBlockProfileEquivRandomModules(t *testing.T) {
 
 // TestProfileEquivReuse checks that one Profiler's reused machine state
 // (memory is not cleared between runs) cannot leak across runs: fresh
-// results stay identical to the legacy engine across differing inputs and
-// after aborted runs.
+// results stay identical to the reference engine across differing inputs
+// and after aborted runs.
 func TestProfileEquivReuse(t *testing.T) {
 	p := buildMemory(t)
-	for _, mode := range []ProfileMode{ProfileBlock, ProfileFused} {
-		pr := NewProfilerMode(p, mode)
-		for i := 0; i < 12; i++ {
-			n := uint64(3 + 11*i%40)
-			want := Run(p, []uint64{n}, Options{Profile: true})
-			r := pr.Run([]uint64{n}, 0)
-			if r.Ret != want.Ret || r.DynCount != want.DynCount {
-				t.Fatalf("%v reuse run %d: ret %d/%d dyn %d/%d", mode, i, r.Ret, want.Ret, r.DynCount, want.DynCount)
-			}
-			if !reflect.DeepEqual(r.InstrCounts(nil), want.InstrCounts) {
-				t.Fatalf("%v reuse run %d: counts diverged", mode, i)
-			}
-			// Interleave an aborted run: the next clean run must be unaffected.
-			if ab := pr.Run([]uint64{n}, 17); !ab.BudgetExceeded {
-				t.Fatalf("%v reuse run %d: cutoff 17 did not exhaust budget", mode, i)
-			}
+	pr := NewProfiler(p)
+	for i := 0; i < 12; i++ {
+		n := uint64(3 + 11*i%40)
+		want := Run(p, []uint64{n}, Options{Profile: true})
+		r := pr.Run([]uint64{n}, 0)
+		if r.Ret != want.Ret || r.DynCount != want.DynCount {
+			t.Fatalf("reuse run %d: ret %d/%d dyn %d/%d", i, r.Ret, want.Ret, r.DynCount, want.DynCount)
+		}
+		if !reflect.DeepEqual(r.InstrCounts(nil), want.InstrCounts) {
+			t.Fatalf("reuse run %d: counts diverged", i)
+		}
+		// Interleave an aborted run: the next clean run must be unaffected.
+		if ab := pr.Run([]uint64{n}, 17); !ab.BudgetExceeded {
+			t.Fatalf("reuse run %d: cutoff 17 did not exhaust budget", i)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package interp_test
 
 import (
 	"fmt"
-	"math"
 	"reflect"
 	"testing"
 
@@ -12,11 +11,11 @@ import (
 )
 
 // The benchmark-level half of the fast-path equivalence gate: for every
-// program benchmark, the block-counting and fused engines must reproduce
-// the legacy profiled run bit for bit — outputs, return value, dynamic
+// program benchmark, the fused profiler must reproduce the reference
+// engine's profiled run bit for bit — outputs, return value, dynamic
 // count, trap/budget state, reconstructed InstrCounts — on the reference
 // input, on random scaled inputs, and under budget cutoffs that abort the
-// run mid-flight. Block and fused fitness must agree exactly.
+// run mid-flight.
 
 func checkProfileRun(t *testing.T, label string, want *interp.Result, r *interp.ProfileRun) {
 	t.Helper()
@@ -38,7 +37,7 @@ func checkProfileRun(t *testing.T, label string, want *interp.Result, r *interp.
 				t.Errorf("%s: instr %d count %d, want %d", label, id, got[id], want.InstrCounts[id])
 			}
 		}
-		t.Fatalf("%s: reconstructed InstrCounts differ from legacy", label)
+		t.Fatalf("%s: reconstructed InstrCounts differ from the reference", label)
 	}
 }
 
@@ -46,13 +45,7 @@ func TestProfileEquivBenchmarks(t *testing.T) {
 	rng := xrand.New(99)
 	for _, name := range prog.Names() {
 		b := prog.Build(name)
-		scores := make([]float64, b.Prog.NumInstrs())
-		for i := range scores {
-			scores[i] = rng.Float64()
-		}
-		cs := b.Prog.CounterScores(scores)
-		block := interp.NewProfilerMode(b.Prog, interp.ProfileBlock)
-		fused := interp.NewProfilerMode(b.Prog, interp.ProfileFused)
+		fused := interp.NewProfiler(b.Prog)
 
 		inputs := [][]uint64{b.Encode(b.RefInput())}
 		for k := 0; k < 2; k++ {
@@ -71,15 +64,7 @@ func TestProfileEquivBenchmarks(t *testing.T) {
 				}
 				label := fmt.Sprintf("%s/in%d/cut%d", name, ii, cut)
 				want := interp.Run(b.Prog, in, interp.Options{Profile: true, MaxDyn: cut})
-				br := block.Run(in, cut)
-				fitB := br.Fitness(cs)
-				checkProfileRun(t, label+"/block", want, br)
-				fr := fused.Run(in, cut)
-				fitF := fr.Fitness(cs)
-				checkProfileRun(t, label+"/fused", want, fr)
-				if math.Float64bits(fitB) != math.Float64bits(fitF) {
-					t.Fatalf("%s: fitness bits differ between block and fused: %v vs %v", label, fitB, fitF)
-				}
+				checkProfileRun(t, label, want, fused.Run(in, cut))
 			}
 		}
 	}

@@ -10,16 +10,17 @@ import (
 
 // Injector is the fault-injection trial engine: one machine that runs
 // trials one after another, reusing its memory, register slab and frame
-// stack. Every trial runs in two phases. It restores its start state (a
-// golden checkpoint, a batch fork, or the program entry on the fused code
-// arrays) and runs the generic engine up to and through the injection, so
-// the fault keeps its exact per-dynamic-instruction semantics, including
-// targets inside fused pairs. Once the fault has fired, the trial finishes
-// on the lean fast-path loop: no plan state is consulted downstream of the
-// injection, and both loops keep the same dyn clock, trap points and budget
-// order, so results are bit-identical to Run or RunFrom of the same plan.
-// Against a checkpointed golden the tail also ends early once the machine
-// is back in the golden's exact state at one of its snapshots (converge.go).
+// stack, and every trial runs on the fused code arrays. A trial runs in two
+// phases. It restores its start state (a golden checkpoint, a batch fork, or
+// the program entry) and runs the generic engine up to and through the
+// injection, so the fault keeps its exact per-dynamic-instruction
+// semantics, including targets inside fused pairs. Once the fault has
+// fired, the trial finishes on the fast loop: no plan state is consulted
+// downstream of the injection, and both loops keep the same dyn clock, trap
+// points and budget order, so results are bit-identical to Run or RunFrom
+// of the same plan. Against a checkpointed golden the tail also ends early
+// once the machine is back in the golden's exact state at one of its
+// snapshots (converge.go).
 //
 // An Injector is not safe for concurrent use; campaigns keep one per worker.
 type Injector struct {
@@ -72,7 +73,6 @@ func (m *Injector) run(c *Checkpoints, s *Snapshot, args []uint64, plan *fault.P
 		if len(args) != entry.nParams {
 			panic(fmt.Sprintf("interp: entry %s takes %d args, got %d", entry.name, entry.nParams, len(args)))
 		}
-		e.fusedExec = true
 		e.pushFrame(e.p.entry)
 		copy(e.regSlab[:len(args)], args)
 	}
@@ -85,7 +85,7 @@ func (m *Injector) run(c *Checkpoints, s *Snapshot, args []uint64, plan *fault.P
 	if !ok && e.paused {
 		e.paused = false
 		e.armConvergence(c)
-		ret, _ = e.runFast(e.fusedExec)
+		ret, _ = e.runFast()
 	}
 	return e.finish(ret)
 }

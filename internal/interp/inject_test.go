@@ -26,14 +26,13 @@ type injTrial struct {
 // injectorTrials plans a mixed trial set for p on args: dynamic plans from
 // every fault model, static plans, injections before the first snapshot and
 // tight budgets that run out just before the injection or in the tail. Every
-// plan runs from the entry, from fused snapshots (what campaign goldens
-// record) and from unfused ones, whose tails run on the unfused arrays.
+// plan runs against a plain golden (from the entry) and against a
+// checkpointed one (from its snapshots).
 func injectorTrials(p *interp.Program, args []uint64, interval int64, n int, rng *xrand.RNG) []injTrial {
 	golden := interp.Run(p, args, interp.Options{Profile: true})
 	d := golden.DynCount
 	starts := []*interp.Checkpoints{
 		nil,
-		interp.Run(p, args, interp.Options{Profile: true, CheckpointInterval: interval, Fused: true}).Checkpoints,
 		interp.Run(p, args, interp.Options{Profile: true, CheckpointInterval: interval}).Checkpoints,
 	}
 	var trials []injTrial
@@ -150,7 +149,7 @@ func TestInjectorReuse(t *testing.T) {
 			continue
 		}
 		trials := injectorTrials(p, args, 3, 1, rng)
-		c := interp.Run(p, args, interp.Options{Profile: true, CheckpointInterval: 3, Fused: true}).Checkpoints
+		c := interp.Run(p, args, interp.Options{Profile: true, CheckpointInterval: 3}).Checkpoints
 		for dyn := int64(1); dyn <= golden.DynCount; dyn++ {
 			pl := fault.SampleDynamic(rng, golden.DynCount)
 			pl.TargetDyn = dyn
@@ -172,7 +171,7 @@ func TestInjectorAllocs(t *testing.T) {
 		b := prog.Build(name)
 		in := b.Encode(b.RefInput())
 		d := interp.Run(b.Prog, in, interp.Options{}).DynCount
-		c := interp.Run(b.Prog, in, interp.Options{Profile: true, CheckpointInterval: interp.AutoCheckpointInterval(d), Fused: true}).Checkpoints
+		c := interp.Run(b.Prog, in, interp.Options{Profile: true, CheckpointInterval: interp.AutoCheckpointInterval(d)}).Checkpoints
 		rng := xrand.New(64)
 		models := fault.Models()
 		plans := make([]fault.Plan, 64)
@@ -238,7 +237,7 @@ func TestInjectorConvergence(t *testing.T) {
 		in := b.Encode(b.RefInput())
 		golden := interp.Run(b.Prog, in, interp.Options{Profile: true})
 		d := golden.DynCount
-		c := interp.Run(b.Prog, in, interp.Options{Profile: true, CheckpointInterval: interp.AutoCheckpointInterval(d), Fused: true}).Checkpoints
+		c := interp.Run(b.Prog, in, interp.Options{Profile: true, CheckpointInterval: interp.AutoCheckpointInterval(d)}).Checkpoints
 		var ids []int
 		for id, cnt := range golden.InstrCounts {
 			if cnt > 0 {
@@ -284,7 +283,7 @@ func TestInjectorConvergence(t *testing.T) {
 			for k, i := range idx {
 				bt[k] = interp.BatchTrial{Plan: plans[i], RNG: xrand.New(uint64(i))}
 			}
-			interp.BatchRun(b.Prog, in, c, s, bt, interp.Options{MaxDyn: budget, Fused: true}, func(k int, r *interp.Result) {
+			interp.BatchRun(b.Prog, in, c, s, bt, interp.Options{MaxDyn: budget}, func(k int, r *interp.Result) {
 				i := idx[k]
 				sameTrialResult(t, fmt.Sprintf("%s batched trial %d (%v)", name, i, plans[i]), r, wants[i])
 			})

@@ -130,22 +130,36 @@ func BenchmarkOverall(b *testing.B) {
 }
 
 // BenchmarkFitnessProfile measures one GA candidate evaluation — a profiled
-// reference-input run folded into the §4.2.5 fitness — on the three engines:
-// the legacy per-instruction interpreter, the block-granular counting fast
-// path, and the fused superinstruction array. cmd/benchjson derives the
-// per-benchmark perinstr/fused speedup for BENCH_fitness.json. allocs/op is
-// reported; the fast paths must be allocation-free in steady state.
+// reference-input run folded into the §4.2.5 fitness — on two engines:
+// perinstr is the reference engine, a profiled interp.Run over the unfused
+// arrays with per-instruction counts, and fused is the fast loop behind
+// core.FitnessEval. cmd/benchjson derives the per-benchmark perinstr/fused
+// speedup for BENCH_fitness.json. allocs/op is reported; the fast loop must
+// be allocation-free in steady state.
 func BenchmarkFitnessProfile(b *testing.B) {
-	modes := []struct {
+	type evalFn = func(input []float64) (fitness float64, dyn int64)
+	engines := []struct {
 		name string
-		mode interp.ProfileMode
+		eval func(bench *prog.Benchmark, scores []float64) evalFn
 	}{
-		{"perinstr", interp.ProfileLegacy},
-		{"block", interp.ProfileBlock},
-		{"fused", interp.ProfileFused},
+		{"perinstr", func(bench *prog.Benchmark, scores []float64) evalFn {
+			return func(in []float64) (float64, int64) {
+				r := interp.Run(bench.Prog, bench.Encode(in), interp.Options{Profile: true, MaxDyn: bench.MaxDyn})
+				var acc float64
+				for id, n := range r.InstrCounts {
+					if n > 0 {
+						acc += scores[id] * float64(n)
+					}
+				}
+				return acc / float64(r.DynCount), r.DynCount
+			}
+		}},
+		{"fused", func(bench *prog.Benchmark, scores []float64) evalFn {
+			return core.NewFitnessEval(bench, scores).Eval
+		}},
 	}
-	for _, m := range modes {
-		b.Run(m.name, func(b *testing.B) {
+	for _, eng := range engines {
+		b.Run(eng.name, func(b *testing.B) {
 			for _, name := range prog.Names() {
 				b.Run(name, func(b *testing.B) {
 					bench := prog.Build(name)
@@ -154,14 +168,14 @@ func BenchmarkFitnessProfile(b *testing.B) {
 					for i := range scores {
 						scores[i] = rng.Float64()
 					}
-					fe := core.NewFitnessEvalMode(bench, scores, m.mode)
+					eval := eng.eval(bench, scores)
 					in := bench.RefInput()
 					var dyn int64
-					fe.Eval(in) // warm the pooled profiling context
+					eval(in) // warm the pooled profiling context
 					b.ReportAllocs()
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						_, dyn = fe.Eval(in)
+						_, dyn = eval(in)
 					}
 					b.StopTimer()
 					b.ReportMetric(float64(dyn), "dyn/op")

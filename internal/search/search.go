@@ -280,18 +280,13 @@ func (g Genetic) Run(obj Objective, budget int, rng *xrand.RNG) (*Result, error)
 // FairFuzz-style masks that freeze positions whose mutation loses that
 // edge. It needs coverage feedback per candidate, so the objective must
 // supply Probe.
-type Fuzz struct {
-	// MutantsPerSeed and CorpusCap tune the engine
-	// (0 = internal/fuzz defaults).
-	MutantsPerSeed int
-	CorpusCap      int
-}
+type Fuzz struct{}
 
 // Name implements Strategy.
 func (Fuzz) Name() string { return "fuzz" }
 
 // Run implements Strategy.
-func (f Fuzz) Run(obj Objective, budget int, rng *xrand.RNG) (*Result, error) {
+func (Fuzz) Run(obj Objective, budget int, rng *xrand.RNG) (*Result, error) {
 	if err := obj.validate(); err != nil {
 		return nil, err
 	}
@@ -304,9 +299,7 @@ func (f Fuzz) Run(obj Objective, budget int, rng *xrand.RNG) (*Result, error) {
 		Seeds: obj.Seeds,
 		// The default ±10 % single-coordinate move keeps the neighbourhood
 		// identical to the other strategies' mutate.
-		Budget:         budget,
-		MutantsPerSeed: f.MutantsPerSeed,
-		CorpusCap:      f.CorpusCap,
+		Budget: budget,
 	}, func(v []float64) (float64, []int64, bool) {
 		s, counters := obj.Probe(v)
 		return s, counters, counters != nil

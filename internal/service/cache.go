@@ -8,7 +8,7 @@ package service
 // share its result; the golden memo is LRU-capped for long-running servers.
 //
 // Cache keys follow the compose convention: program hash ⨯ input ⨯
-// checkpoint interval ⨯ fault model ⨯ engine, '\x1f'-joined. The program
+// checkpoint interval ⨯ fault model, '\x1f'-joined. The program
 // hash is the compose partition hash (FNV-64a over the printed module), so
 // two benchmarks that somehow compiled identical programs would share
 // goldens, and a changed program can never alias a stale one.
@@ -24,12 +24,6 @@ import (
 	"repro/internal/parallel"
 	"repro/internal/prog"
 )
-
-// goldenEngine names the execution engine in golden cache keys; the fault
-// model axis comes from the job spec (fault.ModelKey, default "bitflip"),
-// mirroring compose.DefaultFaultModel: fault models or engines can never
-// alias each other's cached runs.
-const goldenEngine = "fused"
 
 // benchEntry is one built benchmark plus its program-identity hash.
 type benchEntry struct {
@@ -89,8 +83,6 @@ func goldenKey(hash string, input []float64, interval int64, model string) strin
 	sb.WriteString(strconv.FormatInt(interval, 10))
 	sb.WriteByte(0x1f)
 	sb.WriteString(fault.ModelKey(model))
-	sb.WriteByte(0x1f)
-	sb.WriteString(goldenEngine)
 	return sb.String()
 }
 
