@@ -100,11 +100,11 @@ bench-fitness:
 # equivalence suite — on >=5/7 benchmarks the composed stratified estimate
 # must land inside the full 1000-trial campaign's Wilson interval while
 # spending >=30% fewer trials, and on every kernel the adaptive burst-fault
-# interval must overlap the flat burst campaign's — plus worker/batch
-# invariance (bit-identical results at workers 1/4 and batch sizes 1/8/64,
-# and 1/64 under every non-default fault model) and the Wilson-interval
-# property tests; (2) the core/experiments threading tests (adaptive final
-# campaign, adaptive baseline, rejection bound).
+# interval must overlap the flat burst campaign's — plus worker/runner
+# invariance (bit-identical results at workers 1/4 × round runners sharded
+# 1/2/4 ways, under every fault model) and the Wilson-interval property
+# tests; (2) the core/experiments threading tests (adaptive final campaign,
+# adaptive baseline, rejection bound).
 test-adaptive:
 	$(GO) test -count=1 -run 'Adaptive|BuildStrata|Wilson|PercentileOfValue|RandomSearchBoundsRejections' \
 		./internal/campaign ./internal/stats ./internal/core ./internal/experiments
@@ -112,19 +112,20 @@ test-adaptive:
 # Compositional-estimation gate, in two parts: (1) the compose test suite —
 # partition coverage, cache reuse/staleness, the 7-benchmark equivalence
 # check (composed estimate inside the direct campaign's 95% Wilson
-# interval) and exact-reuse bit-identity at workers 1/4 × batch 1/8/64 —
-# plus the sensitivity/core/experiments threading tests and the benchjson
-# compose_speedup tests; (2) end-to-end trace determinism — the same
-# fi -compose run at 1 and 4 workers must write byte-identical JSONL.
+# interval) and exact-reuse bit-identity at workers 1/4 × measurement
+# runners sharded 1/2/4 ways — plus the sensitivity/core/experiments
+# threading tests and the benchjson compose_speedup tests; (2) end-to-end
+# trace determinism — the same fi -compose run at 1 and 4 workers must
+# write byte-identical JSONL.
 test-compose:
 	$(GO) test -count=1 -run 'Compose' \
 		./internal/compose ./internal/sensitivity ./internal/core \
 		./internal/experiments ./cmd/benchjson
 	$(GO) build -o bin/fi ./cmd/fi
 	./bin/fi -bench needle -trials 300 -compose -seed 7 -workers 1 \
-		-batch 8 -trace compose-w1.jsonl > /dev/null
+		-trace compose-w1.jsonl > /dev/null
 	./bin/fi -bench needle -trials 300 -compose -seed 7 -workers 4 \
-		-batch 8 -trace compose-w4.jsonl > /dev/null
+		-trace compose-w4.jsonl > /dev/null
 	grep -c '"ev":"compose.profile"' compose-w1.jsonl > /dev/null
 	cmp compose-w1.jsonl compose-w4.jsonl
 	@echo "compose traces byte-identical across worker counts"
@@ -141,12 +142,13 @@ bench-compose:
 	@echo "wrote BENCH_compose.json"
 
 # Sharded-service gate: the shard/merge equivalence suite (bit-identical
-# tallies at shards 1/2/4 × workers 1/4 × batch 1/64 on all benchmarks, the
-# adaptive sharded-runner equivalence, cancellation honesty), the peppaxd
-# service tests (campaign/adaptive/sensitivity jobs vs in-process,
-# single-flight golden cache, profile sharing, 429 backpressure, peer shard
-# dispatch + fallback, graceful drain, token budgets), and the benchjson
-# shard_speedup/cache_elimination tests.
+# tallies at shards 1/2/4 × workers 1/4 × library batch sizes 1/64 on all
+# benchmarks, the adaptive sharded-runner equivalence, cancellation
+# honesty), the peppaxd service tests (campaign/adaptive/sensitivity jobs
+# vs in-process, single-flight golden cache shared across fault models,
+# profile sharing, 429 backpressure, input-arity and unknown-field 400s,
+# peer shard dispatch + fallback, graceful drain, token budgets), and the
+# benchjson shard_speedup/cache_elimination tests.
 test-service:
 	$(GO) test -count=1 -run 'Shard|CountsMerge|Service' \
 		./internal/campaign ./internal/service ./cmd/benchjson ./cmd/peppaxd
@@ -154,9 +156,10 @@ test-service:
 # Rare-branch fuzzing + fault-model gate: the fuzz engine unit suite, the
 # search-strategy suite (TestAllStrategiesImprove drives the fuzz strategy
 # through Objective.Probe), the fault-model registry/corruption tests, and
-# the determinism matrix (every model bit-identical at workers 1/4 × batch
-# 1/64 × shards 1/2; the default single-flip path pinned byte-identical to
-# the pre-interface behaviour).
+# the determinism matrix (every model bit-identical at workers 1/4 × library
+# batch sizes 1/64 × shards 1/2, at the campaign.ParallelOptions level; the
+# default single-flip path pinned byte-identical to the pre-interface
+# behaviour).
 test-fuzz:
 	$(GO) test -count=1 ./internal/fuzz
 	$(GO) test -count=1 ./internal/search
@@ -176,9 +179,9 @@ bench-shard:
 
 # End-to-end service gate: start a real peppaxd, submit the same campaign
 # over HTTP (sharded) and in-process, both at default worker settings, and
-# require byte-identical fi output.
-# -checkpoint-interval -1 keeps both outputs summary-free (checkpoint/batch
-# summaries describe local execution state the remote renderer cannot see).
+# require byte-identical fi output once the local run's "checkpoints:"
+# summary and the blank line after it are dropped (it describes local
+# execution state the remote renderer cannot see).
 # All artifacts (output pair, daemon log) land under $(E2E_DIR), inside the
 # gitignored bin/ tree, never at the repo root.
 E2E_ADDR ?= 127.0.0.1:9473
@@ -193,10 +196,10 @@ e2e-service:
 		curl -sf http://$(E2E_ADDR)/healthz > /dev/null 2>&1 && break; \
 		sleep 0.2; \
 	done; \
+	./bin/fi -bench needle -trials 300 -seed 7 > $(E2E_DIR)/fi-local-full.txt && \
+	sed '/^checkpoints: /{N;d;}' $(E2E_DIR)/fi-local-full.txt > $(E2E_DIR)/fi-local.txt && \
 	./bin/fi -bench needle -trials 300 -seed 7 \
-		-checkpoint-interval -1 > $(E2E_DIR)/fi-local.txt && \
-	./bin/fi -bench needle -trials 300 -seed 7 \
-		-checkpoint-interval -1 -remote http://$(E2E_ADDR) -shards 2 > $(E2E_DIR)/fi-remote.txt && \
+		-remote http://$(E2E_ADDR) -shards 2 > $(E2E_DIR)/fi-remote.txt && \
 	cmp $(E2E_DIR)/fi-local.txt $(E2E_DIR)/fi-remote.txt && \
 	curl -sf http://$(E2E_ADDR)/metrics | grep -q '^peppax_service_' ; \
 	rc=$$?; kill -TERM $$pid 2> /dev/null; wait $$pid; \

@@ -14,9 +14,9 @@ func TestFlagSurface(t *testing.T) {
 		t.Fatalf("-h: exit %d, want 2", code)
 	}
 	clitest.Check(t, usage, map[string]string{
-		"adaptive": "", "batch": "", "benches": "", "checkpoint-interval": "",
-		"ci-target": "", "compose": "", "compose-threshold": "", "compose-trials": "",
-		"exp": "", "fault-model": "", "heat-topk": "", "json": "", "list": "",
+		"adaptive": "", "benches": "", "ci-target": "", "compose": "",
+		"compose-threshold": "", "compose-trials": "", "exp": "",
+		"fault-model": "", "heat-topk": "", "json": "", "list": "",
 		"metrics": "", "metrics-addr": "", "out": "", "quick": "", "seed": "",
 		"strategy": "", "trace": "", "trace-wallclock": "", "workers": "",
 	})

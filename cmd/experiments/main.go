@@ -7,11 +7,11 @@
 //	            [-strategy genetic,fuzz] [-compose-trials 1600]
 //	            [shared FI and telemetry flags]
 //
-// The shared flags (-workers, -checkpoint-interval, -batch, -adaptive,
-// -ci-target, -compose, -compose-threshold, -fault-model, -heat-topk,
-// -trace, -trace-wallclock, -metrics, -metrics-addr) mean the same here as
-// in fi and peppax. -fault-model, -adaptive and -compose apply to the suite's
-// searches and baselines; the §3 studies keep flat single-flip campaigns.
+// The shared flags (-workers, -adaptive, -ci-target, -compose,
+// -compose-threshold, -fault-model, -heat-topk, -trace, -trace-wallclock,
+// -metrics, -metrics-addr) mean the same here as in fi and peppax.
+// -fault-model, -adaptive and -compose apply to the suite's searches and
+// baselines; the §3 studies keep flat single-flip campaigns.
 //
 // Without -exp it runs the full evaluation (every table and figure in the
 // paper, §3/§5/§6). -quick shrinks trial counts so the whole suite runs in

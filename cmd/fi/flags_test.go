@@ -14,10 +14,10 @@ func TestFlagSurface(t *testing.T) {
 		t.Fatalf("-h: exit %d, want 2", code)
 	}
 	clitest.Check(t, usage, map[string]string{
-		"adaptive": "", "batch": "", "bench": `"pathfinder"`, "checkpoint-interval": "",
-		"ci-target": "", "compose": "", "compose-threshold": "", "fault-model": "",
-		"heat-topk": "", "input": "", "metrics": "", "metrics-addr": "",
-		"perinstr": "", "remote": "", "seed": "1", "shards": "",
-		"top": "15", "trace": "", "trace-wallclock": "", "trials": "1000", "workers": "",
+		"adaptive": "", "bench": `"pathfinder"`, "ci-target": "", "compose": "",
+		"compose-threshold": "", "fault-model": "", "heat-topk": "",
+		"input": "", "metrics": "", "metrics-addr": "", "perinstr": "",
+		"remote": "", "seed": "1", "shards": "", "top": "15", "trace": "",
+		"trace-wallclock": "", "trials": "1000", "workers": "",
 	})
 }

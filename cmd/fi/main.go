@@ -8,12 +8,11 @@
 //	   [-top 10] [-seed 1] [-workers N] [-shards N] [-remote URL]
 //	   [shared FI and telemetry flags]
 //
-// The shared flags (-workers, -checkpoint-interval, -batch, -adaptive,
-// -ci-target, -compose, -compose-threshold, -fault-model, -heat-topk,
-// -trace, -trace-wallclock, -metrics, -metrics-addr) mean the same here as
-// in peppax and experiments. Every trial draws from a stream derived from
-// -seed and its index, so -workers, -batch, -shards and -remote never
-// change a tally.
+// The shared flags (-workers, -adaptive, -ci-target, -compose,
+// -compose-threshold, -fault-model, -heat-topk, -trace, -trace-wallclock,
+// -metrics, -metrics-addr) mean the same here as in peppax and experiments.
+// Every trial draws from a stream derived from -seed and its index, so
+// -workers, -shards and -remote never change a tally.
 //
 // -adaptive switches the whole-program campaign to the adaptive stratified
 // runner: injection targets are partitioned into dyn-count-ranked strata,
@@ -30,11 +29,10 @@
 // -metrics-addr serves the same counters and gauges live in Prometheus
 // text format at /metrics (plus /healthz). In -perinstr mode a "heat.topk"
 // trace event carries the -heat-topk hottest instructions (measured SDC
-// score × dynamic-execution fraction). -checkpoint-interval controls
-// golden-prefix snapshotting (0 = auto-tuned spacing, -1 = every trial from
-// scratch, N > 0 = a snapshot every N dynamic instructions); tallies are
-// bit-identical either way, checkpointing only skips redundant prefix
-// re-execution.
+// score × dynamic-execution fraction). The golden run is always
+// checkpointed at an auto-tuned spacing, and the "checkpoints:" line reports
+// the prefix and tail re-execution that saved; tallies are bit-identical to
+// from-scratch trials.
 package main
 
 import (
@@ -118,25 +116,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail(fmt.Errorf("-remote supports whole-program flat and -adaptive campaigns only"))
 		}
 		return runRemote(stdout, stderr, b, in, &service.JobSpec{
-			Kind:               service.KindCampaign,
-			Bench:              b.Name,
-			Input:              in,
-			Trials:             *trials,
-			Seed:               *seed,
-			FaultModel:         cf.FaultModel,
-			Workers:            fi.Workers,
-			Batch:              fi.BatchSize,
-			Shards:             *shards,
-			CheckpointInterval: fi.CheckpointInterval,
-			Adaptive:           cf.Adaptive,
-			CITarget:           cf.CITarget,
+			Kind:       service.KindCampaign,
+			Bench:      b.Name,
+			Input:      in,
+			Trials:     *trials,
+			Seed:       *seed,
+			FaultModel: cf.FaultModel,
+			Workers:    fi.Workers,
+			Shards:     *shards,
+			Adaptive:   cf.Adaptive,
+			CITarget:   cf.CITarget,
 		}, *remote)
 	}
 
 	if *perInstr && fi.Model != nil {
 		return fail(fmt.Errorf("-perinstr supports the single-bit model only"))
 	}
-	g, err := campaign.NewGoldenCheckpointed(b.Prog, b.Encode(in), b.MaxDyn, fi.CheckpointInterval)
+	g, err := campaign.NewGoldenCheckpointed(b.Prog, b.Encode(in), b.MaxDyn, campaign.CheckpointAuto)
 	if err != nil {
 		return fail(err)
 	}
@@ -152,7 +148,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *perInstr {
 		ids := campaign.AllInstructionIDs(b.Prog)
 		results := campaign.PerInstructionParallel(b.Prog, g, ids, *trials, campaign.ParallelOptions{
-			Workers: fi.Workers, Seed: *seed, BatchSize: fi.BatchSize,
+			Workers: fi.Workers, Seed: *seed,
 		})
 		var dyn int64
 		var total int
@@ -175,9 +171,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				scores, g.InstrCounts, g.DynCount, fi.HeatTopK)
 		}
 		campaign.EmitCheckpointTelemetry(tr, "fi.checkpoints", g.CheckpointStats())
-		campaign.EmitBatchTelemetry(tr, "fi.batch", g.CheckpointStats(), fi.BatchSize)
 		printCheckpointSummary(stdout, g)
-		printBatchSummary(stdout, g)
 		sort.Slice(results, func(a, c int) bool {
 			return results[a].Counts.SDCProbability() > results[c].Counts.SDCProbability()
 		})
@@ -202,7 +196,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			Trials:    *trials,
 			Threshold: fi.ComposeThreshold,
 			Workers:   fi.Workers,
-			BatchSize: fi.BatchSize,
 			Seed:      *seed,
 			Model:     fi.Model,
 			Trace:     tr,
@@ -214,7 +207,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// composed estimate should land inside this interval (the
 		// equivalence contract).
 		direct := campaign.OverallParallel(b.Prog, g, *trials, campaign.ParallelOptions{
-			Workers: fi.Workers, Seed: *seed, BatchSize: fi.BatchSize, Model: fi.Model,
+			Workers: fi.Workers, Seed: *seed, Model: fi.Model,
 		})
 		tr.Advance(direct.DynInstrs)
 		dLo, dHi := direct.SDCInterval()
@@ -230,9 +223,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			telemetry.F("direct_lo", dLo),
 			telemetry.F("direct_hi", dHi))
 		campaign.EmitCheckpointTelemetry(tr, "fi.checkpoints", g.CheckpointStats())
-		campaign.EmitBatchTelemetry(tr, "fi.batch", g.CheckpointStats(), fi.BatchSize)
 		printCheckpointSummary(stdout, g)
-		printBatchSummary(stdout, g)
 		fmt.Fprintf(stdout, "compositional estimate over %d %s segments (%d profile trials):\n",
 			len(part.Segments), part.Granularity, est.MeasureTrials)
 		fmt.Fprintf(stdout, "%-22s %-8s %-10s %-20s %-8s %s\n", "Segment", "Weight", "SDC", "95% CI", "Trials", "Source")
@@ -255,7 +246,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		ar := campaign.OverallAdaptive(b.Prog, g, campaign.AdaptiveOptions{
 			Workers:   fi.Workers,
 			Seed:      *seed,
-			BatchSize: fi.BatchSize,
 			CITarget:  fi.CITarget,
 			MaxTrials: *trials,
 			Runner:    campaign.ShardedRunner(*shards),
@@ -264,9 +254,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		tr.Advance(ar.Counts.DynInstrs)
 		campaign.EmitAdaptiveTelemetry(tr, "fi.adaptive", ar)
 		campaign.EmitCheckpointTelemetry(tr, "fi.checkpoints", g.CheckpointStats())
-		campaign.EmitBatchTelemetry(tr, "fi.batch", g.CheckpointStats(), fi.BatchSize)
 		printCheckpointSummary(stdout, g)
-		printBatchSummary(stdout, g)
 		c := ar.Counts
 		fmt.Fprintf(stdout, "%d adaptive stratified fault-injection trials (%d strata, %d converged, %d rounds, %d/%d trials saved):\n",
 			c.Trials, len(ar.Strata), ar.StrataConverged(), ar.Rounds, ar.TrialsSaved(), ar.MaxTrials)
@@ -279,16 +267,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	desc := modelDesc(cf.FaultModel)
 	c := campaign.OverallSharded(b.Prog, g, *trials, *shards, campaign.ParallelOptions{
-		Workers: fi.Workers, Seed: *seed, BatchSize: fi.BatchSize, Model: fi.Model,
+		Workers: fi.Workers, Seed: *seed, Model: fi.Model,
 	})
 	tr.Advance(c.DynInstrs)
 	tr.Emit("fi.campaign", append([]telemetry.Field{
 		telemetry.F("model", desc),
 	}, c.Fields()...)...)
 	campaign.EmitCheckpointTelemetry(tr, "fi.checkpoints", g.CheckpointStats())
-	campaign.EmitBatchTelemetry(tr, "fi.batch", g.CheckpointStats(), fi.BatchSize)
 	printCheckpointSummary(stdout, g)
-	printBatchSummary(stdout, g)
 	lo, hi := c.SDCInterval()
 	fmt.Fprintf(stdout, "%d fault-injection trials (%s in random dynamic instruction results):\n", c.Trials, desc)
 	fmt.Fprintf(stdout, "  SDC:    %4d  (%.2f%%, 95%% CI [%.2f%%, %.2f%%])\n", c.SDC, c.SDCProbability()*100, lo*100, hi*100)
@@ -299,9 +285,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // runRemote submits the campaign to a peppaxd server and renders the result
-// in the local output format. With -checkpoint-interval -1 (which makes the
-// local run summary-free) the rendered output is byte-identical to the
-// in-process run of the same flags — the e2e contract CI checks.
+// in the local output format: byte-identical to the in-process run of the
+// same flags except for the local "checkpoints:" summary, which describes
+// execution state the server does not report — the e2e contract CI checks.
 func runRemote(stdout, stderr io.Writer, b *prog.Benchmark, in []float64, spec *service.JobSpec, base string) int {
 	cl := &service.Client{Base: strings.TrimRight(base, "/")}
 	res, err := cl.Submit(context.Background(), spec)
@@ -332,7 +318,7 @@ func runRemote(stdout, stderr io.Writer, b *prog.Benchmark, in []float64, spec *
 
 // printCheckpointSummary reports how much golden-prefix replay the snapshot
 // schedule saved, and how many trial tails ended early by re-joining the
-// golden run; silent when checkpointing is disabled.
+// golden run; silent when the golden recorded no snapshots.
 func printCheckpointSummary(w io.Writer, g *campaign.Golden) {
 	st := g.CheckpointStats()
 	if st.Snapshots == 0 {
@@ -340,17 +326,6 @@ func printCheckpointSummary(w io.Writer, g *campaign.Golden) {
 	}
 	fmt.Fprintf(w, "checkpoints: %d snapshots every %d dynamic instructions; %d/%d trials resumed, %d prefix instructions skipped; %d trials converged, %d tail instructions skipped\n\n",
 		st.Snapshots, st.Interval, st.Restored, st.Restored+st.Scratch, st.SkippedDyn, st.Converged, st.ConvergedDyn)
-}
-
-// printBatchSummary reports lockstep batch usage; silent when no batches
-// ran (per-trial mode, or -batch without checkpoints to group on).
-func printBatchSummary(w io.Writer, g *campaign.Golden) {
-	st := g.CheckpointStats()
-	if st.Batches == 0 {
-		return
-	}
-	fmt.Fprintf(w, "batches: %d trials in %d lockstep batches, %d shared trunk instructions executed once per batch\n\n",
-		st.BatchedTrials, st.Batches, st.TrunkDyn)
 }
 
 // modelDesc renders a fault-model name for campaign output lines.

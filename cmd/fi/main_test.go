@@ -78,29 +78,3 @@ func TestTelemetryWorkerEquivalence(t *testing.T) {
 		}
 	}
 }
-
-// TestBatchKeepsTally: lockstep batching regroups trials but never changes
-// their plans, so the default, -batch 1 and -batch 64 print the same tally.
-func TestBatchKeepsTally(t *testing.T) {
-	var tallies []string
-	for _, batch := range []string{"", "1", "64"} {
-		args := []string{"-bench", "pathfinder", "-trials", "300", "-seed", "7"}
-		if batch != "" {
-			args = append(args, "-batch", batch)
-		}
-		code, out, errOut := runCmd(t, args)
-		if code != 0 {
-			t.Fatalf("batch=%q: exit %d, stderr: %s", batch, code, errOut)
-		}
-		i := strings.Index(out, "300 fault-injection trials")
-		if i < 0 {
-			t.Fatalf("batch=%q: no tally in output:\n%s", batch, out)
-		}
-		tallies = append(tallies, out[i:])
-	}
-	for i, batch := range []string{"1", "64"} {
-		if tallies[i+1] != tallies[0] {
-			t.Fatalf("-batch %s tally differs from the default:\n%s\nvs\n%s", batch, tallies[i+1], tallies[0])
-		}
-	}
-}

@@ -64,12 +64,12 @@ func TestFaultModelResolution(t *testing.T) {
 }
 
 func TestFIThreadsEveryFlag(t *testing.T) {
-	fi, err := parse(t, "-checkpoint-interval", "-1", "-batch", "8", "-compose",
+	fi, err := parse(t, "-workers", "3", "-compose",
 		"-compose-threshold", "0.2", "-heat-topk", "3").FI()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fi.CheckpointInterval != -1 || fi.BatchSize != 8 || !fi.Compose || fi.ComposeThreshold != 0.2 || fi.HeatTopK != 3 {
+	if fi.Workers != 3 || !fi.Compose || fi.ComposeThreshold != 0.2 || fi.HeatTopK != 3 {
 		t.Fatalf("flags lost in resolution: %+v", fi)
 	}
 }

@@ -13,11 +13,10 @@
 //	       [shared FI and telemetry flags]
 //	peppax -file prog.ir -spec "n:int:4:64:8,seed:int:1:100:7"
 //
-// The shared flags (-workers, -checkpoint-interval, -batch, -adaptive,
-// -ci-target, -compose, -compose-threshold, -fault-model, -heat-topk,
-// -trace, -trace-wallclock, -metrics, -metrics-addr) mean the same here as
-// in fi and experiments, and reach the -baseline run exactly as they reach the
-// search.
+// The shared flags (-workers, -adaptive, -ci-target, -compose,
+// -compose-threshold, -fault-model, -heat-topk, -trace, -trace-wallclock,
+// -metrics, -metrics-addr) mean the same here as in fi and experiments, and
+// reach the -baseline run exactly as they reach the search.
 //
 // -adaptive switches the closing FI measurement (and, with -baseline, each
 // baseline candidate's campaign) to the adaptive stratified runner: strata

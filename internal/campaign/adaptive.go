@@ -14,7 +14,7 @@
 // each trial's randomness derives only from (Seed, stratum index, per-
 // stratum trial index), rounds execute their trials in stratum order, and
 // outcomes fold back in that same order — so the result is bit-identical
-// for every worker count and batch size, including the serial schedule.
+// for every worker count and round runner, including the serial schedule.
 package campaign
 
 import (
@@ -64,10 +64,6 @@ type AdaptiveOptions struct {
 	Seed uint64
 	// Detector optionally models protection (see ParallelOptions.Detector).
 	Detector func(staticID int) bool
-	// BatchSize groups a round's trials into lockstep interp.BatchRun
-	// executions (see ParallelOptions.BatchSize); results are bit-identical
-	// at every batch size.
-	BatchSize int
 	// CITarget is the 95% Wilson half-width at which estimation stops
 	// (<= 0: DefaultCITarget). A stratum stops drawing once its own interval
 	// half-width is below the target; the campaign stops once the composed
@@ -320,7 +316,7 @@ func newStratum(g *Golden, members []rankedInstr) Stratum {
 // allocation (∝ w_s·sqrt(m_s(1-m_s)) on the running Wilson midpoint m_s),
 // until every stratum's Wilson half-width — or the composed half-width — is
 // below CITarget, or MaxTrials is spent. Results are bit-identical for
-// every Workers and BatchSize; allocation decisions depend only on the
+// every Workers and Runner; allocation decisions depend only on the
 // deterministic tallies.
 func OverallAdaptive(p *interp.Program, g *Golden, opts AdaptiveOptions) *AdaptiveResult {
 	opts = opts.withDefaults()
@@ -448,8 +444,8 @@ func allocateRound(strata []Stratum, budget int) []int {
 // out in stratum order, each on a private RNG stream keyed by
 // (seed, stratum, per-stratum trial index), executed through the round
 // runner (RunPlans unless opts.Runner shards the round), and folded back in
-// layout order — bit-identical for every worker count, batch size and
-// conforming runner. Trials the runner skipped (cancellation) are excluded
+// layout order — bit-identical for every worker count and conforming
+// runner. Trials the runner skipped (cancellation) are excluded
 // from the tallies.
 func runAdaptiveRound(p *interp.Program, g *Golden, strata []Stratum, alloc, next []int, opts AdaptiveOptions) {
 	type ref struct{ s, t int }
@@ -475,10 +471,9 @@ func runAdaptiveRound(p *interp.Program, g *Golden, strata []Stratum, alloc, nex
 		runner = RunPlans
 	}
 	outs := runner(p, g, plans, func(i int) *xrand.RNG { return rngs[i] }, ParallelOptions{
-		Workers:   opts.Workers,
-		Detector:  opts.Detector,
-		BatchSize: opts.BatchSize,
-		Ctx:       opts.Ctx,
+		Workers:  opts.Workers,
+		Detector: opts.Detector,
+		Ctx:      opts.Ctx,
 	})
 	for i, rf := range refs {
 		if outs[i].Skipped {

@@ -38,7 +38,7 @@ func TestAdaptiveEquivalence(t *testing.T) {
 		scores := PerInstructionVector(g.NumInstrs, profile)
 		full := OverallParallel(b.Prog, g, fullTrials, ParallelOptions{Workers: 4, Seed: 11, BatchSize: 32})
 		lo, hi := stats.WilsonInterval95(full.SDC, full.Trials)
-		res := OverallAdaptive(b.Prog, g, AdaptiveOptions{Workers: 4, Seed: 11, BatchSize: 32, MaxTrials: fullTrials, Scores: scores})
+		res := OverallAdaptive(b.Prog, g, AdaptiveOptions{Workers: 4, Seed: 11, MaxTrials: fullTrials, Scores: scores})
 		inInterval := res.Estimate >= lo && res.Estimate <= hi
 		savedEnough := res.Counts.Trials <= fullTrials*7/10
 		t.Logf("%s: full=%.4f [%.4f,%.4f] adaptive=%.4f [%.4f,%.4f] trials=%d/%d rounds=%d converged=%d/%d",
@@ -56,7 +56,7 @@ func TestAdaptiveEquivalence(t *testing.T) {
 
 		burst := OverallParallel(b.Prog, g, fullTrials, ParallelOptions{Workers: 4, Seed: 11, BatchSize: 32, Model: fault.BurstFlip})
 		blo, bhi := burst.SDCInterval()
-		bres := OverallAdaptive(b.Prog, g, AdaptiveOptions{Workers: 4, Seed: 11, BatchSize: 32, MaxTrials: fullTrials, Scores: scores, Model: fault.BurstFlip})
+		bres := OverallAdaptive(b.Prog, g, AdaptiveOptions{Workers: 4, Seed: 11, MaxTrials: fullTrials, Scores: scores, Model: fault.BurstFlip})
 		t.Logf("%s: flat burst=%.4f [%.4f,%.4f] adaptive burst=%.4f [%.4f,%.4f] trials=%d/%d",
 			name, burst.SDCProbability(), blo, bhi, bres.Estimate, bres.Lo, bres.Hi, bres.Counts.Trials, fullTrials)
 		if bres.Hi < blo || bres.Lo > bhi {
@@ -74,8 +74,9 @@ func TestAdaptiveEquivalence(t *testing.T) {
 
 // TestAdaptiveDeterminism: for a fixed seed the entire adaptive result —
 // every stratum tally, allocation history, and composed bound — must be
-// bit-identical across worker counts and batch sizes, including the serial
-// per-trial schedule, under the default model and every other fault model.
+// bit-identical across worker counts and round runners (ShardedRunner at 1,
+// 2 and 4 shards; one shard is plain RunPlans), including the serial
+// schedule, under the default model and every other fault model.
 func TestAdaptiveDeterminism(t *testing.T) {
 	maxTrials := 400
 	if testing.Short() {
@@ -97,13 +98,13 @@ func TestAdaptiveDeterminism(t *testing.T) {
 			refOpts.Workers = 1
 			ref := OverallAdaptive(b.Prog, g, refOpts)
 			for _, workers := range []int{1, 4} {
-				for _, batch := range []int{1, 8, 64} {
+				for _, shards := range []int{1, 2, 4} {
 					o := base
 					o.Workers = workers
-					o.BatchSize = batch
+					o.Runner = ShardedRunner(shards)
 					got := OverallAdaptive(b.Prog, g, o)
 					if !reflect.DeepEqual(got, ref) {
-						t.Fatalf("workers=%d batch=%d: adaptive result diverged from serial reference\ngot  %+v\nwant %+v", workers, batch, got, ref)
+						t.Fatalf("workers=%d shards=%d: adaptive result diverged from serial reference\ngot  %+v\nwant %+v", workers, shards, got, ref)
 					}
 				}
 			}
@@ -111,13 +112,13 @@ func TestAdaptiveDeterminism(t *testing.T) {
 				refOpts.Model = m
 				mref := OverallAdaptive(b.Prog, g, refOpts)
 				for _, workers := range []int{1, 4} {
-					for _, batch := range []int{1, 64} {
+					for _, shards := range []int{1, 2, 4} {
 						o := refOpts
 						o.Workers = workers
-						o.BatchSize = batch
+						o.Runner = ShardedRunner(shards)
 						if got := OverallAdaptive(b.Prog, g, o); !reflect.DeepEqual(got, mref) {
-							t.Fatalf("model=%s workers=%d batch=%d: adaptive result diverged from serial reference\ngot  %+v\nwant %+v",
-								m.Name(), workers, batch, got, mref)
+							t.Fatalf("model=%s workers=%d shards=%d: adaptive result diverged from serial reference\ngot  %+v\nwant %+v",
+								m.Name(), workers, shards, got, mref)
 						}
 					}
 				}

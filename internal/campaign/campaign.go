@@ -112,17 +112,8 @@ func NewGolden(p *interp.Program, input []uint64, maxDyn int64) (*Golden, error)
 
 func newGolden(p *interp.Program, input []uint64, opts interp.Options) (*Golden, error) {
 	r := interp.Run(p, input, opts)
-	if r.Trap != nil {
-		return nil, fmt.Errorf("%w: %v", ErrInvalidInput, r.Trap)
-	}
-	if r.BudgetExceeded {
-		return nil, fmt.Errorf("%w: exceeded %d dynamic instructions", ErrInvalidInput, opts.MaxDyn)
-	}
-	if r.DynCount == 0 {
-		return nil, fmt.Errorf("%w: program executed no injectable instructions", ErrInvalidInput)
-	}
-	if r.DetectedFlag {
-		return nil, fmt.Errorf("%w: fault-free run raised sdc_detect (broken instrumentation)", ErrInvalidInput)
+	if err := checkGolden(r.Trap, r.BudgetExceeded, r.DynCount, r.DetectedFlag, opts.MaxDyn); err != nil {
+		return nil, err
 	}
 	return &Golden{
 		Input:       input,
@@ -134,6 +125,23 @@ func newGolden(p *interp.Program, input []uint64, opts interp.Options) (*Golden,
 	}, nil
 }
 
+// checkGolden applies the §3.1.2 validity checks to a fault-free run: one
+// that traps, exceeds maxDyn, executes no injectable instruction or raises
+// sdc_detect cannot serve as a golden.
+func checkGolden(trap *interp.Trap, overBudget bool, dyn int64, detected bool, maxDyn int64) error {
+	switch {
+	case trap != nil:
+		return fmt.Errorf("%w: %v", ErrInvalidInput, trap)
+	case overBudget:
+		return fmt.Errorf("%w: exceeded %d dynamic instructions", ErrInvalidInput, maxDyn)
+	case dyn == 0:
+		return fmt.Errorf("%w: program executed no injectable instructions", ErrInvalidInput)
+	case detected:
+		return fmt.Errorf("%w: fault-free run raised sdc_detect (broken instrumentation)", ErrInvalidInput)
+	}
+	return nil
+}
+
 // GoldenFromProfile materializes a Golden from a fast-path profiled run
 // (interp.Profiler), applying the same §3.1.2 validity checks as NewGolden.
 // The run's borrowed state (output, counters) is copied, so the Golden
@@ -141,17 +149,8 @@ func newGolden(p *interp.Program, input []uint64, opts interp.Options) (*Golden,
 // budget-exceeded error. The result carries no Checkpoints — callers that
 // go on to run FI campaigns attach them with EnsureCheckpoints.
 func GoldenFromProfile(r *interp.ProfileRun, input []uint64, maxDyn int64) (*Golden, error) {
-	if r.Trap != nil {
-		return nil, fmt.Errorf("%w: %v", ErrInvalidInput, r.Trap)
-	}
-	if r.BudgetExceeded {
-		return nil, fmt.Errorf("%w: exceeded %d dynamic instructions", ErrInvalidInput, maxDyn)
-	}
-	if r.DynCount == 0 {
-		return nil, fmt.Errorf("%w: program executed no injectable instructions", ErrInvalidInput)
-	}
-	if r.DetectedFlag {
-		return nil, fmt.Errorf("%w: fault-free run raised sdc_detect (broken instrumentation)", ErrInvalidInput)
+	if err := checkGolden(r.Trap, r.BudgetExceeded, r.DynCount, r.DetectedFlag, maxDyn); err != nil {
+		return nil, err
 	}
 	return &Golden{
 		Input:       append([]uint64(nil), input...),
@@ -162,58 +161,46 @@ func GoldenFromProfile(r *interp.ProfileRun, input []uint64, maxDyn int64) (*Gol
 	}, nil
 }
 
-// Checkpoint interval sentinels, shared by every knob that threads a
-// checkpoint interval through to NewGoldenCheckpointed (core.Options,
-// core.BaselineOptions, experiments.Config, the -checkpoint-interval CLI
-// flags). Positive values fix the snapshot spacing in dynamic instructions.
-const (
-	// CheckpointAuto derives the snapshot spacing from the golden run's
-	// dynamic instruction count (interp.AutoCheckpointInterval).
-	CheckpointAuto int64 = 0
-	// CheckpointDisabled turns golden-prefix checkpointing off: every trial
-	// re-executes from dynamic instruction 0.
-	CheckpointDisabled int64 = -1
-)
+// CheckpointAuto asks NewGoldenCheckpointed to derive the snapshot spacing
+// from the golden run's dynamic instruction count
+// (interp.AutoCheckpointInterval) — the spacing every FI campaign the
+// front ends start runs on.
+const CheckpointAuto int64 = 0
 
-// NewGoldenCheckpointed is NewGolden plus golden-prefix snapshots every
-// `interval` dynamic instructions (CheckpointAuto tunes the spacing from
-// the run's dynamic count; CheckpointDisabled yields a plain golden).
-// Campaigns classified against a checkpointed golden resume each trial from
-// the nearest snapshot before its injection point — bit-identical results
-// for a fraction of the interpreter work.
+// NewGoldenCheckpointed is NewGolden plus golden-prefix snapshots: every
+// `interval` dynamic instructions when interval is positive, otherwise
+// (CheckpointAuto) at the spacing EnsureCheckpoints derives from the run's
+// dynamic count. Campaigns classified against a checkpointed golden resume
+// each trial from the nearest snapshot before its injection point —
+// bit-identical results for a fraction of the interpreter work.
 func NewGoldenCheckpointed(p *interp.Program, input []uint64, maxDyn, interval int64) (*Golden, error) {
-	if interval < 0 {
-		return NewGolden(p, input, maxDyn)
+	if interval > 0 {
+		return newGolden(p, input, interp.Options{Profile: true, MaxDyn: maxDyn, CheckpointInterval: interval})
 	}
-	if interval == CheckpointAuto {
-		g, err := NewGolden(p, input, maxDyn)
-		if err != nil {
-			return nil, err
-		}
-		if err := g.EnsureCheckpoints(p, CheckpointAuto); err != nil {
-			return nil, err
-		}
-		return g, nil
+	g, err := NewGolden(p, input, maxDyn)
+	if err != nil {
+		return nil, err
 	}
-	return newGolden(p, input, interp.Options{Profile: true, MaxDyn: maxDyn, CheckpointInterval: interval})
+	if err := g.EnsureCheckpoints(p); err != nil {
+		return nil, err
+	}
+	return g, nil
 }
 
 // EnsureCheckpoints attaches golden-prefix snapshots to an existing golden
-// by replaying it with checkpointing enabled. It is a no-op when snapshots
-// are already attached or interval is CheckpointDisabled; CheckpointAuto
-// derives the spacing from DynCount. The replay must reproduce the original
+// by replaying it with checkpointing enabled, at the spacing
+// interp.AutoCheckpointInterval derives from DynCount. It is a no-op when
+// snapshots are already attached. The replay must reproduce the original
 // run exactly — a divergence means the substrate broke determinism, which
 // would silently poison every trial, so it is surfaced as an error.
-func (g *Golden) EnsureCheckpoints(p *interp.Program, interval int64) error {
-	if g.Checkpoints != nil || interval < 0 {
+func (g *Golden) EnsureCheckpoints(p *interp.Program) error {
+	if g.Checkpoints != nil {
 		return nil
-	}
-	if interval == CheckpointAuto {
-		interval = interp.AutoCheckpointInterval(g.DynCount)
 	}
 	// The replay runs on the fused arrays, as every checkpointed run does,
 	// while a plain golden ran on the unfused reference engine, so the
 	// divergence check below doubles as a cross-engine differential test.
+	interval := interp.AutoCheckpointInterval(g.DynCount)
 	r := interp.Run(p, g.Input, interp.Options{Profile: true, CheckpointInterval: interval})
 	if r.Trap != nil || r.BudgetExceeded || r.DynCount != g.DynCount || !interp.OutputEqual(r.Output, g.Output) {
 		return fmt.Errorf("campaign: checkpoint replay diverged from the golden run")
@@ -252,26 +239,6 @@ func EmitCheckpointTelemetry(tr *telemetry.Stream, event string, st interp.Check
 		telemetry.F("skipped_dyn", st.SkippedDyn),
 		telemetry.F("converged", st.Converged),
 		telemetry.F("converged_dyn", st.ConvergedDyn))
-}
-
-// EmitBatchTelemetry folds a lockstep-batching usage sample into a
-// telemetry stream: fi.batch.* recorder gauges (exported by /metrics as
-// peppax_fi_batch_*) plus one trace event. Every value derives from the
-// dyn clock and the deterministic trial grouping, so traces stay
-// byte-identical across worker counts. No-op when no batches ran.
-func EmitBatchTelemetry(tr *telemetry.Stream, event string, st interp.CheckpointStats, size int) {
-	if st.Batches == 0 {
-		return
-	}
-	tr.Gauge("fi.batch.size", int64(size))
-	tr.Gauge("fi.batch.batches", st.Batches)
-	tr.Gauge("fi.batch.trials", st.BatchedTrials)
-	tr.Gauge("fi.batch.trunk_dyn", st.TrunkDyn)
-	tr.Emit(event,
-		telemetry.F("size", size),
-		telemetry.F("batches", st.Batches),
-		telemetry.F("trials", st.BatchedTrials),
-		telemetry.F("trunk_dyn", st.TrunkDyn))
 }
 
 // Classify runs one faulty execution under plan on the trial machine m and

@@ -36,12 +36,12 @@ func TestCheckpointedClassifyEquivalence(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			b := prog.Build(name)
 			in := b.Encode(b.RefInput())
-			gScratch, err := NewGoldenCheckpointed(b.Prog, in, b.MaxDyn, CheckpointDisabled)
+			gScratch, err := NewGolden(b.Prog, in, b.MaxDyn)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if gScratch.Checkpoints != nil {
-				t.Fatal("CheckpointDisabled attached checkpoints")
+				t.Fatal("NewGolden attached checkpoints")
 			}
 			gCk, err := NewGoldenCheckpointed(b.Prog, in, b.MaxDyn, CheckpointAuto)
 			if err != nil {
@@ -237,7 +237,7 @@ func TestEnsureCheckpointsIdempotent(t *testing.T) {
 		t.Fatalf("explicit interval not honored: %+v", g.Checkpoints.Stats())
 	}
 	before := g.Checkpoints
-	if err := g.EnsureCheckpoints(b.Prog, 100); err != nil {
+	if err := g.EnsureCheckpoints(b.Prog); err != nil {
 		t.Fatal(err)
 	}
 	if g.Checkpoints != before {

@@ -32,6 +32,11 @@ type ParallelOptions struct {
 	// trunk replay per batch (<= 1 keeps the per-trial path). Trial plans
 	// and RNG streams are derived exactly as on the per-trial path, so
 	// results are bit-identical at every batch size and worker count.
+	//
+	// No front end, job or option struct above this one sets it: every
+	// campaign they start runs trial by trial, which measures as fast. It
+	// stays only for the benchmark's batch-64 campaign class and the
+	// library equivalence suites, until the lockstep executor is deleted.
 	BatchSize int
 	// Ctx, when non-nil, cancels the campaign cooperatively: trials stop at
 	// the next trial (or checkpoint) boundary after cancellation and the

@@ -103,11 +103,10 @@ type Options struct {
 	// length moved more than Threshold relatively (< 0: never re-measure;
 	// 0: DefaultThreshold).
 	Threshold float64
-	// Workers and BatchSize configure the measurement substrate exactly as
+	// Workers fans measurement trials across goroutines exactly as
 	// campaign.ParallelOptions does; estimates are bit-identical for every
-	// setting of both.
-	Workers   int
-	BatchSize int
+	// setting.
+	Workers int
 	// Seed derives every measurement trial's private RNG stream via
 	// (Seed, segment index, epoch, trial index).
 	Seed uint64
@@ -259,7 +258,7 @@ type Estimate struct {
 // was profiled from. Cached profiles are reused when the segment's dynamic
 // fraction is within Threshold of the profiled one; drifted segments are
 // re-measured on g. The result depends only on (program, cache state, g,
-// Seed) — never on Workers or BatchSize — so identical mixes against an
+// Seed) — never on Workers or Runner — so identical mixes against an
 // unchanged cache return bit-identical estimates.
 func (e *Estimator) EstimateGolden(g *campaign.Golden) *Estimate {
 	e.mu.Lock()
@@ -388,8 +387,8 @@ func (e *Estimator) stale(prof *Profile, w float64, mix []float64, dyn int64) bo
 // measure runs one segment's profile campaign on g: trials proportional to
 // the segment's dynamic weight (floored at MinSegmentTrials), each trial a
 // uniform dynamic occurrence of the segment (campaign.SampleOccurrence),
-// executed through campaign.RunPlans so batching and worker count cannot
-// change the tally. Caller holds e.mu.
+// executed through campaign.RunPlans (or the Runner hook) so worker count
+// and sharding cannot change the tally. Caller holds e.mu.
 func (e *Estimator) measure(g *campaign.Golden, si int, seg *Segment, segDyn int64, w float64, mix []float64) *Profile {
 	trials := e.segmentTrials(g, w)
 
@@ -423,8 +422,7 @@ func (e *Estimator) measure(g *campaign.Golden, si int, seg *Segment, segDyn int
 		runner = campaign.RunPlans
 	}
 	results := runner(e.p, g, plans, func(i int) *xrand.RNG { return rngs[i] }, campaign.ParallelOptions{
-		Workers:   e.opts.Workers,
-		BatchSize: e.opts.BatchSize,
+		Workers: e.opts.Workers,
 	})
 
 	prof := &Profile{Segment: seg.Name, Frac: w, Mix: mix, Dyn: g.DynCount, Epoch: epoch}

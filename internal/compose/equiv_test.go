@@ -24,10 +24,10 @@ func TestComposeEquivalence(t *testing.T) {
 		b := prog.Build(name)
 		// 2400 trials halve the composed estimator's own sampling error
 		// relative to the 1000-trial reference interval it must land in.
-		e := NewEstimator(b.Prog, nil, Options{Trials: 2400, Seed: 20211114, Workers: 4, BatchSize: 32})
+		e := NewEstimator(b.Prog, nil, Options{Trials: 2400, Seed: 20211114, Workers: 4})
 
 		gA := golden(t, b, b.RefInput())
-		directA := campaign.OverallParallel(b.Prog, gA, fullTrials, campaign.ParallelOptions{Workers: 4, Seed: 11, BatchSize: 32})
+		directA := campaign.OverallParallel(b.Prog, gA, fullTrials, campaign.ParallelOptions{Workers: 4, Seed: 11})
 		loA, hiA := stats.WilsonInterval95(directA.SDC, directA.Trials)
 		estA := e.EstimateGolden(gA)
 		t.Logf("%s fresh: direct=%.4f [%.4f,%.4f] composed=%.4f [%.4f,%.4f] trials=%d",
@@ -50,7 +50,7 @@ func TestComposeEquivalence(t *testing.T) {
 			inB[i] *= 1 + 0.06*(rng.Float64()-0.5)
 		}
 		gB := golden(t, b, b.ClampInput(inB))
-		directB := campaign.OverallParallel(b.Prog, gB, fullTrials, campaign.ParallelOptions{Workers: 4, Seed: 13, BatchSize: 32})
+		directB := campaign.OverallParallel(b.Prog, gB, fullTrials, campaign.ParallelOptions{Workers: 4, Seed: 13})
 		loB, hiB := stats.WilsonInterval95(directB.SDC, directB.Trials)
 		estB := e.EstimateGolden(gB)
 		t.Logf("%s reuse: direct=%.4f [%.4f,%.4f] composed=%.4f [%.4f,%.4f] reused=%d remeasured=%d",
@@ -72,30 +72,31 @@ func nameSeed(name string) uint64 {
 
 // TestComposeBitIdentity pins the determinism contract: the measurement
 // pass and the exact-reuse estimate must be bit-identical at workers 1 and
-// 4 crossed with batch sizes 1, 8 and 64.
+// 4 crossed with the in-process runner and campaign.ShardedRunner at 2 and
+// 4 shards.
 func TestComposeBitIdentity(t *testing.T) {
-	type config struct{ workers, batch int }
-	configs := []config{{1, 1}, {1, 8}, {1, 64}, {4, 1}, {4, 8}, {4, 64}}
+	type config struct{ workers, shards int }
+	configs := []config{{1, 1}, {1, 2}, {1, 4}, {4, 1}, {4, 2}, {4, 4}}
 	for _, name := range prog.Names() {
 		b := prog.Build(name)
 		g := golden(t, b, b.RefInput())
 		var refFirst, refSecond *Estimate
 		for _, c := range configs {
-			e := NewEstimator(b.Prog, nil, Options{Trials: 240, Seed: 41, Workers: c.workers, BatchSize: c.batch})
+			e := NewEstimator(b.Prog, nil, Options{Trials: 240, Seed: 41, Workers: c.workers, Runner: campaign.ShardedRunner(c.shards)})
 			first := e.EstimateGolden(g)
 			second := e.EstimateGolden(g)
 			if second.MeasureTrials != 0 || second.MeasureDyn != 0 {
-				t.Fatalf("%s w=%d b=%d: exact reuse spent measurement", name, c.workers, c.batch)
+				t.Fatalf("%s w=%d s=%d: exact reuse spent measurement", name, c.workers, c.shards)
 			}
 			if refFirst == nil {
 				refFirst, refSecond = first, second
 				continue
 			}
 			if !reflect.DeepEqual(first, refFirst) {
-				t.Errorf("%s: measurement estimate differs at workers=%d batch=%d", name, c.workers, c.batch)
+				t.Errorf("%s: measurement estimate differs at workers=%d shards=%d", name, c.workers, c.shards)
 			}
 			if !reflect.DeepEqual(second, refSecond) {
-				t.Errorf("%s: exact-reuse estimate differs at workers=%d batch=%d", name, c.workers, c.batch)
+				t.Errorf("%s: exact-reuse estimate differs at workers=%d shards=%d", name, c.workers, c.shards)
 			}
 		}
 		// Exact reuse must reproduce the measured numbers bit-for-bit.

@@ -1,6 +1,6 @@
 // Package compose implements FastFlip-style compositional SDC estimation:
 // per-segment error-injection profiles, measured once per (program, fault
-// model, segment) on the checkpointed/batched FI substrate, compose into a
+// model, segment) on the checkpointed FI substrate, compose into a
 // whole-program SDC estimate for ANY input under that input's dynamic
 // execution mix. A candidate evaluation then costs one golden profile run
 // plus an O(segments) composition — plus re-measurement only for segments

@@ -117,7 +117,6 @@ func RandomSearch(b *prog.Benchmark, opts BaselineOptions, rng *xrand.RNG) *Base
 			Trials:    opts.ComposeTrials,
 			Threshold: opts.ComposeThreshold,
 			Workers:   opts.Workers,
-			BatchSize: opts.BatchSize,
 			Seed:      rng.Uint64(),
 			Trace:     tr,
 			Model:     opts.Model,
@@ -135,7 +134,7 @@ func RandomSearch(b *prog.Benchmark, opts BaselineOptions, rng *xrand.RNG) *Base
 		}
 		in := b.RandomInput(rng)
 		args = b.EncodeInto(args[:0], in)
-		g, err := campaign.NewGoldenCheckpointed(b.Prog, args, b.MaxDyn, opts.CheckpointInterval)
+		g, err := campaign.NewGoldenCheckpointed(b.Prog, args, b.MaxDyn, campaign.CheckpointAuto)
 		if err != nil {
 			// Invalid input, excluded per §3.1.2. Rejections advance neither
 			// budget nor input count, so a bounded run of them is the only
@@ -168,7 +167,6 @@ func RandomSearch(b *prog.Benchmark, opts BaselineOptions, rng *xrand.RNG) *Base
 			ar := campaign.OverallAdaptive(b.Prog, g, campaign.AdaptiveOptions{
 				Workers:   opts.Workers,
 				Seed:      rng.Uint64(),
-				BatchSize: opts.BatchSize,
 				CITarget:  opts.CITarget,
 				MaxTrials: opts.TrialsPerInput,
 				Model:     opts.Model,
@@ -178,10 +176,9 @@ func RandomSearch(b *prog.Benchmark, opts BaselineOptions, rng *xrand.RNG) *Base
 			campaign.EmitAdaptiveTelemetry(tr, "fi.adaptive", ar)
 		} else {
 			c = campaign.OverallParallel(b.Prog, g, opts.TrialsPerInput, campaign.ParallelOptions{
-				Workers:   opts.Workers,
-				Seed:      rng.Uint64(),
-				BatchSize: opts.BatchSize,
-				Model:     opts.Model,
+				Workers: opts.Workers,
+				Seed:    rng.Uint64(),
+				Model:   opts.Model,
 			})
 			sdc = c.SDCProbability()
 		}
@@ -223,7 +220,6 @@ func RandomSearch(b *prog.Benchmark, opts BaselineOptions, rng *xrand.RNG) *Base
 	res.Elapsed = time.Since(start)
 	endPhase()
 	campaign.EmitCheckpointTelemetry(tr, "baseline.checkpoints", ckStats)
-	campaign.EmitBatchTelemetry(tr, "fi.batch", ckStats, opts.BatchSize)
 	if composeEst != nil {
 		st := composeEst.Stats()
 		res.ComposeStats = &st

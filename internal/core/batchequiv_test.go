@@ -1,17 +1,21 @@
 package core
 
 import (
+	"fmt"
+	"io"
 	"reflect"
 	"testing"
 
 	"repro/internal/prog"
+	"repro/internal/telemetry"
 	"repro/internal/xrand"
 )
 
-// TestSearchBatchInvariance pins the pipeline's determinism contract:
-// every FI campaign classifies on per-trial RNG streams, so the whole
-// search result must be bit-identical for every batch size — including 0,
-// the unbatched default — and worker count.
+// TestSearchBatchInvariance pins the pipeline's determinism contract: every
+// FI campaign runs trial by trial on per-trial RNG streams, so the whole
+// search result must be bit-identical at workers 1 and 4 crossed with an
+// untraced and a traced run — telemetry observes the pipeline, it never
+// steers it.
 func TestSearchBatchInvariance(t *testing.T) {
 	names := []string{"pathfinder", "fft"}
 	if testing.Short() {
@@ -29,12 +33,21 @@ func TestSearchBatchInvariance(t *testing.T) {
 
 			var want *Result
 			for _, w := range []int{1, 4} {
-				for _, batch := range []int{0, 1, 8, 64} {
+				for _, traced := range []bool{false, true} {
+					cfg := fmt.Sprintf("workers=%d traced=%v", w, traced)
 					opts.Workers = w
-					opts.BatchSize = batch
+					opts.Trace = nil
+					var rec *telemetry.Recorder
+					if traced {
+						rec = telemetry.New(telemetry.Options{Sink: io.Discard})
+						opts.Trace = rec.Stream("search/" + name)
+					}
 					r, err := Search(b, opts, xrand.New(2026))
 					if err != nil {
-						t.Fatalf("workers=%d batch=%d: %v", w, batch, err)
+						t.Fatalf("%s: %v", cfg, err)
+					}
+					if err := rec.Close(); err != nil {
+						t.Fatalf("%s: closing the trace: %v", cfg, err)
 					}
 					normalizeResult(r)
 					if want == nil {
@@ -42,34 +55,11 @@ func TestSearchBatchInvariance(t *testing.T) {
 						continue
 					}
 					if !reflect.DeepEqual(r, want) {
-						t.Errorf("workers=%d batch=%d diverged: best %v SDC %v vs %v SDC %v",
-							w, batch, r.BestInput, r.SDCBound(), want.BestInput, want.SDCBound())
+						t.Errorf("%s diverged: best %v SDC %v vs %v SDC %v",
+							cfg, r.BestInput, r.SDCBound(), want.BestInput, want.SDCBound())
 					}
 				}
 			}
 		})
-	}
-}
-
-// TestRandomSearchBatchInvariance does the same for the baseline: the
-// per-candidate campaigns already run on per-trial streams, so batching
-// must leave the entire search history untouched.
-func TestRandomSearchBatchInvariance(t *testing.T) {
-	b := prog.Build("pathfinder")
-	var want *BaselineResult
-	for _, batch := range []int{0, 1, 8, 64} {
-		r := RandomSearch(b, BaselineOptions{
-			TrialsPerInput: 40,
-			MaxInputs:      3,
-			FIOptions:      FIOptions{Workers: 2, BatchSize: batch},
-		}, xrand.New(9))
-		r.Elapsed = 0
-		if want == nil {
-			want = r
-			continue
-		}
-		if !reflect.DeepEqual(r, want) {
-			t.Errorf("batch=%d diverged: best SDC %v vs %v", batch, r.BestSDC, want.BestSDC)
-		}
 	}
 }

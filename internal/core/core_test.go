@@ -224,7 +224,7 @@ func TestRandomSearchAdaptive(t *testing.T) {
 	// runner: candidate SDC rates are composed estimates in [0,1], trials
 	// never exceed the flat campaign size, and the search stays deterministic.
 	b := prog.Build("pathfinder")
-	opts := BaselineOptions{TrialsPerInput: 200, MaxInputs: 3, FIOptions: FIOptions{CITarget: 0.05, Workers: 4, BatchSize: 16}}
+	opts := BaselineOptions{TrialsPerInput: 200, MaxInputs: 3, FIOptions: FIOptions{CITarget: 0.05, Workers: 4}}
 	res := RandomSearch(b, opts, xrand.New(7))
 	if res.Inputs != 3 {
 		t.Fatalf("inputs = %d, want 3", res.Inputs)
@@ -256,7 +256,6 @@ func TestSearchAdaptiveFinal(t *testing.T) {
 	opts.FinalTrials = 400
 	opts.CITarget = 0.06
 	opts.Workers = 4
-	opts.BatchSize = 16
 	res, err := Search(b, opts, xrand.New(5))
 	if err != nil {
 		t.Fatal(err)

@@ -8,26 +8,16 @@ import (
 // FIOptions is the fault-injection configuration every FI consumer shares:
 // the search (Options), the baseline (BaselineOptions) and the experiment
 // suite embed it, and the fi, peppax and experiments tools fill it from one
-// flag set. Workers and CheckpointInterval never change a result; the other
-// knobs select what is measured, as each field says.
+// flag set. Workers never changes a result; the other knobs select what is
+// measured, as each field says. Engine tuning is not an option: every FI
+// golden is checkpointed at the auto-derived spacing
+// (campaign.CheckpointAuto), and every campaign runs trial by trial.
 type FIOptions struct {
 	// Workers fans the work across goroutines (0 = GOMAXPROCS, 1 = serial):
 	// GA candidate evaluation, FI trials and concurrent experiments. Work is
 	// drawn and folded serially, and every trial's RNG derives from its
 	// campaign seed and index, so results are bit-identical for every value.
 	Workers int
-	// BatchSize > 1 runs whole-program FI campaigns in lockstep batches of
-	// at most this size on the checkpointed golden (see
-	// campaign.ParallelOptions.BatchSize), sharing one trunk replay per
-	// batch. Tallies are bit-identical for every batch size and worker
-	// count. 0 or 1 runs trial by trial.
-	BatchSize int
-	// CheckpointInterval controls golden-prefix snapshotting for every FI
-	// campaign: campaign.CheckpointAuto (0) tunes the spacing from each
-	// golden's dynamic count, a positive value fixes it in dynamic
-	// instructions, and campaign.CheckpointDisabled (-1) runs every trial
-	// from scratch. Tallies and budgets are bit-identical in all modes.
-	CheckpointInterval int64
 	// Model selects the fault model of the whole-program measurements: flat
 	// and adaptive campaigns, and the baseline's compositional estimates.
 	// Nil is the single-bit-flip default, byte-identical to the historical
@@ -52,7 +42,7 @@ type FIOptions struct {
 	// The closing campaign stays a direct measurement. Compose draws one
 	// extra seed off the search RNG, so it changes sampled plans versus a
 	// non-compose run; composed results are bit-identical for every
-	// Workers and BatchSize.
+	// Workers.
 	Compose bool
 	// ComposeThreshold is the profile re-measurement trigger
 	// (0: compose.DefaultThreshold; < 0: never re-measure).

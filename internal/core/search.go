@@ -224,12 +224,12 @@ func Search(b *prog.Benchmark, opts Options, rng *xrand.RNG) (*Result, error) {
 	var ckStats interp.CheckpointStats
 	sensGolden := small.Golden
 	if !opts.UseSmallInput {
-		g, err := campaign.NewGoldenCheckpointed(b.Prog, b.Encode(b.RefInput()), b.MaxDyn, opts.CheckpointInterval)
+		g, err := campaign.NewGoldenCheckpointed(b.Prog, b.Encode(b.RefInput()), b.MaxDyn, campaign.CheckpointAuto)
 		if err != nil {
 			return nil, err
 		}
 		sensGolden = g
-	} else if err := sensGolden.EnsureCheckpoints(b.Prog, opts.CheckpointInterval); err != nil {
+	} else if err := sensGolden.EnsureCheckpoints(b.Prog); err != nil {
 		return nil, err
 	}
 	// Compositional mode: one estimator (and profile cache) serves the
@@ -244,7 +244,6 @@ func Search(b *prog.Benchmark, opts Options, rng *xrand.RNG) (*Result, error) {
 			Trials:    opts.ComposeTrials,
 			Threshold: opts.ComposeThreshold,
 			Workers:   opts.Workers,
-			BatchSize: opts.BatchSize,
 			Seed:      rng.Uint64(),
 			Trace:     tr,
 			Ctx:       opts.Ctx,
@@ -325,7 +324,7 @@ func Search(b *prog.Benchmark, opts Options, rng *xrand.RNG) (*Result, error) {
 			best := engine.Best()
 			cp := Checkpoint{Generation: gen, BestInput: best.Genome, Fitness: best.Fitness}
 			var heatG *campaign.Golden
-			if g, err := campaign.NewGoldenCheckpointed(b.Prog, b.Encode(best.Genome), b.MaxDyn, opts.CheckpointInterval); err == nil {
+			if g, err := campaign.NewGoldenCheckpointed(b.Prog, b.Encode(best.Genome), b.MaxDyn, campaign.CheckpointAuto); err == nil {
 				if composeEst != nil {
 					// Composed checkpoint: reuse cached profiles under the
 					// best input's mix instead of a fresh campaign.
@@ -368,7 +367,7 @@ func Search(b *prog.Benchmark, opts Options, rng *xrand.RNG) (*Result, error) {
 	// Closing statistical FI campaign on the reported SDC-bound input.
 	t0 = time.Now()
 	endPhase = tr.Phase("final_fi")
-	g, err := campaign.NewGoldenCheckpointed(b.Prog, b.Encode(res.BestInput), b.MaxDyn, opts.CheckpointInterval)
+	g, err := campaign.NewGoldenCheckpointed(b.Prog, b.Encode(res.BestInput), b.MaxDyn, campaign.CheckpointAuto)
 	if err != nil {
 		return nil, fmt.Errorf("core: reported input of %s is invalid: %w", b.Name, err)
 	}
@@ -379,7 +378,6 @@ func Search(b *prog.Benchmark, opts Options, rng *xrand.RNG) (*Result, error) {
 		res.FinalAdaptive = campaign.OverallAdaptive(b.Prog, g, campaign.AdaptiveOptions{
 			Workers:   opts.Workers,
 			Seed:      rng.Uint64(),
-			BatchSize: opts.BatchSize,
 			CITarget:  opts.CITarget,
 			MaxTrials: opts.FinalTrials,
 			Scores:    dist.Scores,
@@ -408,7 +406,6 @@ func Search(b *prog.Benchmark, opts Options, rng *xrand.RNG) (*Result, error) {
 			telemetry.F("measure_dyn", st.MeasureDyn))
 	}
 	campaign.EmitCheckpointTelemetry(tr, "search.fi_checkpoints", ckStats)
-	campaign.EmitBatchTelemetry(tr, "fi.batch", ckStats, opts.BatchSize)
 	tr.Emit("search.final", append([]telemetry.Field{
 		telemetry.F("fitness", res.BestFitness),
 		telemetry.F("sdc", res.SDCBound()),
@@ -425,15 +422,13 @@ func Search(b *prog.Benchmark, opts Options, rng *xrand.RNG) (*Result, error) {
 
 // overallCampaign runs one whole-program FI campaign of the pipeline on
 // per-trial streams seeded by one draw off the search RNG, keeping the
-// search deterministic and the tally bit-identical for every worker count
-// and batch size.
+// search deterministic and the tally bit-identical for every worker count.
 func overallCampaign(p *interp.Program, g *campaign.Golden, trials int, rng *xrand.RNG, opts Options) campaign.Counts {
 	return campaign.OverallParallel(p, g, trials, campaign.ParallelOptions{
-		Workers:   opts.Workers,
-		Seed:      rng.Uint64(),
-		BatchSize: opts.BatchSize,
-		Ctx:       opts.Ctx,
-		Model:     opts.Model,
+		Workers: opts.Workers,
+		Seed:    rng.Uint64(),
+		Ctx:     opts.Ctx,
+		Model:   opts.Model,
 	})
 }
 

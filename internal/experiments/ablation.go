@@ -122,7 +122,7 @@ func AblationFitness(s *Suite, bench string) (*AblationFitnessResult, error) {
 		return f
 	}
 	covFit := func(g ga.Genome) float64 {
-		gold, err := campaign.NewGoldenCheckpointed(b.Prog, b.Encode(g), b.MaxDyn, s.Cfg.CheckpointInterval)
+		gold, err := campaign.NewGoldenCheckpointed(b.Prog, b.Encode(g), b.MaxDyn, campaign.CheckpointAuto)
 		if err != nil {
 			return 0
 		}
@@ -151,7 +151,7 @@ func AblationFitness(s *Suite, bench string) (*AblationFitnessResult, error) {
 	}
 
 	measure := func(in []float64) float64 {
-		g, err := campaign.NewGoldenCheckpointed(b.Prog, b.Encode(in), b.MaxDyn, s.Cfg.CheckpointInterval)
+		g, err := campaign.NewGoldenCheckpointed(b.Prog, b.Encode(in), b.MaxDyn, campaign.CheckpointAuto)
 		if err != nil {
 			return 0
 		}

@@ -79,8 +79,7 @@ type Config struct {
 	// the concurrent experiments of RunAll/RunAllStructured; Model, CITarget
 	// and Compose apply to the searches and baselines, while the §3 studies
 	// keep flat single-flip campaigns — they reproduce the paper's
-	// measurements. Same seed, same report, for any Workers, BatchSize or
-	// CheckpointInterval.
+	// measurements. Same seed, same report, for any Workers.
 	core.FIOptions
 }
 

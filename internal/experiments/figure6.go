@@ -99,7 +99,7 @@ func (s *Suite) heatMap(name string) (*HeatMap, error) {
 			in[sweep[0]] = xv
 			in[sweep[1]] = yv
 			sdc := 0.0
-			if g, err := campaign.NewGoldenCheckpointed(b.Prog, b.Encode(in), b.MaxDyn, s.Cfg.CheckpointInterval); err == nil {
+			if g, err := campaign.NewGoldenCheckpointed(b.Prog, b.Encode(in), b.MaxDyn, campaign.CheckpointAuto); err == nil {
 				c := campaign.OverallParallel(b.Prog, g, s.Cfg.HeatmapTrials, oneWorker(rng))
 				sdc = c.SDCProbability()
 			}

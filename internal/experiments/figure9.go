@@ -40,11 +40,11 @@ func Figure9(s *Suite) (*Figure9Result, error) {
 			return nil, err
 		}
 		rng := s.rng("fig9", name)
-		refGolden, err := campaign.NewGoldenCheckpointed(b.Prog, b.Encode(b.RefInput()), b.MaxDyn, s.Cfg.CheckpointInterval)
+		refGolden, err := campaign.NewGoldenCheckpointed(b.Prog, b.Encode(b.RefInput()), b.MaxDyn, campaign.CheckpointAuto)
 		if err != nil {
 			return nil, err
 		}
-		boundGolden, err := campaign.NewGoldenCheckpointed(b.Prog, b.Encode(search.BestInput), b.MaxDyn, s.Cfg.CheckpointInterval)
+		boundGolden, err := campaign.NewGoldenCheckpointed(b.Prog, b.Encode(search.BestInput), b.MaxDyn, campaign.CheckpointAuto)
 		if err != nil {
 			return nil, err
 		}

@@ -41,7 +41,7 @@ func MultiBit(s *Suite) (*MultiBitResult, error) {
 	for _, name := range s.BenchNames() {
 		b := s.Bench(name)
 		rng := s.rng("multibit", name)
-		g, err := campaign.NewGoldenCheckpointed(b.Prog, b.Encode(b.RefInput()), b.MaxDyn, s.Cfg.CheckpointInterval)
+		g, err := campaign.NewGoldenCheckpointed(b.Prog, b.Encode(b.RefInput()), b.MaxDyn, campaign.CheckpointAuto)
 		if err != nil {
 			return nil, err
 		}

@@ -44,11 +44,11 @@ func OptLevel(s *Suite) (*OptLevelResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("experiments: optlevel %s: %w", name, err)
 		}
-		g0, err := campaign.NewGoldenCheckpointed(b.Prog, b.Encode(b.RefInput()), b.MaxDyn, s.Cfg.CheckpointInterval)
+		g0, err := campaign.NewGoldenCheckpointed(b.Prog, b.Encode(b.RefInput()), b.MaxDyn, campaign.CheckpointAuto)
 		if err != nil {
 			return nil, err
 		}
-		g1, err := campaign.NewGoldenCheckpointed(p2, b.Encode(b.RefInput()), b.MaxDyn, s.Cfg.CheckpointInterval)
+		g1, err := campaign.NewGoldenCheckpointed(p2, b.Encode(b.RefInput()), b.MaxDyn, campaign.CheckpointAuto)
 		if err != nil {
 			return nil, err
 		}

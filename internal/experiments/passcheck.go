@@ -42,7 +42,7 @@ func PassCheck(s *Suite) (*PassCheckResult, error) {
 	for _, name := range s.BenchNames() {
 		b := s.Bench(name)
 		rng := s.rng("passcheck", name)
-		g, err := campaign.NewGoldenCheckpointed(b.Prog, b.Encode(b.RefInput()), b.MaxDyn, s.Cfg.CheckpointInterval)
+		g, err := campaign.NewGoldenCheckpointed(b.Prog, b.Encode(b.RefInput()), b.MaxDyn, campaign.CheckpointAuto)
 		if err != nil {
 			return nil, err
 		}
@@ -64,7 +64,7 @@ func PassCheck(s *Suite) (*PassCheckResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		g2, err := campaign.NewGoldenCheckpointed(p2, b.Encode(b.RefInput()), b.MaxDyn*4, s.Cfg.CheckpointInterval)
+		g2, err := campaign.NewGoldenCheckpointed(p2, b.Encode(b.RefInput()), b.MaxDyn*4, campaign.CheckpointAuto)
 		if err != nil {
 			return nil, err
 		}

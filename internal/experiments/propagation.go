@@ -36,7 +36,7 @@ func Propagation(s *Suite) (*PropagationResult, error) {
 	res := &PropagationResult{Trials: s.Cfg.OverallTrials}
 	for _, name := range s.BenchNames() {
 		b := s.Bench(name)
-		g, err := campaign.NewGoldenCheckpointed(b.Prog, b.Encode(b.RefInput()), b.MaxDyn, s.Cfg.CheckpointInterval)
+		g, err := campaign.NewGoldenCheckpointed(b.Prog, b.Encode(b.RefInput()), b.MaxDyn, campaign.CheckpointAuto)
 		if err != nil {
 			return nil, err
 		}

@@ -75,7 +75,7 @@ func Strategies(s *Suite) (*StrategiesResult, error) {
 				return nil, err
 			}
 			sdc := 0.0
-			if g, err := campaign.NewGoldenCheckpointed(b.Prog, b.Encode(sr.Best), b.MaxDyn, s.Cfg.CheckpointInterval); err == nil {
+			if g, err := campaign.NewGoldenCheckpointed(b.Prog, b.Encode(sr.Best), b.MaxDyn, campaign.CheckpointAuto); err == nil {
 				sdc = campaign.OverallParallel(b.Prog, g, s.Cfg.OverallTrials, oneWorker(rng)).SDCProbability()
 			}
 			res.Rows = append(res.Rows, StrategyRow{

@@ -239,14 +239,13 @@ func (s *Suite) Study(name string) (*RandomStudy, error) {
 		st := &RandomStudy{Bench: name}
 
 		measure := func(in []float64, label string) (StudyPoint, error) {
-			g, err := campaign.NewGoldenCheckpointed(b.Prog, b.Encode(in), b.MaxDyn, s.Cfg.CheckpointInterval)
+			g, err := campaign.NewGoldenCheckpointed(b.Prog, b.Encode(in), b.MaxDyn, campaign.CheckpointAuto)
 			if err != nil {
 				return StudyPoint{}, err
 			}
 			c := campaign.OverallParallel(b.Prog, g, s.Cfg.OverallTrials, campaign.ParallelOptions{
-				Workers:   s.Cfg.Workers,
-				Seed:      rng.Uint64(),
-				BatchSize: s.Cfg.BatchSize,
+				Workers: s.Cfg.Workers,
+				Seed:    rng.Uint64(),
 			})
 			tr.Advance(g.DynCount + c.DynInstrs)
 			tr.Emit("study.point", append([]telemetry.Field{
@@ -297,14 +296,13 @@ func (s *Suite) PerInstr(name string) (*PerInstrStudy, error) {
 		ids := campaign.AllInstructionIDs(b.Prog)
 		for len(st.Vectors) < s.Cfg.PerInstrInputs {
 			in := b.RandomInputScaled(rng, 0.25)
-			g, err := campaign.NewGoldenCheckpointed(b.Prog, b.Encode(in), b.MaxDyn, s.Cfg.CheckpointInterval)
+			g, err := campaign.NewGoldenCheckpointed(b.Prog, b.Encode(in), b.MaxDyn, campaign.CheckpointAuto)
 			if err != nil {
 				continue
 			}
 			res := campaign.PerInstructionParallel(b.Prog, g, ids, s.Cfg.PerInstrTrials, campaign.ParallelOptions{
-				Workers:   s.Cfg.Workers,
-				Seed:      rng.Uint64(),
-				BatchSize: s.Cfg.BatchSize,
+				Workers: s.Cfg.Workers,
+				Seed:    rng.Uint64(),
 			})
 			var trials int
 			var dyn int64

@@ -55,7 +55,7 @@ func Table5(s *Suite) (*Table5Result, error) {
 		withDyn := search.Distribution.FIDynInstrs
 
 		// Without heuristics: every instruction, reference input.
-		refGolden, err := campaign.NewGoldenCheckpointed(b.Prog, b.Encode(b.RefInput()), b.MaxDyn, s.Cfg.CheckpointInterval)
+		refGolden, err := campaign.NewGoldenCheckpointed(b.Prog, b.Encode(b.RefInput()), b.MaxDyn, campaign.CheckpointAuto)
 		if err != nil {
 			return nil, err
 		}

@@ -53,7 +53,7 @@ func BenchmarkServiceShard(b *testing.B) {
 						for sh := 0; sh < shards; sh++ {
 							lo, hi := campaign.ShardRange(benchTrials, sh, shards)
 							c := campaign.OverallShard(bench.Prog, g, lo, hi, campaign.ParallelOptions{
-								Workers: 1, Seed: 17, BatchSize: 64,
+								Workers: 1, Seed: 17,
 							})
 							total += c.DynInstrs
 							if c.DynInstrs > crit {
@@ -80,7 +80,7 @@ func BenchmarkServiceGolden(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				cache := newWorkCache(DefaultGoldenCap, DefaultProfileCap)
-				ge, cached, err := cache.golden(be, be.b.RefInput(), campaign.CheckpointAuto, "")
+				ge, cached, err := cache.golden(be, be.b.RefInput())
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -95,13 +95,13 @@ func BenchmarkServiceGolden(b *testing.B) {
 		b.Run("warm/"+prg, func(b *testing.B) {
 			be := New(Config{}).cache.bench(prg)
 			cache := newWorkCache(DefaultGoldenCap, DefaultProfileCap)
-			if _, _, err := cache.golden(be, be.b.RefInput(), campaign.CheckpointAuto, ""); err != nil {
+			if _, _, err := cache.golden(be, be.b.RefInput()); err != nil {
 				b.Fatal(err)
 			}
 			var setup int64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ge, cached, err := cache.golden(be, be.b.RefInput(), campaign.CheckpointAuto, "")
+				ge, cached, err := cache.golden(be, be.b.RefInput())
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -7,11 +7,13 @@ package service
 // the same key block on a single in-flight computation (single-flight) and
 // share its result; the golden memo is LRU-capped for long-running servers.
 //
-// Cache keys follow the compose convention: program hash ⨯ input ⨯
-// checkpoint interval ⨯ fault model, '\x1f'-joined. The program
-// hash is the compose partition hash (FNV-64a over the printed module), so
-// two benchmarks that somehow compiled identical programs would share
-// goldens, and a changed program can never alias a stale one.
+// Golden keys are program hash ⨯ input, '\x1f'-joined: the golden run is
+// fault-free and always checkpointed at the auto-derived spacing, so jobs
+// under every fault model share it, and a coordinator and its peers derive
+// the same key from (bench, input) alone. The program hash is the compose
+// partition hash (FNV-64a over the printed module), so two benchmarks that
+// somehow compiled identical programs would share goldens, and a changed
+// program can never alias a stale one.
 
 import (
 	"math"
@@ -20,7 +22,6 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/compose"
-	"repro/internal/fault"
 	"repro/internal/parallel"
 	"repro/internal/prog"
 )
@@ -32,8 +33,8 @@ type benchEntry struct {
 }
 
 // goldenEntry is one cached golden run. setupDyn is the dynamic-instruction
-// cost the computation actually paid (golden run, plus the checkpoint replay
-// in auto mode) — the work a cache hit eliminates.
+// cost the computation paid — two runs, the profiled golden and its
+// checkpoint replay — the work a cache hit eliminates.
 type goldenEntry struct {
 	g        *campaign.Golden
 	setupDyn int64
@@ -66,10 +67,7 @@ func (c *workCache) bench(name string) *benchEntry {
 
 // goldenKey builds the golden cache key. Inputs key by their exact float64
 // bit patterns, so two inputs compare equal iff their encoded runs would.
-// model is the normalized fault-model name (fault.ModelKey): the golden run
-// itself is fault-free, but keying it per model keeps coordinator and peer
-// workers deriving identical keys from the job spec alone.
-func goldenKey(hash string, input []float64, interval int64, model string) string {
+func goldenKey(hash string, input []float64) string {
 	var sb strings.Builder
 	sb.WriteString(hash)
 	sb.WriteByte(0x1f)
@@ -79,34 +77,24 @@ func goldenKey(hash string, input []float64, interval int64, model string) strin
 		}
 		sb.WriteString(strconv.FormatUint(math.Float64bits(v), 16))
 	}
-	sb.WriteByte(0x1f)
-	sb.WriteString(strconv.FormatInt(interval, 10))
-	sb.WriteByte(0x1f)
-	sb.WriteString(fault.ModelKey(model))
 	return sb.String()
 }
 
-// golden returns the (possibly cached) golden run of be on input with the
-// given checkpoint interval. cached reports whether THIS call was served
-// from the memo — under concurrent identical jobs exactly one caller
+// golden returns the (possibly cached) checkpointed golden run of be on an
+// input resolveInput accepted. cached reports whether THIS call was
+// served from the memo — under concurrent identical jobs exactly one caller
 // computes (and pays setupDyn), every other caller blocks on it and gets
 // cached=true. Invalid inputs cache their error, so a bad input costs its
 // failed golden run once, not once per job.
-func (c *workCache) golden(be *benchEntry, input []float64, interval int64, model string) (e *goldenEntry, cached bool, err error) {
+func (c *workCache) golden(be *benchEntry, input []float64) (e *goldenEntry, cached bool, err error) {
 	computed := false
-	e, err = c.goldens.Get(goldenKey(be.hash, input, interval, model), func() (*goldenEntry, error) {
+	e, err = c.goldens.Get(goldenKey(be.hash, input), func() (*goldenEntry, error) {
 		computed = true
-		g, err := campaign.NewGoldenCheckpointed(be.b.Prog, be.b.Encode(input), be.b.MaxDyn, interval)
+		g, err := campaign.NewGoldenCheckpointed(be.b.Prog, be.b.Encode(input), be.b.MaxDyn, campaign.CheckpointAuto)
 		if err != nil {
 			return nil, err
 		}
-		setup := g.DynCount
-		if interval == campaign.CheckpointAuto {
-			// Auto mode runs the golden twice: the profiled run plus the
-			// checkpoint replay (EnsureCheckpoints).
-			setup *= 2
-		}
-		return &goldenEntry{g: g, setupDyn: setup}, nil
+		return &goldenEntry{g: g, setupDyn: 2 * g.DynCount}, nil
 	})
 	return e, !computed, err
 }

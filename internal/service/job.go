@@ -35,30 +35,27 @@ type JobSpec struct {
 	Kind string `json:"kind"`
 	// Bench names the benchmark (prog.Names()).
 	Bench string `json:"bench"`
-	// Input is the raw input vector (default: the reference input).
-	// Ignored by search jobs, which find their own input.
+	// Input is the raw input vector, one value per benchmark argument
+	// (empty: the reference input). Ignored by search jobs, which find their
+	// own input.
 	Input []float64 `json:"input,omitempty"`
 	// Trials sizes the campaign (default 1000); for adaptive campaigns it
 	// is the spend cap, for sensitivity jobs the profile-pass budget.
 	Trials int `json:"trials,omitempty"`
 	// Seed derives every trial's RNG stream; identical specs yield
-	// bit-identical results at any shard/worker/batch configuration.
+	// bit-identical results at any shard or worker configuration.
 	Seed uint64 `json:"seed,omitempty"`
 	// FaultModel names the fault model campaign trials corrupt with
 	// (fault.ModelNames; "" = the single-bit-flip default). Campaign and
 	// sensitivity jobs sample from it; for search jobs it applies to the
 	// final whole-program campaign, flat or adaptive.
 	FaultModel string `json:"fault_model,omitempty"`
-	// Workers and Batch configure each shard's execution substrate
+	// Workers fans each shard's trials across goroutines
 	// (campaign.ParallelOptions semantics).
 	Workers int `json:"workers,omitempty"`
-	Batch   int `json:"batch,omitempty"`
 	// Shards splits campaign trials into contiguous ranges run concurrently
 	// in-process or on peer workers (0: the server default).
 	Shards int `json:"shards,omitempty"`
-	// CheckpointInterval is the golden-prefix snapshot spacing
-	// (campaign.NewGoldenCheckpointed semantics: 0 auto, -1 disabled).
-	CheckpointInterval int64 `json:"checkpoint_interval,omitempty"`
 	// Adaptive (or CITarget > 0) switches a campaign job, or a search
 	// job's closing campaign, to the adaptive stratified runner.
 	Adaptive bool    `json:"adaptive,omitempty"`
@@ -91,13 +88,11 @@ func (spec *JobSpec) fiOptions() (core.FIOptions, error) {
 		return core.FIOptions{}, err
 	}
 	return core.FIOptions{
-		Workers:            spec.Workers,
-		BatchSize:          spec.Batch,
-		CheckpointInterval: spec.CheckpointInterval,
-		Model:              model,
-		CITarget:           core.CITargetFor(spec.Adaptive, spec.CITarget),
-		Compose:            spec.Compose,
-		ComposeThreshold:   spec.ComposeThreshold,
+		Workers:          spec.Workers,
+		Model:            model,
+		CITarget:         core.CITargetFor(spec.Adaptive, spec.CITarget),
+		Compose:          spec.Compose,
+		ComposeThreshold: spec.ComposeThreshold,
 	}, nil
 }
 
@@ -168,7 +163,7 @@ type JobResult struct {
 
 // tokenMeter charges a job's dynamic-instruction spend against its budget
 // and cancels the job's context the moment the budget is crossed. Charges
-// land at trial-batch/shard/round granularity, so a job can overshoot by at
+// land at campaign/shard/round granularity, so a job can overshoot by at
 // most one in-flight unit of work.
 type tokenMeter struct {
 	budget int64 // <= 0: unlimited
@@ -206,7 +201,7 @@ func (s *Server) runJob(ctx context.Context, spec *JobSpec, meter *tokenMeter, e
 			return nil, err
 		}
 	} else {
-		ge, cached, err := s.cache.golden(be, spec.Input, spec.CheckpointInterval, spec.FaultModel)
+		ge, cached, err := s.cache.golden(be, spec.Input)
 		s.publishCacheMetrics()
 		if err != nil {
 			return nil, err
@@ -261,7 +256,6 @@ func (s *Server) runCampaign(ctx context.Context, spec *JobSpec, fi core.FIOptio
 		ar := campaign.OverallAdaptive(be.b.Prog, g, campaign.AdaptiveOptions{
 			Workers:   fi.Workers,
 			Seed:      spec.Seed,
-			BatchSize: fi.BatchSize,
 			CITarget:  fi.CITarget,
 			MaxTrials: spec.Trials,
 			Ctx:       ctx,
@@ -302,7 +296,6 @@ func (s *Server) runSensitivity(ctx context.Context, spec *JobSpec, fi core.FIOp
 		Trials:    spec.Trials,
 		Threshold: fi.ComposeThreshold,
 		Workers:   fi.Workers,
-		BatchSize: fi.BatchSize,
 		Seed:      spec.Seed,
 		Model:     fi.Model,
 		Trace:     tr,

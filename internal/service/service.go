@@ -308,8 +308,12 @@ func (s *Server) normalize(spec *JobSpec) error {
 		sort.Strings(known)
 		return fmt.Errorf("unknown benchmark %q (known: %v)", spec.Bench, known)
 	}
-	if spec.Kind != KindSearch && len(spec.Input) == 0 {
-		spec.Input = prog.Build(spec.Bench).RefInput()
+	if spec.Kind != KindSearch {
+		in, err := resolveInput(s.cache.bench(spec.Bench).b, spec.Input)
+		if err != nil {
+			return err
+		}
+		spec.Input = in
 	}
 	if spec.Trials <= 0 {
 		spec.Trials = DefaultTrials
@@ -322,6 +326,19 @@ func (s *Server) normalize(spec *JobSpec) error {
 	}
 	_, err := spec.fiOptions()
 	return err
+}
+
+// resolveInput applies the input rule /jobs and /shard share: an empty
+// input is the benchmark's reference input, and any other input must hold
+// one value per argument.
+func resolveInput(b *prog.Benchmark, input []float64) ([]float64, error) {
+	if len(input) == 0 {
+		return b.RefInput(), nil
+	}
+	if len(input) != len(b.Args) {
+		return nil, fmt.Errorf("%s takes %d args, got %d", b.Name, len(b.Args), len(input))
+	}
+	return input, nil
 }
 
 // publishQueueMetrics refreshes the pool gauges.

@@ -5,8 +5,8 @@ package service
 // either in-process (campaign.OverallShard) or on a peer peppaxd -worker via
 // POST /shard. Because every trial's RNG derives from (seed, global trial
 // index) alone, the merged tally is bit-identical to the single-process
-// campaign at any shard count, worker count, or batch size — the wire
-// protocol moves only Counts, never RNG state.
+// campaign at any shard count or worker count — the wire protocol moves
+// only Counts, never RNG state.
 
 import (
 	"bytes"
@@ -23,17 +23,14 @@ import (
 
 // ShardRequest asks a worker to run trials [Lo, Hi) of a flat campaign.
 type ShardRequest struct {
-	Bench string    `json:"bench"`
-	Input []float64 `json:"input,omitempty"`
-	// CheckpointInterval must match the coordinator's golden so both sides
-	// replay identical fault spaces (campaign.NewGoldenCheckpointed
-	// semantics).
-	CheckpointInterval int64  `json:"checkpoint_interval"`
-	Seed               uint64 `json:"seed"`
-	Lo                 int    `json:"lo"`
-	Hi                 int    `json:"hi"`
-	Workers            int    `json:"workers,omitempty"`
-	Batch              int    `json:"batch,omitempty"`
+	Bench string `json:"bench"`
+	// Input follows the JobSpec rule: one value per benchmark argument,
+	// empty for the reference input.
+	Input   []float64 `json:"input,omitempty"`
+	Seed    uint64    `json:"seed"`
+	Lo      int       `json:"lo"`
+	Hi      int       `json:"hi"`
+	Workers int       `json:"workers,omitempty"`
 	// FaultModel names the fault model every trial samples from
 	// (fault.ModelNames; "" = the single-bit-flip default). Coordinator and
 	// worker must agree or the merged tally loses bit-identity, so it rides
@@ -67,11 +64,10 @@ func (s *Server) runFlatCampaign(ctx context.Context, spec *JobSpec, be *benchEn
 		shards = trials
 	}
 	popts := campaign.ParallelOptions{
-		Workers:   spec.Workers,
-		Seed:      spec.Seed,
-		BatchSize: spec.Batch,
-		Ctx:       ctx,
-		Model:     model,
+		Workers: spec.Workers,
+		Seed:    spec.Seed,
+		Ctx:     ctx,
+		Model:   model,
 	}
 
 	if shards == 1 && len(s.cfg.Peers) == 0 {
@@ -125,16 +121,14 @@ func (s *Server) runFlatCampaign(ctx context.Context, spec *JobSpec, be *benchEn
 func (s *Server) dispatchShard(ctx context.Context, peer string, spec *JobSpec, g *campaign.Golden, lo, hi int) (campaign.Counts, error) {
 	var c campaign.Counts
 	body, err := json.Marshal(ShardRequest{
-		Bench:              spec.Bench,
-		Input:              spec.Input,
-		CheckpointInterval: spec.CheckpointInterval,
-		Seed:               spec.Seed,
-		Lo:                 lo,
-		Hi:                 hi,
-		Workers:            spec.Workers,
-		Batch:              spec.Batch,
-		FaultModel:         spec.FaultModel,
-		GoldenDyn:          g.DynCount,
+		Bench:      spec.Bench,
+		Input:      spec.Input,
+		Seed:       spec.Seed,
+		Lo:         lo,
+		Hi:         hi,
+		Workers:    spec.Workers,
+		FaultModel: spec.FaultModel,
+		GoldenDyn:  g.DynCount,
 	})
 	if err != nil {
 		return c, err
@@ -192,18 +186,21 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	be := s.cache.bench(sr.Bench)
-	ge, _, err := s.cache.golden(be, sr.Input, sr.CheckpointInterval, sr.FaultModel)
+	if sr.Input, err = resolveInput(be.b, sr.Input); err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	ge, _, err := s.cache.golden(be, sr.Input)
 	s.publishCacheMetrics()
 	if err != nil {
 		http.Error(w, "golden run failed: "+err.Error(), http.StatusUnprocessableEntity)
 		return
 	}
 	c := campaign.OverallShard(be.b.Prog, ge.g, sr.Lo, sr.Hi, campaign.ParallelOptions{
-		Workers:   sr.Workers,
-		Seed:      sr.Seed,
-		BatchSize: sr.Batch,
-		Ctx:       r.Context(),
-		Model:     model,
+		Workers: sr.Workers,
+		Seed:    sr.Seed,
+		Ctx:     r.Context(),
+		Model:   model,
 	})
 	s.rec.Count("service.shard.trials", int64(c.Trials))
 	s.rec.Count("service.shard.dyn", c.DynInstrs)
