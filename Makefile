@@ -100,10 +100,9 @@ bench-fitness:
 # equivalence suite — on >=5/7 benchmarks the composed stratified estimate
 # must land inside the full 1000-trial campaign's Wilson interval while
 # spending >=30% fewer trials, and on every kernel the adaptive burst-fault
-# interval must overlap the flat burst campaign's — plus worker/runner
-# invariance (bit-identical results at workers 1/4 × round runners sharded
-# 1/2/4 ways, under every fault model) and the Wilson-interval property
-# tests; (2) the core/experiments threading tests (adaptive final campaign,
+# interval must overlap the flat burst campaign's — plus worker invariance
+# (bit-identical results at workers 1/4, under every fault model) and the
+# Wilson-interval property tests; (2) the core/experiments threading tests (adaptive final campaign,
 # adaptive baseline, rejection bound).
 test-adaptive:
 	$(GO) test -count=1 -run 'Adaptive|BuildStrata|Wilson|PercentileOfValue|RandomSearchBoundsRejections' \
@@ -112,9 +111,9 @@ test-adaptive:
 # Compositional-estimation gate, in two parts: (1) the compose test suite —
 # partition coverage, cache reuse/staleness, the 7-benchmark equivalence
 # check (composed estimate inside the direct campaign's 95% Wilson
-# interval) and exact-reuse bit-identity at workers 1/4 × measurement
-# runners sharded 1/2/4 ways — plus the sensitivity/core/experiments
-# threading tests and the benchjson compose_speedup tests; (2) end-to-end
+# interval) and exact-reuse bit-identity at workers 1/4 — plus the
+# sensitivity/core/experiments threading tests (Figures 5 and 7 report the
+# composed checkpoint estimate) and the benchjson compose_speedup tests; (2) end-to-end
 # trace determinism — the same fi -compose run at 1 and 4 workers must
 # write byte-identical JSONL.
 test-compose:
@@ -141,13 +140,14 @@ bench-compose:
 	$(GO) run ./cmd/benchjson < BENCH_compose.txt > BENCH_compose.json
 	@echo "wrote BENCH_compose.json"
 
-# Sharded-service gate: the shard/merge equivalence suite (bit-identical
-# tallies at shards 1/2/4 × workers 1/4 × library batch sizes 1/64 on all
-# benchmarks, the adaptive sharded-runner equivalence, cancellation
+# Service gate: the trial-range/merge equivalence suite (merged
+# OverallShard tallies over 1/2/4 ranges bit-identical to the whole run at
+# workers 1/4 × library batch sizes 1/64 on all benchmarks, cancellation
 # honesty), the peppaxd service tests (campaign/adaptive/sensitivity jobs
-# vs in-process, single-flight golden cache shared across fault models,
-# profile sharing, 429 backpressure, input-arity and unknown-field 400s,
-# peer shard dispatch + fallback, graceful drain, token budgets), and the
+# vs in-process at 0/1/3 peers, a peer used at default settings,
+# single-flight golden cache shared across fault models, profile sharing,
+# 429 backpressure, input-arity and unknown-field 400s on /jobs and
+# /shard, peer dispatch + fallback, graceful drain, token budgets), and the
 # benchjson shard_speedup/cache_elimination tests.
 test-service:
 	$(GO) test -count=1 -run 'Shard|CountsMerge|Service' \
@@ -157,9 +157,9 @@ test-service:
 # search-strategy suite (TestAllStrategiesImprove drives the fuzz strategy
 # through Objective.Probe), the fault-model registry/corruption tests, and
 # the determinism matrix (every model bit-identical at workers 1/4 × library
-# batch sizes 1/64 × shards 1/2, at the campaign.ParallelOptions level; the
-# default single-flip path pinned byte-identical to the pre-interface
-# behaviour).
+# batch sizes 1/64 × merged trial ranges 1/2/4, at the
+# campaign.ParallelOptions level; the default single-flip path pinned
+# byte-identical to the pre-interface behaviour).
 test-fuzz:
 	$(GO) test -count=1 ./internal/fuzz
 	$(GO) test -count=1 ./internal/search
@@ -177,35 +177,48 @@ bench-shard:
 	$(GO) run ./cmd/benchjson < BENCH_shard.txt > BENCH_shard.json
 	@echo "wrote BENCH_shard.json"
 
-# End-to-end service gate: start a real peppaxd, submit the same campaign
-# over HTTP (sharded) and in-process, both at default worker settings, and
-# require byte-identical fi output once the local run's "checkpoints:"
+# End-to-end service gate: start a peppaxd -worker peer and a coordinator
+# pointed at it with -peers, submit the same campaign over HTTP (one trial
+# range on each daemon) and in-process, both at default worker settings,
+# and require byte-identical fi output once the local run's "checkpoints:"
 # summary and the blank line after it are dropped (it describes local
-# execution state the remote renderer cannot see).
-# All artifacts (output pair, daemon log) land under $(E2E_DIR), inside the
+# execution state the remote renderer cannot see). The peer's /metrics must
+# show peppax_service_shard_trials above 0, and both daemons must drain on
+# SIGTERM with exit 143.
+# All artifacts (output pair, daemon logs) land under $(E2E_DIR), inside the
 # gitignored bin/ tree, never at the repo root.
 E2E_ADDR ?= 127.0.0.1:9473
+E2E_PEER ?= 127.0.0.1:9474
 E2E_DIR ?= bin/e2e
 e2e-service:
 	$(GO) build -o bin/peppaxd ./cmd/peppaxd
 	$(GO) build -o bin/fi ./cmd/fi
 	mkdir -p $(E2E_DIR)
-	./bin/peppaxd -addr $(E2E_ADDR) > /dev/null 2> $(E2E_DIR)/peppaxd-e2e.log & \
+	./bin/peppaxd -worker -addr $(E2E_PEER) > /dev/null 2> $(E2E_DIR)/peppaxd-peer.log & \
+	peer=$$!; \
+	./bin/peppaxd -addr $(E2E_ADDR) -peers http://$(E2E_PEER) > /dev/null 2> $(E2E_DIR)/peppaxd-e2e.log & \
 	pid=$$!; \
-	for i in $$(seq 1 50); do \
-		curl -sf http://$(E2E_ADDR)/healthz > /dev/null 2>&1 && break; \
-		sleep 0.2; \
+	for addr in $(E2E_PEER) $(E2E_ADDR); do \
+		for i in $$(seq 1 50); do \
+			curl -sf http://$$addr/healthz > /dev/null 2>&1 && break; \
+			sleep 0.2; \
+		done; \
 	done; \
 	./bin/fi -bench needle -trials 300 -seed 7 > $(E2E_DIR)/fi-local-full.txt && \
 	sed '/^checkpoints: /{N;d;}' $(E2E_DIR)/fi-local-full.txt > $(E2E_DIR)/fi-local.txt && \
 	./bin/fi -bench needle -trials 300 -seed 7 \
-		-remote http://$(E2E_ADDR) -shards 2 > $(E2E_DIR)/fi-remote.txt && \
+		-remote http://$(E2E_ADDR) > $(E2E_DIR)/fi-remote.txt && \
 	cmp $(E2E_DIR)/fi-local.txt $(E2E_DIR)/fi-remote.txt && \
-	curl -sf http://$(E2E_ADDR)/metrics | grep -q '^peppax_service_' ; \
-	rc=$$?; kill -TERM $$pid 2> /dev/null; wait $$pid; \
-	drain=$$?; [ $$rc -eq 0 ] && [ $$drain -eq 143 ]; rc=$$?; \
-	grep -q 'drained, bye' $(E2E_DIR)/peppaxd-e2e.log || rc=1; exit $$rc
-	@echo "remote and in-process fi output byte-identical; graceful drain ok"
+	curl -sf http://$(E2E_ADDR)/metrics | grep -q '^peppax_service_' && \
+	curl -sf http://$(E2E_PEER)/metrics | \
+		awk '$$1 == "peppax_service_shard_trials" && $$2 > 0 { ok = 1 } END { exit !ok }' ; \
+	rc=$$?; \
+	kill -TERM $$pid 2> /dev/null; wait $$pid; drain=$$?; \
+	kill -TERM $$peer 2> /dev/null; wait $$peer; peerdrain=$$?; \
+	[ $$rc -eq 0 ] && [ $$drain -eq 143 ] && [ $$peerdrain -eq 143 ]; rc=$$?; \
+	grep -q 'drained, bye' $(E2E_DIR)/peppaxd-e2e.log || rc=1; \
+	grep -q 'drained, bye' $(E2E_DIR)/peppaxd-peer.log || rc=1; exit $$rc
+	@echo "remote (coordinator + peer) and in-process fi output byte-identical; peer served trials; graceful drain ok"
 
 # Benchmark build gate. perfbench/ is its own Go module (replace repro =>
 # ../), so build, test and ci never compile it: vet and test it in place,

@@ -17,7 +17,7 @@ func TestFlagSurface(t *testing.T) {
 		"adaptive": "", "bench": `"pathfinder"`, "ci-target": "", "compose": "",
 		"compose-threshold": "", "fault-model": "", "heat-topk": "",
 		"input": "", "metrics": "", "metrics-addr": "", "perinstr": "",
-		"remote": "", "seed": "1", "shards": "", "top": "15", "trace": "",
+		"remote": "", "seed": "1", "top": "15", "trace": "",
 		"trace-wallclock": "", "trials": "1000", "workers": "",
 	})
 }

@@ -5,14 +5,14 @@
 // Usage:
 //
 //	fi -bench hpccg [-input "3,3,3,15,17"] [-trials 1000] [-perinstr]
-//	   [-top 10] [-seed 1] [-workers N] [-shards N] [-remote URL]
+//	   [-top 10] [-seed 1] [-workers N] [-remote URL]
 //	   [shared FI and telemetry flags]
 //
 // The shared flags (-workers, -adaptive, -ci-target, -compose,
 // -compose-threshold, -fault-model, -heat-topk, -trace, -trace-wallclock,
 // -metrics, -metrics-addr) mean the same here as in peppax and experiments.
 // Every trial draws from a stream derived from -seed and its index, so
-// -workers, -shards and -remote never change a tally.
+// -workers and -remote never change a tally.
 //
 // -adaptive switches the whole-program campaign to the adaptive stratified
 // runner: injection targets are partitioned into dyn-count-ranked strata,
@@ -69,7 +69,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		perInstr = fs.Bool("perinstr", false, "measure per-instruction SDC probabilities")
 		top      = fs.Int("top", 15, "how many most-SDC-prone instructions to list (per-instruction mode)")
 		seed     = fs.Uint64("seed", 1, "RNG seed")
-		shards   = fs.Int("shards", 0, "split the campaign's trials into N shards run concurrently (0/1 = unsharded; tallies are bit-identical at any shard count)")
 		remote   = fs.String("remote", "", "submit the campaign to a peppaxd server at this base URL (e.g. http://127.0.0.1:9470) instead of running in-process")
 		cf       = cli.Register(fs)
 	)
@@ -123,7 +122,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			Seed:       *seed,
 			FaultModel: cf.FaultModel,
 			Workers:    fi.Workers,
-			Shards:     *shards,
 			Adaptive:   cf.Adaptive,
 			CITarget:   cf.CITarget,
 		}, *remote)
@@ -248,7 +246,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			Seed:      *seed,
 			CITarget:  fi.CITarget,
 			MaxTrials: *trials,
-			Runner:    campaign.ShardedRunner(*shards),
 			Model:     fi.Model,
 		})
 		tr.Advance(ar.Counts.DynInstrs)
@@ -266,7 +263,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	desc := modelDesc(cf.FaultModel)
-	c := campaign.OverallSharded(b.Prog, g, *trials, *shards, campaign.ParallelOptions{
+	c := campaign.OverallParallel(b.Prog, g, *trials, campaign.ParallelOptions{
 		Workers: fi.Workers, Seed: *seed, Model: fi.Model,
 	})
 	tr.Advance(c.DynInstrs)

@@ -2,16 +2,18 @@
 // job server for whole-program FI campaigns (flat and adaptive),
 // compositional sensitivity estimates, and full SDC-bound searches.
 //
-//	peppaxd [-addr 127.0.0.1:9470] [-slots 2] [-queue 8] [-shards 1]
+//	peppaxd [-addr 127.0.0.1:9470] [-slots 2] [-queue 8]
 //	        [-peers http://h1:9470,http://h2:9470] [-golden-cap 32]
 //	        [-profile-cap 256] [-max-job-tokens N] [-fault-model burst]
 //	        [-worker] [-trace out.jsonl]
 //
 // POST /jobs streams JSONL progress events and ends with one JSON result
 // document; GET /metrics serves Prometheus counters and gauges; POST /shard
-// runs one campaign shard for a peer coordinator. -worker disables /jobs,
-// the shape a shard-executing peer runs. Identical job specs produce
-// bit-identical campaign tallies at any -slots, -shards or -peers
+// runs one trial range of a flat campaign for a peer coordinator. -worker
+// disables /jobs, the shape a range-executing peer runs. With -peers, each
+// flat campaign runs one contiguous trial range here and one on each peer;
+// adaptive, sensitivity and search jobs run here alone. Identical job specs
+// produce bit-identical campaign tallies at any -slots or -peers
 // configuration; SIGINT/SIGTERM drains inflight jobs before exiting.
 package main
 
@@ -47,8 +49,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		addr         = fs.String("addr", "127.0.0.1:9470", "listen address")
 		slots        = fs.Int("slots", service.DefaultSlots, "jobs running concurrently")
 		queue        = fs.Int("queue", service.DefaultQueueCap, "jobs waiting for a slot before submissions get 429")
-		shards       = fs.Int("shards", 1, "default shard count for campaign jobs")
-		peers        = fs.String("peers", "", "comma-separated base URLs of peer peppaxd workers to shard campaigns across")
+		peers        = fs.String("peers", "", "comma-separated base URLs of peer peppaxd workers; each runs one trial range of every flat campaign")
 		goldenCap    = fs.Int("golden-cap", service.DefaultGoldenCap, "golden-run cache capacity (LRU entries)")
 		profileCap   = fs.Int("profile-cap", service.DefaultProfileCap, "compose profile cache capacity (LRU entries)")
 		maxJobTokens = fs.Int64("max-job-tokens", service.DefaultMaxJobTokens, "default per-job dynamic-instruction budget (negative = unlimited)")
@@ -93,7 +94,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		QueueCap:     *queue,
 		GoldenCap:    *goldenCap,
 		ProfileCap:   *profileCap,
-		Shards:       *shards,
 		Peers:        peerList,
 		MaxJobTokens: *maxJobTokens,
 		FaultModel:   *faultModel,

@@ -32,7 +32,7 @@ func TestDaemonLifecycle(t *testing.T) {
 	}
 
 	cl := &service.Client{Base: "http://" + addr}
-	spec := &service.JobSpec{Kind: service.KindCampaign, Bench: "pathfinder", Trials: 60, Seed: 5, Shards: 2}
+	spec := &service.JobSpec{Kind: service.KindCampaign, Bench: "pathfinder", Trials: 60, Seed: 5}
 	res, err := cl.Submit(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)

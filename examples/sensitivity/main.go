@@ -27,7 +27,7 @@ func main() {
 	rng := xrand.New(7)
 
 	// Step 1: a small FI input with reference-level coverage.
-	small, err := core.FindSmallFIInput(bench, 0.95, rng)
+	small, err := core.FindSmallFIInput(bench, rng)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -85,9 +85,10 @@ type AdaptiveOptions struct {
 	// from the strata tallies, so completed-trial statistics stay exact.
 	Ctx context.Context
 	// Runner, when non-nil, replaces RunPlans as the round executor — the
-	// sharding hook. Any runner honoring the RunPlans contract (results
-	// depend only on the plans and per-trial RNG streams, returned in plan
-	// order) keeps adaptive results bit-identical to the in-process run.
+	// hook a service meters each round's spend through. Any runner
+	// honoring the RunPlans contract (results depend only on the plans and
+	// per-trial RNG streams, returned in plan order) keeps adaptive results
+	// bit-identical to the in-process run.
 	Runner TrialRunner
 	// Model selects the fault model strata sample from (see
 	// ParallelOptions.Model). Nil is the single-bit-flip default, whose
@@ -443,7 +444,7 @@ func allocateRound(strata []Stratum, budget int) []int {
 // runAdaptiveRound executes alloc[s] new trials per stratum. Trials are laid
 // out in stratum order, each on a private RNG stream keyed by
 // (seed, stratum, per-stratum trial index), executed through the round
-// runner (RunPlans unless opts.Runner shards the round), and folded back in
+// runner (RunPlans unless opts.Runner wraps it), and folded back in
 // layout order — bit-identical for every worker count and conforming
 // runner. Trials the runner skipped (cancellation) are excluded
 // from the tallies.

@@ -74,9 +74,8 @@ func TestAdaptiveEquivalence(t *testing.T) {
 
 // TestAdaptiveDeterminism: for a fixed seed the entire adaptive result —
 // every stratum tally, allocation history, and composed bound — must be
-// bit-identical across worker counts and round runners (ShardedRunner at 1,
-// 2 and 4 shards; one shard is plain RunPlans), including the serial
-// schedule, under the default model and every other fault model.
+// bit-identical across worker counts, including the serial schedule, under
+// the default model and every other fault model.
 func TestAdaptiveDeterminism(t *testing.T) {
 	maxTrials := 400
 	if testing.Short() {
@@ -98,28 +97,21 @@ func TestAdaptiveDeterminism(t *testing.T) {
 			refOpts.Workers = 1
 			ref := OverallAdaptive(b.Prog, g, refOpts)
 			for _, workers := range []int{1, 4} {
-				for _, shards := range []int{1, 2, 4} {
-					o := base
-					o.Workers = workers
-					o.Runner = ShardedRunner(shards)
-					got := OverallAdaptive(b.Prog, g, o)
-					if !reflect.DeepEqual(got, ref) {
-						t.Fatalf("workers=%d shards=%d: adaptive result diverged from serial reference\ngot  %+v\nwant %+v", workers, shards, got, ref)
-					}
+				o := base
+				o.Workers = workers
+				if got := OverallAdaptive(b.Prog, g, o); !reflect.DeepEqual(got, ref) {
+					t.Fatalf("workers=%d: adaptive result diverged from serial reference\ngot  %+v\nwant %+v", workers, got, ref)
 				}
 			}
 			for _, m := range []fault.Model{fault.DoubleFlip, fault.BurstFlip, fault.ValueCorrupt} {
 				refOpts.Model = m
 				mref := OverallAdaptive(b.Prog, g, refOpts)
 				for _, workers := range []int{1, 4} {
-					for _, shards := range []int{1, 2, 4} {
-						o := refOpts
-						o.Workers = workers
-						o.Runner = ShardedRunner(shards)
-						if got := OverallAdaptive(b.Prog, g, o); !reflect.DeepEqual(got, mref) {
-							t.Fatalf("model=%s workers=%d shards=%d: adaptive result diverged from serial reference\ngot  %+v\nwant %+v",
-								m.Name(), workers, shards, got, mref)
-						}
+					o := refOpts
+					o.Workers = workers
+					if got := OverallAdaptive(b.Prog, g, o); !reflect.DeepEqual(got, mref) {
+						t.Fatalf("model=%s workers=%d: adaptive result diverged from serial reference\ngot  %+v\nwant %+v",
+							m.Name(), workers, got, mref)
 					}
 				}
 			}

@@ -131,7 +131,7 @@ func TestCheckpointedParallelEquivalence(t *testing.T) {
 // TestCheckpointConvergedCounters: trials that re-join the golden end
 // early without changing the tally, and the converged counters derive from
 // the dyn clock alone, so every checkpoint counter is identical at workers
-// 1 and 4 and at shards 1 and 2.
+// 1 and 4 and at 1, 2 and 4 merged trial ranges.
 func TestCheckpointConvergedCounters(t *testing.T) {
 	trials := 300
 	if testing.Short() {
@@ -157,11 +157,14 @@ func TestCheckpointConvergedCounters(t *testing.T) {
 			{"workers 4", func(g *Golden) Counts {
 				return OverallParallel(b.Prog, g, trials, ParallelOptions{Workers: 4, Seed: seed})
 			}},
-			{"shards 1", func(g *Golden) Counts {
-				return OverallSharded(b.Prog, g, trials, 1, ParallelOptions{Workers: 2, Seed: seed})
+			{"ranges 1", func(g *Golden) Counts {
+				return mergedRanges(b.Prog, g, trials, 1, ParallelOptions{Workers: 2, Seed: seed})
 			}},
-			{"shards 2", func(g *Golden) Counts {
-				return OverallSharded(b.Prog, g, trials, 2, ParallelOptions{Workers: 2, Seed: seed})
+			{"ranges 2", func(g *Golden) Counts {
+				return mergedRanges(b.Prog, g, trials, 2, ParallelOptions{Workers: 2, Seed: seed})
+			}},
+			{"ranges 4", func(g *Golden) Counts {
+				return mergedRanges(b.Prog, g, trials, 4, ParallelOptions{Workers: 2, Seed: seed})
 			}},
 		} {
 			g, err := NewGoldenCheckpointed(b.Prog, in, b.MaxDyn, CheckpointAuto)

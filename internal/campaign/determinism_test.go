@@ -10,9 +10,9 @@ import (
 // TestFaultModelDeterminismMatrix is the pluggable-fault-model determinism
 // gate: for every registered model, the flat campaign tally must be
 // bit-identical across the full execution matrix — workers {1, 4} ×
-// batch size {1, 64} × shards {1, 2} — because each trial's plan and
-// injection randomness derive from (Seed, global trial index) alone,
-// regardless of which model samples the plan.
+// batch size {1, 64} × merged trial ranges {1, 2, 4} — because each
+// trial's plan and injection randomness derive from (Seed, global trial
+// index) alone, regardless of which model samples the plan.
 func TestFaultModelDeterminismMatrix(t *testing.T) {
 	trials := 160
 	if testing.Short() {
@@ -32,15 +32,15 @@ func TestFaultModelDeterminismMatrix(t *testing.T) {
 				if ref.Trials != trials {
 					t.Fatalf("reference run completed %d/%d trials", ref.Trials, trials)
 				}
-				for _, shards := range []int{1, 2} {
+				for _, ranges := range []int{1, 2, 4} {
 					for _, workers := range []int{1, 4} {
 						for _, batch := range []int{1, 64} {
-							got := OverallSharded(b.Prog, g, trials, shards, ParallelOptions{
+							got := mergedRanges(b.Prog, g, trials, ranges, ParallelOptions{
 								Workers: workers, Seed: seed, BatchSize: batch, Model: m,
 							})
 							if got != ref {
-								t.Fatalf("shards=%d workers=%d batch=%d: %+v, want %+v",
-									shards, workers, batch, got, ref)
+								t.Fatalf("ranges=%d workers=%d batch=%d: %+v, want %+v",
+									ranges, workers, batch, got, ref)
 							}
 						}
 					}

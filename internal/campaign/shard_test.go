@@ -5,8 +5,26 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/interp"
+	"repro/internal/parallel"
 	"repro/internal/prog"
 )
+
+// mergedRanges runs a flat campaign as `ranges` contiguous ShardRanges,
+// concurrently, the way a coordinator and its peers run them, and merges
+// the tallies in range order.
+func mergedRanges(p *interp.Program, g *Golden, trials, ranges int, opts ParallelOptions) Counts {
+	tallies := make([]Counts, ranges)
+	parallel.ForEach(ranges, ranges, func(r int) {
+		lo, hi := ShardRange(trials, r, ranges)
+		tallies[r] = OverallShard(p, g, lo, hi, opts)
+	})
+	var c Counts
+	for _, t := range tallies {
+		c.Merge(t)
+	}
+	return c
+}
 
 func TestShardRangePartitions(t *testing.T) {
 	for _, trials := range []int{0, 1, 2, 7, 100, 1001} {
@@ -51,11 +69,11 @@ func TestCountsMerge(t *testing.T) {
 	}
 }
 
-// TestOverallShardedEquivalence is the sharding differential gate: for every
-// prog benchmark, the merged tally of a sharded flat campaign must be
-// bit-identical to the unsharded run at every shard count, worker count, and
-// batch size — trial RNG streams derive from (seed, global trial index), so
-// the split point cannot matter.
+// TestOverallShardedEquivalence is the trial-range differential gate: for
+// every prog benchmark, the merged tally of a flat campaign split into 1, 2
+// or 4 ranges must be bit-identical to the whole run at every range count,
+// worker count, and batch size — trial RNG streams derive from (seed,
+// global trial index), so the split point cannot matter.
 func TestOverallShardedEquivalence(t *testing.T) {
 	trials := 300
 	if testing.Short() {
@@ -73,14 +91,14 @@ func TestOverallShardedEquivalence(t *testing.T) {
 			}
 			const seed = 17
 			ref := OverallParallel(b.Prog, g, trials, ParallelOptions{Workers: 1, Seed: seed})
-			for _, shards := range []int{1, 2, 4} {
+			for _, ranges := range []int{1, 2, 4} {
 				for _, cfg := range []struct{ workers, batch int }{{1, 1}, {4, 64}} {
-					got := OverallSharded(b.Prog, g, trials, shards, ParallelOptions{
+					got := mergedRanges(b.Prog, g, trials, ranges, ParallelOptions{
 						Workers: cfg.workers, Seed: seed, BatchSize: cfg.batch,
 					})
 					if got != ref {
-						t.Fatalf("shards=%d workers=%d batch=%d: %+v vs unsharded %+v",
-							shards, cfg.workers, cfg.batch, got, ref)
+						t.Fatalf("ranges=%d workers=%d batch=%d: %+v vs whole run %+v",
+							ranges, cfg.workers, cfg.batch, got, ref)
 					}
 				}
 			}
@@ -111,28 +129,10 @@ func TestOverallShardIndependentRanges(t *testing.T) {
 	}
 }
 
-// TestShardedRunnerAdaptiveEquivalence: an adaptive campaign driven through
-// the sharded runner must match the default runner bit for bit — the runner
-// only re-partitions the round's plan list.
-func TestShardedRunnerAdaptiveEquivalence(t *testing.T) {
-	name := "pathfinder"
-	b := prog.Build(name)
-	g, err := NewGoldenCheckpointed(b.Prog, b.Encode(b.RefInput()), b.MaxDyn, CheckpointAuto)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := OverallAdaptive(b.Prog, g, AdaptiveOptions{Seed: 7, MaxTrials: 240})
-	for _, shards := range []int{1, 2, 4} {
-		got := OverallAdaptive(b.Prog, g, AdaptiveOptions{Seed: 7, MaxTrials: 240, Runner: ShardedRunner(shards)})
-		if got.Counts != base.Counts || got.Estimate != base.Estimate || got.Lo != base.Lo || got.Hi != base.Hi || got.Rounds != base.Rounds {
-			t.Fatalf("shards=%d: adaptive diverged: %+v vs %+v", shards, got, base)
-		}
-	}
-}
-
 // TestOverallShardedCancellation: a pre-canceled context runs nothing; a
-// context canceled mid-campaign keeps the completed trials honest (every
-// reported trial is a real one — no zero-value Benign padding).
+// context canceled mid-campaign keeps the completed trials of every range
+// honest (every reported trial is a real one — no zero-value Benign
+// padding).
 func TestOverallShardedCancellation(t *testing.T) {
 	p := buildAccumulator(t)
 	g, err := NewGolden(p, []uint64{150}, 0)
@@ -141,7 +141,7 @@ func TestOverallShardedCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	c := OverallSharded(p, g, 100, 4, ParallelOptions{Workers: 2, Seed: 3, Ctx: ctx})
+	c := mergedRanges(p, g, 100, 4, ParallelOptions{Workers: 2, Seed: 3, Ctx: ctx})
 	if c.Trials != 0 {
 		t.Fatalf("pre-canceled campaign ran %d trials", c.Trials)
 	}
@@ -151,7 +151,7 @@ func TestOverallShardedCancellation(t *testing.T) {
 
 	// Mid-flight cancel: fire after the first classified trial. The exact
 	// stopping point is scheduling-dependent; the invariant is partial and
-	// honest, not a specific count. The two shards run concurrently, so
+	// honest, not a specific count. The two ranges run concurrently, so
 	// the detector's flag is shared between goroutines.
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	var fired atomic.Bool
@@ -161,7 +161,7 @@ func TestOverallShardedCancellation(t *testing.T) {
 		}
 		return false
 	}
-	c = OverallSharded(p, g, 200, 2, ParallelOptions{Workers: 1, Seed: 3, Ctx: ctx2, Detector: det})
+	c = mergedRanges(p, g, 200, 2, ParallelOptions{Workers: 1, Seed: 3, Ctx: ctx2, Detector: det})
 	if c.Trials >= 200 {
 		t.Fatalf("mid-flight cancel did not stop the campaign: %d trials", c.Trials)
 	}

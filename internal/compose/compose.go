@@ -93,9 +93,6 @@ type Options struct {
 	// Trials is the total trial budget of a full measurement pass
 	// (<= 0: DefaultTrials).
 	Trials int
-	// MinSegmentTrials floors per-segment trial counts
-	// (<= 0: DefaultMinSegmentTrials).
-	MinSegmentTrials int
 	// Threshold is the re-measurement trigger: a cached profile is stale
 	// once the segment's dynamic fraction moved more than Threshold from
 	// the measured one, the within-segment instruction mix moved more
@@ -110,9 +107,6 @@ type Options struct {
 	// Seed derives every measurement trial's private RNG stream via
 	// (Seed, segment index, epoch, trial index).
 	Seed uint64
-	// FaultModel names the fault model in cache keys
-	// ("" = DefaultFaultModel, or Model.Name() when Model is set).
-	FaultModel string
 	// Model selects the fault model measurement trials corrupt with. Nil is
 	// the single-bit-flip default, byte-identical to the historical eager
 	// per-plan bit draw. Non-nil models ride inside the sampled plans, so
@@ -130,9 +124,9 @@ type Options struct {
 	// would serve it to every later estimate.
 	Ctx context.Context
 	// Runner, when non-nil, replaces campaign.RunPlans as the measurement
-	// executor — the sharding hook. Any runner honoring the RunPlans
-	// contract keeps profiles (and thus estimates) bit-identical to the
-	// in-process run.
+	// executor — the hook a service meters measurement spend through. Any
+	// runner honoring the RunPlans contract keeps profiles (and thus
+	// estimates) bit-identical to the in-process run.
 	Runner campaign.TrialRunner
 }
 
@@ -140,19 +134,8 @@ func (o Options) withDefaults() Options {
 	if o.Trials <= 0 {
 		o.Trials = DefaultTrials
 	}
-	if o.MinSegmentTrials <= 0 {
-		o.MinSegmentTrials = DefaultMinSegmentTrials
-	}
 	if o.Threshold == 0 {
 		o.Threshold = DefaultThreshold
-	}
-	if o.Model != nil {
-		// The model owns the key segment so profiles measured under
-		// different corruption patterns can never alias.
-		o.FaultModel = o.Model.Name()
-	}
-	if o.FaultModel == "" {
-		o.FaultModel = DefaultFaultModel
 	}
 	return o
 }
@@ -353,8 +336,14 @@ func (e *Estimator) EstimateGolden(g *campaign.Golden) *Estimate {
 }
 
 // key builds a segment's cache key: (program hash, segment, fault model).
+// The model owns the key segment so profiles measured under different
+// corruption patterns can never alias.
 func (e *Estimator) key(segment string) string {
-	return e.part.Hash + "\x1f" + segment + "\x1f" + e.opts.FaultModel
+	model := DefaultFaultModel
+	if e.opts.Model != nil {
+		model = e.opts.Model.Name()
+	}
+	return e.part.Hash + "\x1f" + segment + "\x1f" + model
 }
 
 // stale reports whether a cached profile must be re-measured for a segment
@@ -385,10 +374,11 @@ func (e *Estimator) stale(prof *Profile, w float64, mix []float64, dyn int64) bo
 }
 
 // measure runs one segment's profile campaign on g: trials proportional to
-// the segment's dynamic weight (floored at MinSegmentTrials), each trial a
-// uniform dynamic occurrence of the segment (campaign.SampleOccurrence),
-// executed through campaign.RunPlans (or the Runner hook) so worker count
-// and sharding cannot change the tally. Caller holds e.mu.
+// the segment's dynamic weight (floored at DefaultMinSegmentTrials), each
+// trial a uniform dynamic occurrence of the segment
+// (campaign.SampleOccurrence), executed through campaign.RunPlans (or the
+// Runner hook) so neither the worker count nor the runner can change the
+// tally. Caller holds e.mu.
 func (e *Estimator) measure(g *campaign.Golden, si int, seg *Segment, segDyn int64, w float64, mix []float64) *Profile {
 	trials := e.segmentTrials(g, w)
 
@@ -465,8 +455,8 @@ func (e *Estimator) segmentTrials(g *campaign.Golden, w float64) int {
 		cover = 1
 	}
 	t := int(float64(e.opts.Trials)*w/cover + 0.5)
-	if t < e.opts.MinSegmentTrials {
-		t = e.opts.MinSegmentTrials
+	if t < DefaultMinSegmentTrials {
+		t = DefaultMinSegmentTrials
 	}
 	return t
 }

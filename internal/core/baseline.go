@@ -35,13 +35,6 @@ type BaselineOptions struct {
 	// same program — e.g. a search that already profiled it (nil: a
 	// private cache).
 	ComposeCache *compose.Cache
-	// MaxConsecutiveRejects bounds runs of invalid candidates (§3.1.2
-	// excludes error-raising inputs): rejected candidates advance neither
-	// DynSpent nor Inputs, so a benchmark whose random inputs are mostly
-	// invalid could otherwise spin forever against a DynBudget/MaxInputs
-	// stop. After this many rejections in a row the search stops
-	// (<= 0: DefaultMaxConsecutiveRejects).
-	MaxConsecutiveRejects int
 	// FIOptions configures each candidate's evaluation: a flat
 	// TrialsPerInput-trial campaign, an adaptive one capped at
 	// TrialsPerInput (CITarget > 0; dyn-count strata, since the baseline
@@ -52,10 +45,13 @@ type BaselineOptions struct {
 	FIOptions
 }
 
-// DefaultMaxConsecutiveRejects is the rejection run length at which
-// RandomSearch gives up on finding a valid candidate. Benchmarks draw valid
-// inputs with probability near 1, so a thousand straight rejections means
-// the generator and the validity predicate disagree, not bad luck.
+// DefaultMaxConsecutiveRejects bounds runs of invalid candidates (§3.1.2
+// excludes error-raising inputs): rejected candidates advance neither
+// DynSpent nor Inputs, so a benchmark whose random inputs are mostly
+// invalid could otherwise spin forever against a DynBudget/MaxInputs stop.
+// After this many rejections in a row RandomSearch stops. Benchmarks draw
+// valid inputs with probability near 1, so a thousand straight rejections
+// means the generator and the validity predicate disagree, not bad luck.
 const DefaultMaxConsecutiveRejects = 1000
 
 // BaselinePoint is one step of the baseline's progress curve.
@@ -99,10 +95,6 @@ func RandomSearch(b *prog.Benchmark, opts BaselineOptions, rng *xrand.RNG) *Base
 	if opts.TrialsPerInput <= 0 {
 		opts.TrialsPerInput = 1000
 	}
-	maxRejects := opts.MaxConsecutiveRejects
-	if maxRejects <= 0 {
-		maxRejects = DefaultMaxConsecutiveRejects
-	}
 	start := time.Now()
 	tr := opts.Trace
 	endPhase := tr.Phase("baseline")
@@ -142,7 +134,7 @@ func RandomSearch(b *prog.Benchmark, opts BaselineOptions, rng *xrand.RNG) *Base
 			// produce valid candidates.
 			res.Rejected++
 			rejects++
-			if rejects >= maxRejects {
+			if rejects >= DefaultMaxConsecutiveRejects {
 				break
 			}
 			continue

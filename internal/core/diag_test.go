@@ -20,7 +20,7 @@ func TestDiagPathfinderFitness(t *testing.T) {
 	}
 	b := prog.Build("pathfinder")
 	rng := xrand.New(777)
-	small, _ := FindSmallFIInput(b, 0.95, rng)
+	small, _ := FindSmallFIInput(b, rng)
 	t.Logf("small input: %v", small.Input)
 	dist := sensitivity.Derive(b.Prog, small.Golden, sensitivity.Options{TrialsPerRep: 30, UsePruning: true}, rng)
 	probes := [][]float64{

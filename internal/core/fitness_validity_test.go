@@ -24,7 +24,7 @@ func TestFitnessCorrelatesWithSDC(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			b := prog.Build(name)
 			rng := xrand.New(777)
-			small, err := FindSmallFIInput(b, 0.95, rng)
+			small, err := FindSmallFIInput(b, rng)
 			if err != nil {
 				t.Fatal(err)
 			}

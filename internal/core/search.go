@@ -22,30 +22,19 @@ import (
 type Options struct {
 	// Generations is the GA budget (the x-axis of Figure 5).
 	Generations int
-	// PopSize is the GA population size.
+	// PopSize is the GA population size. Mutation and crossover run at
+	// §4.2.4's rates (ga.DefaultMutationRate and ga.DefaultCrossoverRate).
 	PopSize int
-	// MutationRate and CrossoverRate follow §4.2.4 (0.4 and 0.05).
-	MutationRate  float64
-	CrossoverRate float64
 	// TrialsPerRep is the FI trial count per pruning representative in the
 	// sensitivity derivation (§4.2.3 uses 30).
 	TrialsPerRep int
 	// FinalTrials is the statistical FI campaign size for the reported
 	// SDC-bound input (the paper uses 1000).
 	FinalTrials int
-	// CoverageTargetFrac configures the small-input fuzzer.
-	CoverageTargetFrac float64
 	// Checkpoints lists generation counts at which the current best input
 	// is FI-evaluated (to draw Figure 5). Checkpoint FI cost is reporting
 	// cost and is excluded from the search budget.
 	Checkpoints []int
-	// DisablePruning turns off the §4.2.2 heuristic (Table 5's "without
-	// heuristics" configuration).
-	DisablePruning bool
-	// UseSmallInput selects the step-① small FI input for the sensitivity
-	// derivation; when false the reference input is used (the other half
-	// of Table 5's "without heuristics" cost).
-	UseSmallInput bool
 	// Trace, when non-nil, receives the search's telemetry: phase events
 	// for the Figure 8 sensitivity-vs-search cost split (small_input,
 	// sensitivity, search, final_fi), per-generation GA and cost events,
@@ -76,14 +65,10 @@ func (o Options) canceled() bool {
 // DefaultOptions returns the paper's configuration.
 func DefaultOptions() Options {
 	return Options{
-		Generations:        200,
-		PopSize:            ga.DefaultPopulation,
-		MutationRate:       ga.DefaultMutationRate,
-		CrossoverRate:      ga.DefaultCrossoverRate,
-		TrialsPerRep:       sensitivity.DefaultTrialsPerRepresentative,
-		FinalTrials:        1000,
-		CoverageTargetFrac: DefaultCoverageTargetFrac,
-		UseSmallInput:      true,
+		Generations:  200,
+		PopSize:      ga.DefaultPopulation,
+		TrialsPerRep: sensitivity.DefaultTrialsPerRepresentative,
+		FinalTrials:  1000,
 	}
 }
 
@@ -200,7 +185,7 @@ func Search(b *prog.Benchmark, opts Options, rng *xrand.RNG) (*Result, error) {
 	// Step ①: small FI input.
 	t0 := time.Now()
 	endPhase := tr.Phase("small_input")
-	small, err := FindSmallFIInput(b, opts.CoverageTargetFrac, rng)
+	small, err := FindSmallFIInput(b, rng)
 	if err != nil {
 		return nil, err
 	}
@@ -223,13 +208,7 @@ func Search(b *prog.Benchmark, opts Options, rng *xrand.RNG) (*Result, error) {
 	// traces are unchanged; ckStats records the real work skipped.
 	var ckStats interp.CheckpointStats
 	sensGolden := small.Golden
-	if !opts.UseSmallInput {
-		g, err := campaign.NewGoldenCheckpointed(b.Prog, b.Encode(b.RefInput()), b.MaxDyn, campaign.CheckpointAuto)
-		if err != nil {
-			return nil, err
-		}
-		sensGolden = g
-	} else if err := sensGolden.EnsureCheckpoints(b.Prog); err != nil {
+	if err := sensGolden.EnsureCheckpoints(b.Prog); err != nil {
 		return nil, err
 	}
 	// Compositional mode: one estimator (and profile cache) serves the
@@ -251,7 +230,7 @@ func Search(b *prog.Benchmark, opts Options, rng *xrand.RNG) (*Result, error) {
 	}
 	dist := sensitivity.Derive(b.Prog, sensGolden, sensitivity.Options{
 		TrialsPerRep: opts.TrialsPerRep,
-		UsePruning:   !opts.DisablePruning,
+		UsePruning:   true,
 		Compose:      composeEst,
 	}, rng)
 	res.Distribution = dist
@@ -288,14 +267,12 @@ func Search(b *prog.Benchmark, opts Options, rng *xrand.RNG) (*Result, error) {
 		seeds = append(seeds, ga.Genome(b.RandomInput(rng)))
 	}
 	engine, err := ga.New(ga.Config{
-		PopSize:       opts.PopSize,
-		MutationRate:  opts.MutationRate,
-		CrossoverRate: opts.CrossoverRate,
-		Clamp:         func(g ga.Genome) { b.ClampInput(g) },
-		Fitness:       fitness,
-		Seed:          seeds,
-		Workers:       parallel.Workers(opts.Workers),
-		Trace:         tr,
+		PopSize: opts.PopSize,
+		Clamp:   func(g ga.Genome) { b.ClampInput(g) },
+		Fitness: fitness,
+		Seed:    seeds,
+		Workers: parallel.Workers(opts.Workers),
+		Trace:   tr,
 	}, rng.Split())
 	if err != nil {
 		return nil, err

@@ -46,17 +46,14 @@ type SmallInputResult struct {
 // code coverage at a fraction of its workload (§4.2.1). Candidates are
 // drawn from the benchmark's small argument ranges, linearly widened toward
 // the full ranges round by round; the first candidate reaching
-// targetFrac × reference coverage wins. If no candidate qualifies, the
-// highest-coverage candidate seen is returned (and its Coverage field will
-// be below TargetCoverage).
+// DefaultCoverageTargetFrac × reference coverage wins. If no candidate
+// qualifies, the highest-coverage candidate seen is returned (and its
+// Coverage field will be below TargetCoverage).
 //
 // Candidate runs go through one reused Profiler (no per-candidate machine
 // allocation); a full Golden is only materialized for the reference input
 // and when a candidate improves on the best seen.
-func FindSmallFIInput(b *prog.Benchmark, targetFrac float64, rng *xrand.RNG) (*SmallInputResult, error) {
-	if targetFrac <= 0 {
-		targetFrac = DefaultCoverageTargetFrac
-	}
+func FindSmallFIInput(b *prog.Benchmark, rng *xrand.RNG) (*SmallInputResult, error) {
 	start := time.Now()
 
 	prof := interp.NewProfiler(b.Prog)
@@ -69,7 +66,7 @@ func FindSmallFIInput(b *prog.Benchmark, targetFrac float64, rng *xrand.RNG) (*S
 		return nil, fmt.Errorf("core: reference input of %s is invalid: %w", b.Name, err)
 	}
 	res := &SmallInputResult{
-		TargetCoverage: targetFrac * refGolden.Coverage(),
+		TargetCoverage: DefaultCoverageTargetFrac * refGolden.Coverage(),
 		RefCoverage:    refGolden.Coverage(),
 		RefDynCount:    refGolden.DynCount,
 	}

@@ -36,7 +36,7 @@ type AblationPruningResult struct {
 func AblationPruningBoundaries(s *Suite, bench string) (*AblationPruningResult, error) {
 	b := s.Bench(bench)
 	rng := s.rng("abl-prune", bench)
-	small, err := core.FindSmallFIInput(b, 0.95, rng)
+	small, err := core.FindSmallFIInput(b, rng)
 	if err != nil {
 		return nil, err
 	}
@@ -88,7 +88,7 @@ type AblationFitnessResult struct {
 func AblationFitness(s *Suite, bench string) (*AblationFitnessResult, error) {
 	b := s.Bench(bench)
 	rng := s.rng("abl-fit", bench)
-	small, err := core.FindSmallFIInput(b, 0.95, rng)
+	small, err := core.FindSmallFIInput(b, rng)
 	if err != nil {
 		return nil, err
 	}
@@ -190,7 +190,7 @@ type AblationTrialsResult struct {
 func AblationSensitivityTrials(s *Suite, bench string, trialsA, trialsB int) (*AblationTrialsResult, error) {
 	b := s.Bench(bench)
 	rng := s.rng("abl-trials", bench)
-	small, err := core.FindSmallFIInput(b, 0.95, rng)
+	small, err := core.FindSmallFIInput(b, rng)
 	if err != nil {
 		return nil, err
 	}

@@ -57,9 +57,6 @@ type Config struct {
 	StressProfileTrials int
 	StressTrials        int
 
-	// Baseline5x scales the baseline budget for the Figure 7 comparison.
-	Baseline5x float64
-
 	// Benches restricts the benchmark set (nil = all ten).
 	Benches []string
 
@@ -99,7 +96,6 @@ func DefaultConfig() Config {
 		HeatmapTrials:       250,
 		StressProfileTrials: 30,
 		StressTrials:        1000,
-		Baseline5x:          5,
 	}
 }
 
@@ -119,7 +115,6 @@ func QuickConfig() Config {
 		HeatmapTrials:       60,
 		StressProfileTrials: 8,
 		StressTrials:        150,
-		Baseline5x:          5,
 	}
 }
 

@@ -291,6 +291,49 @@ func TestFigure5_7_8(t *testing.T) {
 	_ = f8.Render()
 }
 
+// TestFigure5_7Compose: under Compose a checkpoint's campaign tally pools
+// its allocation-weighted profile trials, so both figures must report the
+// composed estimate, the same rate their baseline columns use.
+func TestFigure5_7Compose(t *testing.T) {
+	cfg := QuickConfig()
+	cfg.Benches = []string{"pathfinder"}
+	cfg.Compose = true
+	s, err := NewSuite(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := s.Search("pathfinder")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f5, err := Figure5(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f7, err := Figure7(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts := f5.Benches[0].Points
+	if len(pts) != len(r.Checkpoints) {
+		t.Fatalf("figure5 has %d points for %d checkpoints", len(pts), len(r.Checkpoints))
+	}
+	for i := range r.Checkpoints {
+		cp := &r.Checkpoints[i]
+		if cp.Composed == nil {
+			t.Fatalf("checkpoint @%d was not measured compositionally", cp.Generation)
+		}
+		if pts[i].PeppaSDC != cp.SDCEstimate() {
+			t.Fatalf("figure5 @%d reports %v, composed estimate %v (pooled ratio %v)",
+				cp.Generation, pts[i].PeppaSDC, cp.SDCEstimate(), cp.Counts.SDCProbability())
+		}
+		if cp.Generation == f7.Rows[0].CutoffGen && f7.Rows[0].PeppaSDC != cp.SDCEstimate() {
+			t.Fatalf("figure7 @%d reports %v, composed estimate %v (pooled ratio %v)",
+				cp.Generation, f7.Rows[0].PeppaSDC, cp.SDCEstimate(), cp.Counts.SDCProbability())
+		}
+	}
+}
+
 func TestFigure6(t *testing.T) {
 	s := quickSuite(t)
 	r, err := Figure6(s, []string{"pathfinder"})

@@ -56,7 +56,7 @@ func Figure5(s *Suite) (*Figure5Result, error) {
 			budget := search.PipelineDynAt(cp.Generation)
 			fb.Points = append(fb.Points, Figure5Point{
 				Generations:  cp.Generation,
-				PeppaSDC:     cp.Counts.SDCProbability(),
+				PeppaSDC:     cp.SDCEstimate(),
 				PeppaFitness: cp.Fitness,
 				PeppaInput:   cp.BestInput,
 				BaselineSDC:  BaselineBestWithin(base, budget),
@@ -93,6 +93,10 @@ func (r *Figure5Result) Render() string {
 	return sb.String()
 }
 
+// baseline5x scales the baseline budget for the Figure 7 comparison: five
+// times PEPPA-X's pipeline cost at the cut-off generation.
+const baseline5x = 5
+
 // Figure7Row is one benchmark of the 5x-budget comparison.
 type Figure7Row struct {
 	Bench         string
@@ -126,10 +130,10 @@ func Figure7(s *Suite) (*Figure7Result, error) {
 		var peppa float64
 		for _, cp := range search.Checkpoints {
 			if cp.Generation == cutoff {
-				peppa = cp.Counts.SDCProbability()
+				peppa = cp.SDCEstimate()
 			}
 		}
-		budget := int64(s.Cfg.Baseline5x * float64(search.PipelineDynAt(cutoff)))
+		budget := baseline5x * search.PipelineDynAt(cutoff)
 		res.Rows = append(res.Rows, Figure7Row{
 			Bench:         name,
 			PeppaSDC:      peppa,

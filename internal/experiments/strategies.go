@@ -36,7 +36,7 @@ func Strategies(s *Suite) (*StrategiesResult, error) {
 	for _, name := range s.BenchNames() {
 		b := s.Bench(name)
 		rng := s.rng("strategies", name)
-		small, err := core.FindSmallFIInput(b, 0.95, rng)
+		small, err := core.FindSmallFIInput(b, rng)
 		if err != nil {
 			return nil, err
 		}

@@ -132,13 +132,13 @@ func (s *Suite) Search(name string) (*core.Result, error) {
 }
 
 // maxBaselineBudget computes the largest baseline budget any figure needs:
-// the PEPPA-X pipeline cost at the last checkpoint, and Baseline5x times the
+// the PEPPA-X pipeline cost at the last checkpoint, and baseline5x times the
 // cost at the 200-generation cut-off (or the middle checkpoint when 200 is
 // not in the set).
 func (s *Suite) maxBaselineBudget(r *core.Result) int64 {
 	last := s.Cfg.Checkpoints[len(s.Cfg.Checkpoints)-1]
 	budget := r.PipelineDynAt(last)
-	if b5 := int64(s.Cfg.Baseline5x * float64(r.PipelineDynAt(s.cutoffGen()))); b5 > budget {
+	if b5 := baseline5x * r.PipelineDynAt(s.cutoffGen()); b5 > budget {
 		budget = b5
 	}
 	return budget

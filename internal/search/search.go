@@ -228,12 +228,10 @@ func (a Anneal) Run(obj Objective, budget int, rng *xrand.RNG) (*Result, error) 
 	return t.res, nil
 }
 
-// Genetic adapts the internal/ga engine to the Strategy interface, with the
-// paper's §4.2.4 parameters by default.
+// Genetic adapts the internal/ga engine to the Strategy interface, at the
+// paper's §4.2.4 mutation and crossover rates.
 type Genetic struct {
-	PopSize       int
-	MutationRate  float64
-	CrossoverRate float64
+	PopSize int
 }
 
 // Name implements Strategy.
@@ -250,10 +248,8 @@ func (g Genetic) Run(obj Objective, budget int, rng *xrand.RNG) (*Result, error)
 		seeds[i] = ga.Genome(cloneVec(s))
 	}
 	engine, err := ga.New(ga.Config{
-		PopSize:       g.PopSize,
-		MutationRate:  g.MutationRate,
-		CrossoverRate: g.CrossoverRate,
-		Clamp:         func(gg ga.Genome) { obj.Clamp(gg) },
+		PopSize: g.PopSize,
+		Clamp:   func(gg ga.Genome) { obj.Clamp(gg) },
 		Fitness: func(gg ga.Genome) float64 {
 			s := obj.Eval(gg)
 			res.Evaluations++

@@ -95,18 +95,21 @@ func TestServiceGoldenSharedAcrossModels(t *testing.T) {
 	}
 }
 
-// TestServiceRejectsEngineKnobs: /jobs decodes strictly, and lockstep
-// batching and the snapshot spacing are not job settings, so a spec that
-// still sends either field is refused with 400.
+// TestServiceRejectsEngineKnobs: /jobs and /shard decode strictly, and
+// lockstep batching, the snapshot spacing and the trial split are not
+// request settings, so a request that still sends any of those fields is
+// refused with 400.
 func TestServiceRejectsEngineKnobs(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	for _, body := range []string{
-		`{"bench":"pathfinder","trials":10,"batch":8}`,
-		`{"bench":"pathfinder","trials":10,"checkpoint_interval":-1}`,
+	for _, c := range []struct{ path, body string }{
+		{"/jobs", `{"bench":"pathfinder","trials":10,"batch":8}`},
+		{"/jobs", `{"bench":"pathfinder","trials":10,"checkpoint_interval":-1}`},
+		{"/jobs", `{"bench":"pathfinder","trials":10,"shards":2}`},
+		{"/shard", `{"bench":"pathfinder","seed":5,"lo":0,"hi":10,"batch":8,"checkpoint_interval":-1}`},
 	} {
-		status, msg := post(t, ts, "/jobs", body)
+		status, msg := post(t, ts, c.path, c.body)
 		if status != http.StatusBadRequest || !strings.Contains(msg, "unknown field") {
-			t.Fatalf("%s: status %d (%s), want 400 unknown field", body, status, msg)
+			t.Fatalf("%s %s: status %d (%s), want 400 unknown field", c.path, c.body, status, msg)
 		}
 	}
 }

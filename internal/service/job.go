@@ -43,19 +43,17 @@ type JobSpec struct {
 	// is the spend cap, for sensitivity jobs the profile-pass budget.
 	Trials int `json:"trials,omitempty"`
 	// Seed derives every trial's RNG stream; identical specs yield
-	// bit-identical results at any shard or worker configuration.
+	// bit-identical results for any worker count or peer list.
 	Seed uint64 `json:"seed,omitempty"`
 	// FaultModel names the fault model campaign trials corrupt with
 	// (fault.ModelNames; "" = the single-bit-flip default). Campaign and
 	// sensitivity jobs sample from it; for search jobs it applies to the
 	// final whole-program campaign, flat or adaptive.
 	FaultModel string `json:"fault_model,omitempty"`
-	// Workers fans each shard's trials across goroutines
-	// (campaign.ParallelOptions semantics).
+	// Workers fans the trials each process runs across goroutines
+	// (campaign.ParallelOptions semantics); a flat campaign's peers get
+	// the same value with their ranges.
 	Workers int `json:"workers,omitempty"`
-	// Shards splits campaign trials into contiguous ranges run concurrently
-	// in-process or on peer workers (0: the server default).
-	Shards int `json:"shards,omitempty"`
 	// Adaptive (or CITarget > 0) switches a campaign job, or a search
 	// job's closing campaign, to the adaptive stratified runner.
 	Adaptive bool    `json:"adaptive,omitempty"`
@@ -74,8 +72,11 @@ type JobSpec struct {
 	// sensitivity derivation.
 	TrialsPerRep int `json:"trials_per_rep,omitempty"`
 	// MaxTokens caps the job's dynamic-instruction spend (the service's
-	// token currency); exceeding it cancels the job at its next trial or
-	// round boundary. 0 uses the server default; negative means unlimited.
+	// token currency). Flat campaigns and search jobs are charged when
+	// they return, so a blown budget fails them afterwards; only adaptive
+	// rounds and compose segment measurements are charged as they go, and
+	// exceeding the budget cancels those at the next round or segment.
+	// 0 uses the server default; negative means unlimited.
 	MaxTokens int64 `json:"max_tokens,omitempty"`
 }
 
@@ -140,7 +141,9 @@ type JobResult struct {
 	// cache (true) or was materialized by this job (false).
 	GoldenCached bool `json:"golden_cached"`
 
-	// Shards is the shard count the campaign actually used.
+	// Shards is the number of trial ranges a flat campaign ran as: one
+	// in-process plus one per peer, at most one per trial. Zero for the
+	// other job kinds, which run on the coordinator alone.
 	Shards int `json:"shards,omitempty"`
 	// Counts is the campaign tally (pooled, for adaptive and sensitivity).
 	Counts campaign.Counts `json:"counts"`
@@ -194,7 +197,7 @@ func (s *Server) runJob(ctx context.Context, spec *JobSpec, meter *tokenMeter, e
 		return nil, err
 	}
 	be := s.cache.bench(spec.Bench)
-	res := &JobResult{Kind: spec.Kind, Bench: spec.Bench, Shards: spec.Shards}
+	res := &JobResult{Kind: spec.Kind, Bench: spec.Bench}
 
 	if spec.Kind == KindSearch {
 		if err := s.runSearch(ctx, spec, fi, be, meter, res, rec); err != nil {
@@ -247,10 +250,10 @@ func (s *Server) runJob(ctx context.Context, spec *JobSpec, meter *tokenMeter, e
 	return res, nil
 }
 
-// runCampaign executes a whole-program FI campaign: the flat sharded
-// coordinator, or the adaptive stratified runner with a sharded round
-// executor. Either way results are bit-identical to the single-process run
-// of the same spec.
+// runCampaign executes a whole-program FI campaign: flat, split into one
+// trial range per executor, or adaptive, on the coordinator with a metered
+// round executor. Either way results are bit-identical to the
+// single-process run of the same spec.
 func (s *Server) runCampaign(ctx context.Context, spec *JobSpec, fi core.FIOptions, be *benchEntry, g *campaign.Golden, meter *tokenMeter, res *JobResult, ew *eventWriter, tr *telemetry.Stream) error {
 	if fi.CITarget > 0 {
 		ar := campaign.OverallAdaptive(be.b.Prog, g, campaign.AdaptiveOptions{
@@ -259,7 +262,7 @@ func (s *Server) runCampaign(ctx context.Context, spec *JobSpec, fi core.FIOptio
 			CITarget:  fi.CITarget,
 			MaxTrials: spec.Trials,
 			Ctx:       ctx,
-			Runner:    s.meteredRunner(spec.Shards, meter),
+			Runner:    s.meteredRunner(meter),
 			Model:     fi.Model,
 		})
 		tr.Advance(ar.Counts.DynInstrs)
@@ -276,10 +279,11 @@ func (s *Server) runCampaign(ctx context.Context, spec *JobSpec, fi core.FIOptio
 		}
 		return nil
 	}
-	c, err := s.runFlatCampaign(ctx, spec, be, g, fi.Model, meter, ew)
+	c, ranges, err := s.runFlatCampaign(ctx, spec, be, g, fi.Model, meter, ew)
 	if err != nil {
 		return err
 	}
+	res.Shards = ranges
 	tr.Advance(c.DynInstrs)
 	tr.Emit("fi.campaign", c.Fields()...)
 	res.Counts = c
@@ -300,7 +304,7 @@ func (s *Server) runSensitivity(ctx context.Context, spec *JobSpec, fi core.FIOp
 		Model:     fi.Model,
 		Trace:     tr,
 		Ctx:       ctx,
-		Runner:    s.meteredRunner(spec.Shards, meter),
+		Runner:    s.meteredRunner(meter),
 	})
 	est := e.EstimateGolden(g)
 	tr.Advance(est.MeasureDyn)
@@ -322,8 +326,8 @@ func (s *Server) runSensitivity(ctx context.Context, spec *JobSpec, fi core.FIOp
 
 // runSearch runs the full PEPPA-X pipeline. The compose cache is the
 // shared one, so searches on the same benchmark reuse profiles across jobs;
-// token charges land once per pipeline phase via the final cost breakdown
-// plus the metered compose runner during the search itself.
+// the job is charged once, from the final cost breakdown, when the
+// pipeline returns.
 func (s *Server) runSearch(ctx context.Context, spec *JobSpec, fi core.FIOptions, be *benchEntry, meter *tokenMeter, res *JobResult, rec *telemetry.Recorder) error {
 	opts := core.DefaultOptions()
 	opts.Generations = spec.Generations
@@ -362,14 +366,13 @@ func (s *Server) runSearch(ctx context.Context, spec *JobSpec, fi core.FIOptions
 	return nil
 }
 
-// meteredRunner wraps the in-process sharded runner with token accounting
-// and shard-throughput metrics: each round's completed trials charge their
+// meteredRunner wraps campaign.RunPlans with token accounting and
+// trial-throughput metrics: each round's completed trials charge their
 // dynamic instructions after the round returns, so a blown budget cancels
 // the job before its next round.
-func (s *Server) meteredRunner(shards int, meter *tokenMeter) campaign.TrialRunner {
-	base := campaign.ShardedRunner(shards)
+func (s *Server) meteredRunner(meter *tokenMeter) campaign.TrialRunner {
 	return func(p *interp.Program, g *campaign.Golden, plans []fault.Plan, rngFor func(i int) *xrand.RNG, opts campaign.ParallelOptions) []campaign.TrialResult {
-		res := base(p, g, plans, rngFor, opts)
+		res := campaign.RunPlans(p, g, plans, rngFor, opts)
 		var dyn, trials int64
 		for _, t := range res {
 			if t.Skipped {

@@ -48,7 +48,7 @@ func TestServiceAdaptiveFaultModel(t *testing.T) {
 	want := campaign.OverallAdaptive(b.Prog, g, campaign.AdaptiveOptions{Seed: 9, MaxTrials: 240, Model: fault.BurstFlip})
 	_, ts := newTestServer(t, Config{})
 	res := submit(t, ts, &JobSpec{
-		Kind: KindCampaign, Bench: "pathfinder", Trials: 240, Seed: 9, Shards: 2,
+		Kind: KindCampaign, Bench: "pathfinder", Trials: 240, Seed: 9,
 		Adaptive: true, FaultModel: fault.BurstFlip.Name(),
 	})
 	if res.Counts != want.Counts || res.SDC != want.Estimate {

@@ -4,8 +4,9 @@
 // backpressure (429 + Retry-After when the queue is full); each job streams
 // JSONL progress events over its response and ends with one JSON result
 // document. A process-wide cache shares golden runs, checkpoint sets, and
-// compose profiles across jobs, and flat campaigns shard across in-process
-// workers or peer peppaxd processes with bit-identical results.
+// compose profiles across jobs, and flat campaigns split into one trial
+// range per process — this one and each peer peppaxd — with bit-identical
+// results.
 package service
 
 import (
@@ -43,11 +44,9 @@ type Config struct {
 	// compose-profile caches (<= 0: 32 and 256).
 	GoldenCap  int
 	ProfileCap int
-	// Shards is the default shard count for campaign jobs that leave
-	// JobSpec.Shards zero (<= 0: 1).
-	Shards int
-	// Peers lists base URLs of peer peppaxd workers (http://host:port);
-	// flat-campaign shards round-robin over [in-process, Peers...].
+	// Peers lists base URLs of peer peppaxd workers (http://host:port). A
+	// flat campaign runs one contiguous trial range here and one on each
+	// peer; adaptive, sensitivity and search jobs run here alone.
 	Peers []string
 	// MaxJobTokens is the default per-job dynamic-instruction budget
 	// (<= 0: 2e9); JobSpec.MaxTokens overrides per job, negative spec value
@@ -108,9 +107,6 @@ func New(cfg Config) *Server {
 	if cfg.ProfileCap <= 0 {
 		cfg.ProfileCap = DefaultProfileCap
 	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = 1
-	}
 	if cfg.MaxJobTokens == 0 {
 		cfg.MaxJobTokens = DefaultMaxJobTokens
 	}
@@ -137,7 +133,7 @@ func New(cfg Config) *Server {
 // Handler returns the server's HTTP mux:
 //
 //	POST /jobs    submit a job, stream JSONL events + final result (unless WorkerOnly)
-//	POST /shard   run one campaign shard, return its tally
+//	POST /shard   run one trial range of a flat campaign, return its tally
 //	GET  /metrics Prometheus text exposition
 //	GET  /healthz liveness
 func (s *Server) Handler() http.Handler {
@@ -259,7 +255,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	ew := newEventWriter(w)
 	ew.event("job.start", map[string]any{
 		"id": id, "kind": spec.Kind, "bench": spec.Bench,
-		"trials": spec.Trials, "seed": spec.Seed, "shards": spec.Shards,
+		"trials": spec.Trials, "seed": spec.Seed,
 	})
 
 	if s.hold != nil {
@@ -317,9 +313,6 @@ func (s *Server) normalize(spec *JobSpec) error {
 	}
 	if spec.Trials <= 0 {
 		spec.Trials = DefaultTrials
-	}
-	if spec.Shards <= 0 {
-		spec.Shards = s.cfg.Shards
 	}
 	if spec.FaultModel == "" {
 		spec.FaultModel = s.cfg.FaultModel

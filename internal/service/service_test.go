@@ -31,9 +31,10 @@ func submit(t *testing.T, ts *httptest.Server, spec *JobSpec) *JobResult {
 	return res
 }
 
-// TestServiceCampaignMatchesInProcess: a flat campaign job, at several shard
-// counts, must return exactly the tally the in-process campaign computes
-// from the same (bench, input, seed, trials).
+// TestServiceCampaignMatchesInProcess: a flat campaign job on a coordinator
+// with 0, 1 or 3 peers must run one trial range per process and return
+// exactly the tally the in-process campaign computes from the same (bench,
+// input, seed, trials).
 func TestServiceCampaignMatchesInProcess(t *testing.T) {
 	trials := 200
 	if testing.Short() {
@@ -46,25 +47,60 @@ func TestServiceCampaignMatchesInProcess(t *testing.T) {
 	}
 	want := campaign.OverallParallel(b.Prog, g, trials, campaign.ParallelOptions{Workers: 1, Seed: 5})
 
-	_, ts := newTestServer(t, Config{})
-	for _, shards := range []int{1, 2, 4} {
-		res := submit(t, ts, &JobSpec{
-			Kind: KindCampaign, Bench: "pathfinder", Trials: trials, Seed: 5, Shards: shards,
-		})
+	for _, peers := range []int{0, 1, 3} {
+		var urls []string
+		var workers []*Server
+		for i := 0; i < peers; i++ {
+			w, wts := newTestServer(t, Config{WorkerOnly: true})
+			workers = append(workers, w)
+			urls = append(urls, wts.URL)
+		}
+		_, ts := newTestServer(t, Config{Peers: urls})
+		res := submit(t, ts, &JobSpec{Kind: KindCampaign, Bench: "pathfinder", Trials: trials, Seed: 5})
 		if res.Counts != want {
-			t.Fatalf("shards=%d: service %+v != in-process %+v", shards, res.Counts, want)
+			t.Fatalf("peers=%d: service %+v != in-process %+v", peers, res.Counts, want)
+		}
+		if res.Shards != 1+peers {
+			t.Fatalf("peers=%d: job reports %d ranges, want %d", peers, res.Shards, 1+peers)
+		}
+		for k, w := range workers {
+			lo, hi := campaign.ShardRange(trials, k+1, 1+peers)
+			if got := w.rec.Counter("service.shard.trials"); got != int64(hi-lo) {
+				t.Fatalf("peers=%d: peer %d ran %d trials, want its range [%d, %d)", peers, k+1, got, lo, hi)
+			}
 		}
 		if res.GoldenDyn != g.DynCount {
-			t.Fatalf("shards=%d: golden dyn %d != %d", shards, res.GoldenDyn, g.DynCount)
+			t.Fatalf("peers=%d: golden dyn %d != %d", peers, res.GoldenDyn, g.DynCount)
 		}
 		if res.Tokens <= 0 {
-			t.Fatalf("shards=%d: no tokens metered", shards)
+			t.Fatalf("peers=%d: no tokens metered", peers)
 		}
 	}
 }
 
-// TestServiceAdaptiveMatchesInProcess: an adaptive job through the sharded
-// runner must match the in-process adaptive campaign bit for bit.
+// TestServicePeerAtDefaults: a coordinator given one peer and otherwise
+// default settings sends that peer a trial range for a default campaign
+// spec, and still returns the in-process tally.
+func TestServicePeerAtDefaults(t *testing.T) {
+	worker, workerTS := newTestServer(t, Config{WorkerOnly: true})
+	_, coordTS := newTestServer(t, Config{Peers: []string{workerTS.URL}})
+	b := prog.Build("pathfinder")
+	g, err := campaign.NewGoldenCheckpointed(b.Prog, b.Encode(b.RefInput()), b.MaxDyn, campaign.CheckpointAuto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := campaign.OverallParallel(b.Prog, g, DefaultTrials, campaign.ParallelOptions{})
+	res := submit(t, coordTS, &JobSpec{Bench: "pathfinder"})
+	if res.Counts != want {
+		t.Fatalf("default job %+v != in-process %+v", res.Counts, want)
+	}
+	if got := worker.rec.Counter("service.shard.trials"); got == 0 {
+		t.Fatal("peer worker executed no trials at default settings")
+	}
+}
+
+// TestServiceAdaptiveMatchesInProcess: an adaptive job through the metered
+// round runner must match the in-process adaptive campaign bit for bit.
 func TestServiceAdaptiveMatchesInProcess(t *testing.T) {
 	b := prog.Build("pathfinder")
 	g, err := campaign.NewGoldenCheckpointed(b.Prog, b.Encode(b.RefInput()), b.MaxDyn, campaign.CheckpointAuto)
@@ -75,7 +111,7 @@ func TestServiceAdaptiveMatchesInProcess(t *testing.T) {
 
 	_, ts := newTestServer(t, Config{})
 	res := submit(t, ts, &JobSpec{
-		Kind: KindCampaign, Bench: "pathfinder", Trials: 240, Seed: 9, Shards: 2, Adaptive: true,
+		Kind: KindCampaign, Bench: "pathfinder", Trials: 240, Seed: 9, Adaptive: true,
 	})
 	if res.Counts != want.Counts || res.SDC != want.Estimate || res.Lo != want.Lo || res.Hi != want.Hi {
 		t.Fatalf("service adaptive %+v (sdc %v [%v, %v]) != in-process %+v (sdc %v [%v, %v])",
@@ -244,7 +280,7 @@ func TestServicePeerShardDispatch(t *testing.T) {
 	want := campaign.OverallParallel(b.Prog, g, trials, campaign.ParallelOptions{Workers: 1, Seed: 13})
 
 	res := submit(t, coordTS, &JobSpec{
-		Kind: KindCampaign, Bench: "pathfinder", Trials: trials, Seed: 13, Shards: 2,
+		Kind: KindCampaign, Bench: "pathfinder", Trials: trials, Seed: 13,
 	})
 	if res.Counts != want {
 		t.Fatalf("peer-sharded %+v != in-process %+v", res.Counts, want)
@@ -265,7 +301,7 @@ func TestServicePeerFallback(t *testing.T) {
 	}
 	want := campaign.OverallParallel(b.Prog, g, 60, campaign.ParallelOptions{Workers: 1, Seed: 21})
 	res := submit(t, coordTS, &JobSpec{
-		Kind: KindCampaign, Bench: "pathfinder", Trials: 60, Seed: 21, Shards: 2,
+		Kind: KindCampaign, Bench: "pathfinder", Trials: 60, Seed: 21,
 	})
 	if res.Counts != want {
 		t.Fatalf("fallback tally %+v != in-process %+v", res.Counts, want)

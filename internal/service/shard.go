@@ -1,12 +1,12 @@
 package service
 
-// Trial-level sharding over HTTP. A flat campaign of N trials splits into S
-// contiguous global-index ranges (campaign.ShardRange); each shard runs
-// either in-process (campaign.OverallShard) or on a peer peppaxd -worker via
-// POST /shard. Because every trial's RNG derives from (seed, global trial
-// index) alone, the merged tally is bit-identical to the single-process
-// campaign at any shard count or worker count — the wire protocol moves
-// only Counts, never RNG state.
+// Trial ranges over HTTP. A flat campaign of N trials splits into one
+// contiguous global-index range (campaign.ShardRange) per executor: range 0
+// runs in-process (campaign.OverallShard) and range k on peer k, a peppaxd
+// -worker, via POST /shard. Because every trial's RNG derives from (seed,
+// global trial index) alone, the merged tally is bit-identical to the
+// single-process campaign for any peer list or worker count — the wire
+// protocol moves only Counts, never RNG state.
 
 import (
 	"bytes"
@@ -49,71 +49,55 @@ type ShardResponse struct {
 	GoldenDyn int64           `json:"golden_dyn"`
 }
 
-// runFlatCampaign coordinates a sharded flat campaign. Shards are assigned
-// round-robin over [in-process, peers...]; remote failures fall back to
-// in-process execution (with a job event) so a dead peer degrades throughput,
-// not correctness. Tallies merge in shard order, making the merge — like
-// everything else in the trial pipeline — a deterministic fold.
-func (s *Server) runFlatCampaign(ctx context.Context, spec *JobSpec, be *benchEntry, g *campaign.Golden, model fault.Model, meter *tokenMeter, ew *eventWriter) (campaign.Counts, error) {
+// runFlatCampaign runs a flat campaign as min(1+len(Peers), trials)
+// contiguous ranges, range 0 in-process and range k on peer k, and returns
+// the merged tally with the number of ranges it used. A peer that fails
+// hands its range back to the coordinator (with a job event), so a dead
+// peer degrades throughput, not correctness. Tallies merge in range order,
+// making the merge — like everything else in the trial pipeline — a
+// deterministic fold.
+func (s *Server) runFlatCampaign(ctx context.Context, spec *JobSpec, be *benchEntry, g *campaign.Golden, model fault.Model, meter *tokenMeter, ew *eventWriter) (campaign.Counts, int, error) {
 	trials := spec.Trials
-	shards := spec.Shards
-	if shards < 1 {
-		shards = 1
-	}
-	if shards > trials && trials > 0 {
-		shards = trials
-	}
+	ranges := min(1+len(s.cfg.Peers), trials)
 	popts := campaign.ParallelOptions{
 		Workers: spec.Workers,
 		Seed:    spec.Seed,
 		Ctx:     ctx,
 		Model:   model,
 	}
-
-	if shards == 1 && len(s.cfg.Peers) == 0 {
-		c := campaign.OverallParallel(be.b.Prog, g, trials, popts)
-		meter.charge(c.DynInstrs)
-		s.rec.Count("service.shard.trials", int64(c.Trials))
-		s.rec.Count("service.shard.dyn", c.DynInstrs)
-		return c, nil
-	}
-
-	executors := 1 + len(s.cfg.Peers)
-	tallies := make([]campaign.Counts, shards)
-	errs := make([]error, shards)
-	parallel.ForEach(shards, shards, func(sh int) {
-		lo, hi := campaign.ShardRange(trials, sh, shards)
-		if hi <= lo {
-			return
-		}
-		if peer := sh % executors; peer > 0 {
-			c, err := s.dispatchShard(ctx, s.cfg.Peers[peer-1], spec, g, lo, hi)
+	tallies := make([]campaign.Counts, ranges)
+	errs := make([]error, ranges)
+	parallel.ForEach(ranges, ranges, func(r int) {
+		lo, hi := campaign.ShardRange(trials, r, ranges)
+		if r > 0 {
+			peer := s.cfg.Peers[r-1]
+			c, err := s.dispatchShard(ctx, peer, spec, g, lo, hi)
 			if err == nil {
-				tallies[sh] = c
+				tallies[r] = c
 				return
 			}
 			if ctx.Err() != nil {
-				errs[sh] = err
+				errs[r] = err
 				return
 			}
 			ew.event("shard.fallback", map[string]any{
-				"shard": sh, "peer": s.cfg.Peers[peer-1], "error": err.Error(),
+				"shard": r, "peer": peer, "error": err.Error(),
 			})
 			s.rec.Count("service.shard.fallbacks", 1)
 		}
-		tallies[sh] = campaign.OverallShard(be.b.Prog, g, lo, hi, popts)
+		tallies[r] = campaign.OverallShard(be.b.Prog, g, lo, hi, popts)
 	})
 	var c campaign.Counts
-	for sh := 0; sh < shards; sh++ {
-		if errs[sh] != nil {
-			return c, fmt.Errorf("shard %d/%d: %w", sh, shards, errs[sh])
+	for r := range tallies {
+		if errs[r] != nil {
+			return c, ranges, fmt.Errorf("shard %d/%d: %w", r, ranges, errs[r])
 		}
-		c.Merge(tallies[sh])
+		c.Merge(tallies[r])
 	}
 	meter.charge(c.DynInstrs)
 	s.rec.Count("service.shard.trials", int64(c.Trials))
 	s.rec.Count("service.shard.dyn", c.DynInstrs)
-	return c, nil
+	return c, ranges, nil
 }
 
 // dispatchShard runs one shard on a peer worker and verifies the
@@ -159,16 +143,18 @@ func (s *Server) dispatchShard(ctx context.Context, peer string, spec *JobSpec, 
 }
 
 // handleShard executes one shard request against the shared work cache and
-// returns its tally. Workers serve this endpoint whether or not they also
-// accept jobs, so a pool of symmetric peppaxd processes can shard to each
-// other.
+// returns its tally. It decodes strictly, as /jobs does. Workers serve this
+// endpoint whether or not they also accept jobs, so a pool of symmetric
+// peppaxd processes can shard to each other.
 func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
 	var sr ShardRequest
-	if err := json.NewDecoder(r.Body).Decode(&sr); err != nil {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&sr); err != nil {
 		http.Error(w, "bad shard request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
