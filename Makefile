@@ -40,10 +40,12 @@ bench-workers:
 # every lockstep-batched one — must be bit-identical to a from-scratch one,
 # at the interpreter, campaign and parallel layers; a reused trial machine
 # (interp.Injector) must leak no state between trials and allocate only
-# each trial's Result.
+# each trial's Result. Then FuzzInjectorTrial fuzzes Injector.Trial
+# against interp.Run on random modules for a fixed 20 s.
 test-checkpoint:
 	$(GO) test -count=1 -run 'Batch|Checkpoint|RunFrom|Snapshot|Injector' \
 		./internal/interp ./internal/campaign
+	$(GO) test -run '^$$' -fuzz '^FuzzInjectorTrial$$' -fuzztime 20s ./internal/interp
 
 # Measure golden-run and 1000-trial campaign throughput — from scratch,
 # resuming per-trial from golden-prefix snapshots, and in lockstep batches
@@ -147,10 +149,11 @@ bench-compose:
 # vs in-process at 0/1/3 peers, a peer used at default settings,
 # single-flight golden cache shared across fault models, profile sharing,
 # 429 backpressure, input-arity and unknown-field 400s on /jobs and
-# /shard, peer dispatch + fallback, graceful drain, token budgets), and the
-# benchjson shard_speedup/cache_elimination tests.
+# /shard, peer dispatch + fallback, graceful drain, token budgets), the
+# peppaxd daemon lifecycle test (a job over HTTP, SIGTERM, exit 143) and
+# the benchjson shard_speedup/cache_elimination tests.
 test-service:
-	$(GO) test -count=1 -run 'Shard|CountsMerge|Service' \
+	$(GO) test -count=1 -run 'Shard|CountsMerge|Service|Daemon' \
 		./internal/campaign ./internal/service ./cmd/benchjson ./cmd/peppaxd
 
 # Rare-branch fuzzing + fault-model gate: the fuzz engine unit suite, the

@@ -16,6 +16,7 @@ package campaign
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/fault"
 	"repro/internal/interp"
@@ -97,32 +98,25 @@ func (g *Golden) Coverage() float64 {
 	return float64(n) / float64(g.NumInstrs)
 }
 
+// TrialBudget is the dynamic-instruction budget of one fault-injection
+// trial against g: a trial that exceeds it is a Hang. A trial's DynCount
+// is at most TrialBudget()+1 (the instruction that crosses the budget),
+// the worst case token metering sizes its work by.
+func (g *Golden) TrialBudget() int64 {
+	return g.DynCount*hangBudgetMultiplier + hangBudgetSlack
+}
+
 // ErrInvalidInput is returned by NewGolden when the fault-free run itself
 // fails — such inputs are excluded from experiments per §3.1.2 ("the input
 // should not lead to any reported errors or exceptions").
 var ErrInvalidInput = fmt.Errorf("campaign: input fails fault-free execution")
 
-// NewGolden executes the program fault-free with profiling and returns the
-// reference run. maxDyn bounds the fault-free execution itself (0 for the
-// interpreter default); inputs whose golden run traps or exceeds the bound
-// are rejected with ErrInvalidInput.
+// NewGolden executes the program fault-free on the profiling fast loop
+// (interp.Profiler) and returns the reference run. maxDyn bounds the
+// fault-free execution itself (0 for the interpreter default); inputs whose
+// golden run traps or exceeds the bound are rejected with ErrInvalidInput.
 func NewGolden(p *interp.Program, input []uint64, maxDyn int64) (*Golden, error) {
-	return newGolden(p, input, interp.Options{Profile: true, MaxDyn: maxDyn})
-}
-
-func newGolden(p *interp.Program, input []uint64, opts interp.Options) (*Golden, error) {
-	r := interp.Run(p, input, opts)
-	if err := checkGolden(r.Trap, r.BudgetExceeded, r.DynCount, r.DetectedFlag, opts.MaxDyn); err != nil {
-		return nil, err
-	}
-	return &Golden{
-		Input:       input,
-		Output:      r.Output,
-		DynCount:    r.DynCount,
-		InstrCounts: r.InstrCounts,
-		NumInstrs:   p.NumInstrs(),
-		Checkpoints: r.Checkpoints,
-	}, nil
+	return GoldenFromProfile(interp.NewProfiler(p).Run(input, maxDyn), input, maxDyn)
 }
 
 // checkGolden applies the §3.1.2 validity checks to a fault-free run: one
@@ -143,9 +137,10 @@ func checkGolden(trap *interp.Trap, overBudget bool, dyn int64, detected bool, m
 }
 
 // GoldenFromProfile materializes a Golden from a fast-path profiled run
-// (interp.Profiler), applying the same §3.1.2 validity checks as NewGolden.
-// The run's borrowed state (output, counters) is copied, so the Golden
-// stays valid after the profiler's next run; maxDyn is only reported in the
+// (interp.Profiler), rejecting the run with ErrInvalidInput for the §3.1.2
+// reasons (checkGolden); NewGolden is this over a fresh profiler. The run's
+// borrowed state (output, counters) is copied, so the Golden stays valid
+// after the profiler's next run; maxDyn is only reported in the
 // budget-exceeded error. The result carries no Checkpoints — callers that
 // go on to run FI campaigns attach them with EnsureCheckpoints.
 func GoldenFromProfile(r *interp.ProfileRun, input []uint64, maxDyn int64) (*Golden, error) {
@@ -174,14 +169,14 @@ const CheckpointAuto int64 = 0
 // each trial from the nearest snapshot before its injection point —
 // bit-identical results for a fraction of the interpreter work.
 func NewGoldenCheckpointed(p *interp.Program, input []uint64, maxDyn, interval int64) (*Golden, error) {
-	if interval > 0 {
-		return newGolden(p, input, interp.Options{Profile: true, MaxDyn: maxDyn, CheckpointInterval: interval})
-	}
 	g, err := NewGolden(p, input, maxDyn)
 	if err != nil {
 		return nil, err
 	}
-	if err := g.EnsureCheckpoints(p); err != nil {
+	if interval <= 0 {
+		interval = interp.AutoCheckpointInterval(g.DynCount)
+	}
+	if err := g.recordCheckpoints(p, interval); err != nil {
 		return nil, err
 	}
 	return g, nil
@@ -190,19 +185,24 @@ func NewGoldenCheckpointed(p *interp.Program, input []uint64, maxDyn, interval i
 // EnsureCheckpoints attaches golden-prefix snapshots to an existing golden
 // by replaying it with checkpointing enabled, at the spacing
 // interp.AutoCheckpointInterval derives from DynCount. It is a no-op when
-// snapshots are already attached. The replay must reproduce the original
-// run exactly — a divergence means the substrate broke determinism, which
-// would silently poison every trial, so it is surfaced as an error.
+// snapshots are already attached.
 func (g *Golden) EnsureCheckpoints(p *interp.Program) error {
 	if g.Checkpoints != nil {
 		return nil
 	}
-	// The replay runs on the fused arrays, as every checkpointed run does,
-	// while a plain golden ran on the unfused reference engine, so the
-	// divergence check below doubles as a cross-engine differential test.
-	interval := interp.AutoCheckpointInterval(g.DynCount)
+	return g.recordCheckpoints(p, interp.AutoCheckpointInterval(g.DynCount))
+}
+
+// recordCheckpoints replays the golden on the generic engine, recording
+// snapshots every interval dynamic instructions. Every golden comes from
+// the fast loop, so the replay is a cross-engine differential test: it must
+// reproduce the run exactly, per-instruction counts included. A divergence
+// means the substrate broke determinism, which would silently poison every
+// trial, so it is surfaced as an error.
+func (g *Golden) recordCheckpoints(p *interp.Program, interval int64) error {
 	r := interp.Run(p, g.Input, interp.Options{Profile: true, CheckpointInterval: interval})
-	if r.Trap != nil || r.BudgetExceeded || r.DynCount != g.DynCount || !interp.OutputEqual(r.Output, g.Output) {
+	if r.Trap != nil || r.BudgetExceeded || r.DynCount != g.DynCount || !interp.OutputEqual(r.Output, g.Output) ||
+		!slices.Equal(r.InstrCounts, g.InstrCounts) {
 		return fmt.Errorf("campaign: checkpoint replay diverged from the golden run")
 	}
 	g.Checkpoints = r.Checkpoints
@@ -251,16 +251,16 @@ func EmitCheckpointTelemetry(tr *telemetry.Stream, event string, st interp.Check
 // state there; the Result is bit-identical to a from-scratch run either
 // way.
 func Classify(m *interp.Injector, g *Golden, plan *fault.Plan, rng *xrand.RNG, detector func(staticID int) bool) (Outcome, *interp.Result) {
-	budget := g.DynCount*hangBudgetMultiplier + hangBudgetSlack
-	r := m.Trial(g.Input, g.Checkpoints, plan, rng, budget)
-	return classifyResult(g, r, detector), r
+	r := m.Trial(g.Input, g.Checkpoints, plan, rng, g.TrialBudget())
+	return ClassifyResult(g, r, detector), r
 }
 
-// classifyResult classifies an already-executed trial Result against the
+// ClassifyResult classifies an already-executed trial Result against the
 // golden — the decision half of Classify, shared with the lockstep batch
 // path, which classifies inside BatchRun's report callback (the Result's
-// buffers are only borrowed there).
-func classifyResult(g *Golden, r *interp.Result, detector func(staticID int) bool) Outcome {
+// buffers are only borrowed there), and with the taint-tracked trials of
+// package propagation. A nil detector protects nothing.
+func ClassifyResult(g *Golden, r *interp.Result, detector func(staticID int) bool) Outcome {
 	if !r.Injected {
 		return Benign
 	}

@@ -167,7 +167,7 @@ func RunPlans(p *interp.Program, g *Golden, plans []fault.Plan, rngFor func(i in
 	// accumulates into g.Checkpoints (atomic, nil-safe). Once ctx is
 	// canceled, in-flight batches stop at their next boundary.
 	jobs := batchJobs(g, plans, opts.BatchSize)
-	budget := g.DynCount*hangBudgetMultiplier + hangBudgetSlack
+	budget := g.TrialBudget()
 	done := ctxDone(opts.Ctx)
 	parallel.ForEach(opts.Workers, len(jobs), func(j int) {
 		if ctxCanceled(opts.Ctx) {
@@ -179,7 +179,7 @@ func RunPlans(p *interp.Program, g *Golden, plans []fault.Plan, rngFor func(i in
 			bt[k] = interp.BatchTrial{Plan: plans[i], RNG: rngFor(i)}
 		}
 		st := interp.BatchRun(p, g.Input, g.Checkpoints, job.snap, bt, interp.Options{MaxDyn: budget, Done: done}, func(k int, r *interp.Result) {
-			res[job.idx[k]] = TrialResult{Outcome: classifyResult(g, r, opts.Detector), Dyn: r.DynCount}
+			res[job.idx[k]] = TrialResult{Outcome: ClassifyResult(g, r, opts.Detector), Dyn: r.DynCount}
 		})
 		g.Checkpoints.NoteBatch(st)
 	})

@@ -11,13 +11,13 @@ import (
 // Lockstep batch execution. A fault-injection campaign resumes many trials
 // from the same golden checkpoint and replays the same fault-free stretch
 // up to each injection point; BatchRun pays that stretch once. A single
-// profiled trunk runs forward from the shared base snapshot on the fused
-// code arrays and captures a copy-on-write fork — pages shared with the
-// previous fork via the dirty map, exactly like interval checkpoints — at
-// an instruction boundary strictly before each trial's injection point.
-// Every trial then runs on the trial machine (Injector) from its fork, so
-// the generic engine covers only the short fork-to-injection window before
-// the fast-path tail.
+// profiled trunk runs the generic engine forward from the shared base
+// snapshot on the unfused code arrays and captures a copy-on-write fork —
+// pages shared with the previous fork via the dirty map, exactly like
+// interval checkpoints — at an instruction boundary strictly before each
+// trial's injection point. Every trial then runs on the trial machine
+// (Injector) from its fork, so the generic engine covers only the short
+// fork-to-injection window before the fast-path tail.
 //
 // Determinism: the fork points are functions of the dyn clock and the
 // trials' plans alone, each trial consumes only its own RNG (first at
@@ -110,7 +110,10 @@ func batchCanceled(done <-chan struct{}) bool {
 // MaxMemWords, MaxDepth); Plan, FaultRNG, Profile, TrackPropagation and
 // CheckpointInterval must be unset — trials carry their own plans and
 // streams. Static-mode trials require a profiled base (or a base-less
-// batch), like RunFrom.
+// batch), like RunFrom. The shared trunk runs the unfused code arrays, as
+// every generic run does, so its forks sit at unfused instruction
+// boundaries and each trial hands off to the fast loop as Injector.Trial
+// does.
 //
 // When opts.Done closes mid-batch the trunk suspends at its next boundary
 // and the trial loop stops before its next trial: trials already reported

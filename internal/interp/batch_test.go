@@ -95,10 +95,12 @@ func TestBatchSameDynIndexTrials(t *testing.T) {
 	}
 }
 
-// TestBatchInjectEveryDynIndex sweeps every dynamic instruction of a fused
-// program — including targets that land on the second sub-instruction of a
-// fused pair — and checks each batched trial against the serial unfused
-// run. This is the exactness gate for mid-fused-pair injections.
+// TestBatchInjectEveryDynIndex sweeps every dynamic instruction of a
+// program with fused pairs — including targets that land on the second
+// sub-instruction of a pair — and checks each batched trial against the
+// serial run. Trunk and injection window run the unfused arrays and the
+// tail the fused ones, so this is the exactness gate for the hand-off
+// inside a fused pair.
 func TestBatchInjectEveryDynIndex(t *testing.T) {
 	for name, build := range map[string]func(testing.TB) *Program{
 		"sumloop": buildSumLoop, "memory": buildMemory, "factorial": buildFactorial,
@@ -134,7 +136,7 @@ func TestBatchInjectEveryDynIndex(t *testing.T) {
 
 // TestBatchStaticOccurrenceSweep does the same exhaustive sweep for
 // static-mode plans: every executed occurrence of every static instruction,
-// resumed from a profiled fused snapshot.
+// resumed from a profiled snapshot.
 func TestBatchStaticOccurrenceSweep(t *testing.T) {
 	p := buildSumLoop(t)
 	args := []uint64{24}

@@ -47,8 +47,10 @@ func (e *exec) markDirty(lo, hi int64) {
 }
 
 // Snapshot is a resumable copy of the machine state at one dynamic
-// instruction boundary of a fault-free run. Its frame pcs index the fused
-// code arrays, which every run resumed from it executes.
+// instruction boundary of a fault-free run. Its frame pcs index the unfused
+// code arrays, which the generic engine resumes from it; a trial's
+// fast-loop tail compares its machine with the snapshot through
+// compiledFunc.fusedPC (converge.go).
 type Snapshot struct {
 	dyn      int64
 	memTop   int64
@@ -192,9 +194,9 @@ func AutoCheckpointInterval(dynCount int64) int64 {
 }
 
 // atBlockEntry reports whether pc is the first instruction of its basic
-// block in the fused code array, which checkpointed runs execute.
+// block in the unfused code array.
 func atBlockEntry(cf *compiledFunc, pc int32) bool {
-	return cf.fusedStart[cf.fusedOf[pc]] == pc
+	return cf.blockStart[cf.blockOf[pc]] == pc
 }
 
 // takeSnapshot records the current machine state into e.ckpt and arms the
@@ -352,22 +354,24 @@ func RunFrom(p *Program, s *Snapshot, opts Options) *Result {
 
 // RunWithCheckpoints is Run for fault-injection trials against a
 // checkpointed golden run: the trial resumes from the nearest snapshot
-// before its injection point when one exists, and falls back to a full run
-// otherwise (including when c is nil). Results are bit-identical to
+// before its injection point when one exists within opts.MaxDyn, and falls
+// back to a full run otherwise (including when c is nil). Results are bit-identical to
 // Run(p, args, opts) — DynCount continues from the snapshot's dyn clock,
 // the RNG is first consumed at injection, and output/memory/stack state
 // below the snapshot is exactly the golden prefix's.
 func RunWithCheckpoints(p *Program, args []uint64, c *Checkpoints, opts Options) *Result {
-	if s := c.startFor(p, opts.Plan); s != nil {
+	if s := c.startFor(p, opts.Plan, opts.MaxDyn); s != nil {
 		return RunFrom(p, s, opts)
 	}
 	return Run(p, args, opts)
 }
 
-// startFor returns the snapshot a trial of plan on p resumes from (nil: the
-// program entry) and counts the choice in the usage counters. A nil c
-// counts nothing.
-func (c *Checkpoints) startFor(p *Program, plan *fault.Plan) *Snapshot {
+// startFor returns the snapshot a trial of plan on p with dyn budget maxDyn
+// (<= 0: the default) resumes from (nil: the program entry) and counts the
+// choice in the usage counters. A snapshot past the budget does not
+// qualify: a run from the entry exceeds the budget before it gets there. A
+// nil c counts nothing.
+func (c *Checkpoints) startFor(p *Program, plan *fault.Plan, maxDyn int64) *Snapshot {
 	if c == nil {
 		return nil
 	}
@@ -375,7 +379,7 @@ func (c *Checkpoints) startFor(p *Program, plan *fault.Plan) *Snapshot {
 		panic(fmt.Sprintf("interp: checkpoints belong to a different program (%p vs %p)", c.prog, p))
 	}
 	s := c.ForPlan(plan)
-	if s == nil {
+	if s == nil || maxDyn > 0 && s.dyn > maxDyn {
 		c.scratch.Add(1)
 		return nil
 	}

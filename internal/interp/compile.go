@@ -88,21 +88,26 @@ type compiledFunc struct {
 	code    []inst
 	consts  []uint64
 
-	// Block table (profiling fast path). Blocks are numbered in layout
-	// order; block counter b of this function lives at global counter index
-	// blockBase+b. blockStart/blockOf describe the unfused code array,
-	// fusedStart/fusedOf the fused one.
+	// Block table. Blocks are numbered in layout order; block counter b of
+	// this function lives at global counter index blockBase+b.
+	// blockStart/blockOf describe the unfused code array, fusedStart/fusedOf
+	// the fused one.
 	blockBase  int32
 	numBlocks  int32
 	blockStart []int32 // phi-skipped start pc of each block
 	blockOf    []int32 // pc -> local block index
 
-	// fused is the superinstruction code array every machine except a
-	// plain Run executes (see Run): identical control flow, with hot
-	// adjacent pairs combined into opFused* slots. Jump targets are
-	// remapped into fused pcs; observable semantics (outputs, traps,
-	// dynamic counts, per-instruction counts) are bit-identical to code.
+	// fused is the superinstruction code array the fast loop (runFast)
+	// executes, and only it: identical control flow, with hot adjacent
+	// pairs combined into opFused* slots. Jump targets are remapped into
+	// fused pcs; observable semantics (outputs, traps, dynamic counts,
+	// per-instruction counts) are bit-identical to code, which the generic
+	// engine executes. fusedPC maps each unfused pc to the fused pc of the
+	// slot it starts, or -1 for the second half of a pair; it translates
+	// generic-engine frames (snapshots, a trial's injection window) into
+	// fast-loop ones.
 	fused      []inst
+	fusedPC    []int32
 	fusedStart []int32
 	fusedOf    []int32
 
@@ -162,8 +167,8 @@ type Program struct {
 	blockInstrs []int32
 
 	// maxSlotDyn bounds how far the dyn clock can advance inside a single
-	// dispatch slot of either code array (fused pairs, phi move lists).
-	// Boundary checks in run() happen between slots, so the batch executor
+	// instruction of the unfused code array (a phi move list). Boundary
+	// checks in run() happen between instructions, so the batch executor
 	// subtracts this bound when arming a stop point that must be reached
 	// strictly before a given dyn value (see batch.go).
 	maxSlotDyn int64
@@ -239,37 +244,16 @@ func Compile(m *ir.Module) (*Program, error) {
 	p.maxSlotDyn = 1
 	for _, cf := range p.funcs {
 		fuseFunc(cf)
-		for i := range cf.fused {
-			if d := slotDynBound(&cf.fused[i]); d > p.maxSlotDyn {
-				p.maxSlotDyn = d
+		for i := range cf.code {
+			// A branch executes one injectable copy per phi move; any
+			// other instruction produces at most one value (an OpRet
+			// completing the caller's call counts once).
+			if in := &cf.code[i]; in.op == ir.OpBr || in.op == ir.OpCondBr {
+				p.maxSlotDyn = max(p.maxSlotDyn, int64(len(in.movesA)), int64(len(in.movesB)))
 			}
 		}
 	}
 	return p, nil
-}
-
-// slotDynBound returns an upper bound on the dyn-clock advance of one
-// dispatch slot: phi move lists execute one injectable copy per move, fused
-// pairs up to two value productions, everything else at most one (an OpRet
-// completing the caller's call counts once).
-func slotDynBound(in *inst) int64 {
-	maxMoves := func() int64 {
-		a, b := len(in.movesA), len(in.movesB)
-		if b > a {
-			a = b
-		}
-		return int64(a)
-	}
-	switch in.op {
-	case ir.OpBr, ir.OpCondBr:
-		return maxMoves()
-	case opFusedCmpBr:
-		return maxMoves() + 1
-	case opFusedLoadArith, opFusedArithLoad, opFusedArithArith:
-		return 2
-	default:
-		return 1
-	}
 }
 
 // buildProfileTables numbers blocks and phi-carrying edges into one global

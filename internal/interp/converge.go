@@ -90,14 +90,22 @@ func (e *exec) converge(fr *frame, pc int32, dyn int64) bool {
 // the same dyn: memTop, frames, the live register slab, output, detection
 // flag and memory below memTop — everything a later instruction can
 // observe. Memory above memTop is never read before an alloca zeroes it.
-// The cheap fields go first.
+// The machine runs the fused arrays and s holds unfused pcs, so each
+// snapshot frame's pc is translated through fusedPC; snapshot frames sit
+// at block entries and calls, which always start a fused slot. The cheap
+// fields go first.
 func matches(e *exec, s *Snapshot) bool {
 	if e.memTop != s.memTop || e.slabTop != s.slabTop || len(e.frames) != len(s.frames) ||
 		len(e.output) != len(s.output) || e.detected != s.detected {
 		return false
 	}
-	if !slices.Equal(e.frames, s.frames) || !slices.Equal(e.regSlab[:e.slabTop], s.regs) ||
-		!slices.Equal(e.output, s.output) {
+	for i, f := range s.frames {
+		f.pc = e.p.funcs[f.fi].fusedPC[f.pc]
+		if e.frames[i] != f {
+			return false
+		}
+	}
+	if !slices.Equal(e.regSlab[:e.slabTop], s.regs) || !slices.Equal(e.output, s.output) {
 		return false
 	}
 	for pg, words := range s.pages {

@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"sort"
 	"testing"
 
 	"repro/internal/fault"
@@ -219,6 +220,7 @@ func TestInjectorConvergenceComparesObservableState(t *testing.T) {
 		e := NewInjector(mp.p).e
 		e.resetFast(0)
 		snap.restoreInto(e)
+		e.toFused() // the trial machine's hand-off to the fast loop
 		if int64(len(e.mem)) <= e.memTop {
 			e.growMem(e.memTop + 1)
 		}
@@ -237,5 +239,67 @@ func TestInjectorConvergenceComparesObservableState(t *testing.T) {
 			cc.Stats().ConvergedDyn != g.DynCount-s.dyn) {
 			t.Fatalf("%s: converged to ret %d dyn %d output %v detected %v, golden %d %d %v", tc.name, ret, e.dyn, e.output, e.detected, g.Ret, g.DynCount, g.Output)
 		}
+	}
+}
+
+// TestInjectorConvergesUnderSuspendedCaller: a masked fault in a callee
+// converges at a snapshot taken inside the callee, while the caller is
+// suspended at a call that follows a fused pair, so the call's pc differs
+// between the unfused arrays snapshots hold and the fused arrays the trial
+// tail runs. The compare must translate every frame, not only the top one.
+//
+//	callee(x) { for j < 40 { dead = j*x; acc += j }; return acc }
+//	main(n)   { r = callee(n*3 + 1); print r; return r }
+func TestInjectorConvergesUnderSuspendedCaller(t *testing.T) {
+	m := ir.NewModule("suspended")
+	callee := m.NewFunc("callee", ir.I64, &ir.Param{Name: "x", Ty: ir.I64})
+	cb := ir.NewBuilder(callee)
+	entry := cb.Cur
+	loop := cb.Block("loop")
+	body := cb.Block("body")
+	exit := cb.Block("exit")
+	cb.Br(loop)
+	cb.SetBlock(loop)
+	j := cb.Phi(ir.I64)
+	acc := cb.Phi(ir.I64)
+	cb.CondBr(cb.ICmp(ir.OpICmpSLT, j, ir.I64c(40)), body, exit)
+	cb.SetBlock(body)
+	dead := cb.Mul(j, cb.Param(0))
+	acc2 := cb.Add(acc, j)
+	j2 := cb.Add(j, ir.I64c(1))
+	cb.Br(loop)
+	ir.AddIncoming(j, ir.I64c(0), entry)
+	ir.AddIncoming(j, j2, body)
+	ir.AddIncoming(acc, ir.I64c(0), entry)
+	ir.AddIncoming(acc, acc2, body)
+	cb.SetBlock(exit)
+	cb.Ret(acc)
+
+	main := m.NewFunc("main", ir.I64, &ir.Param{Name: "n", Ty: ir.I64})
+	b := ir.NewBuilder(main)
+	r := b.Call(ir.I64, "callee", b.Add(b.Mul(b.Param(0), ir.I64c(3)), ir.I64c(1)))
+	b.Call(ir.Void, "print_i64", r)
+	b.Ret(r)
+	mp := maskProg{p: mustCompile(t, m), args: []uint64{5}}
+
+	mf := mp.p.funcs[mp.p.funcIdx["main"]]
+	call := -1
+	for pc := range mf.code {
+		if mf.code[pc].op == ir.OpCall && mf.code[pc].callee >= 0 {
+			call = pc
+		}
+	}
+	if call < 0 || mf.fusedPC[call] == int32(call) {
+		t.Fatalf("the call at unfused pc %d must sit at another fused pc, got %d", call, mf.fusedPC[call])
+	}
+
+	g, c := mp.checkpointsOf(t)
+	if _, conv := mp.convergeTrial(t, c, dead.ID, 10, g.DynCount*3); conv == 0 {
+		t.Fatal("masked fault in the callee did not converge")
+	}
+	at := g.DynCount - c.Stats().ConvergedDyn
+	i := sort.Search(len(c.snaps), func(i int) bool { return c.snaps[i].dyn >= at })
+	if i == len(c.snaps) || c.snaps[i].dyn != at || len(c.snaps[i].frames) != 2 {
+		t.Fatalf("trial did not converge at a snapshot inside the callee (dyn %d)", at)
 	}
 }

@@ -95,12 +95,13 @@ type Options struct {
 	// CheckpointInterval, when positive, records a Snapshot of the complete
 	// machine state at the first basic-block entry at least
 	// CheckpointInterval dynamic instructions after the previous snapshot
-	// (the first: after the start). The snapshots, and how the run
-	// returned, are kept in Result.Checkpoints; RunWithCheckpoints uses them
-	// to resume later fault-injection trials past the shared golden prefix,
-	// and the trial machine to end trials that re-join the golden run
-	// early. Combining a CheckpointInterval with a fault Plan panics:
-	// snapshots must capture fault-free state.
+	// (the first: after the start). Like every generic run, the recording
+	// run executes the unfused code arrays, so snapshot pcs index them. The
+	// snapshots, and how the run returned, are kept in Result.Checkpoints;
+	// RunWithCheckpoints uses them to resume later fault-injection trials
+	// past the shared golden prefix, and the trial machine to end trials
+	// that re-join the golden run early. Combining a CheckpointInterval
+	// with a fault Plan panics: snapshots must capture fault-free state.
 	CheckpointInterval int64
 	// Done, when non-nil, is a cooperative cancellation signal (a
 	// context.Context's Done channel). BatchRun polls it at checkpoint
@@ -261,14 +262,6 @@ type exec struct {
 	blockCounts []int64
 	overlay     []int32
 
-	// fusedExec selects the fused superinstruction code arrays in run().
-	// Every machine runs them except a plain Run, the reference engine (see
-	// Run). The generic engine dispatches each fused slot sub-instruction by
-	// sub-instruction, so the dyn clock, injection points (including
-	// mid-pair targets), traps, budget order and taint propagation are
-	// bit-identical on both arrays; only the dispatch count differs.
-	fusedExec bool
-
 	// Golden-prefix checkpointing (nil / maxInt unless the run was started
 	// with Options.CheckpointInterval). dirty tracks written memory pages so
 	// snapshots can share unchanged pages with their predecessor.
@@ -280,11 +273,12 @@ type exec struct {
 	// math.MaxInt64 unless a trial tail armed it.
 	conv convergence
 
-	// Batch-execution hooks (see batch.go). onBoundary, when non-nil,
-	// replaces snapshot recording at armed instruction boundaries
-	// (dyn >= nextCkpt): the batch trunk captures COW forks there and batch
-	// trials pause once their fault has fired. Returning false suspends the
-	// run with paused set and the frame stack in a resumable state.
+	// Boundary hook. onBoundary, when non-nil, replaces snapshot recording
+	// at armed instruction boundaries (dyn >= nextCkpt): the batch trunk
+	// captures COW forks there (batch.go) and the trial machine pauses at
+	// the first fused-slot start after its fault has fired (inject.go).
+	// Returning false suspends the run with paused set and the frame stack
+	// in a resumable state.
 	onBoundary func() bool
 	paused     bool
 
@@ -298,19 +292,18 @@ type exec struct {
 
 func newExec(p *Program, opts Options) *exec {
 	e := &exec{
-		p:         p,
-		mem:       make([]uint64, 4096),
-		memTop:    1, // word 0 is the null page
-		maxMem:    int64(opts.MaxMemWords),
-		maxDep:    opts.MaxDepth,
-		maxDyn:    opts.MaxDyn,
-		plan:      opts.Plan,
-		rng:       opts.FaultRNG,
-		frames:    make([]frame, 0, 8),
-		regSlab:   make([]uint64, initialSlabSlots),
-		nextCkpt:  math.MaxInt64,
-		fusedExec: true,
-		conv:      convergence{at: math.MaxInt64},
+		p:        p,
+		mem:      make([]uint64, 4096),
+		memTop:   1, // word 0 is the null page
+		maxMem:   int64(opts.MaxMemWords),
+		maxDep:   opts.MaxDepth,
+		maxDyn:   opts.MaxDyn,
+		plan:     opts.Plan,
+		rng:      opts.FaultRNG,
+		frames:   make([]frame, 0, 8),
+		regSlab:  make([]uint64, initialSlabSlots),
+		nextCkpt: math.MaxInt64,
+		conv:     convergence{at: math.MaxInt64},
 	}
 	if e.maxMem <= 0 {
 		e.maxMem = defaultMaxMemWords
@@ -355,13 +348,11 @@ func (e *exec) finish(ret uint64) *Result {
 // values. It never panics on program-level failures; traps, hangs and
 // injected faults are reported in the Result.
 //
-// A run without checkpoints dispatches the unfused code arrays: it is the
-// reference engine that every equivalence suite compares the fast loop,
-// snapshots and trials against. A checkpointed run records its snapshots
-// on the fused arrays, which every trial resumes and finishes on.
+// Run is the generic engine over the unfused code arrays, with or without
+// checkpoints: the reference engine every equivalence suite compares the
+// fast loop (Profiler, every trial's tail) against.
 func Run(p *Program, args []uint64, opts Options) *Result {
 	e := newExec(p, opts)
-	e.fusedExec = opts.CheckpointInterval > 0
 	if opts.CheckpointInterval > 0 {
 		if opts.Plan != nil {
 			panic("interp: CheckpointInterval with a fault plan — snapshots must capture fault-free state")
@@ -585,9 +576,9 @@ func (e *exec) checkAddr(cf *compiledFunc, addr uint64) bool {
 	return true
 }
 
-// run drives the dispatch loop over the explicit frame stack from the
-// current machine state (at least one frame pushed, possibly restored from
-// a Snapshot) until the entry frame returns. It returns (retValue, ok); on
+// run drives the dispatch loop over the unfused code arrays and the
+// explicit frame stack from the current machine state (at least one frame
+// pushed, possibly restored from a Snapshot) until the entry frame returns. It returns (retValue, ok); on
 // !ok the run aborted (trap or budget), recorded in e.
 func (e *exec) run() (uint64, bool) {
 	track := e.taintStats != nil
@@ -611,11 +602,7 @@ func (e *exec) run() (uint64, bool) {
 			taint = e.taintSlab[fr.regOff : fr.regOff+fr.nSlots]
 		}
 		consts = cf.consts
-		if e.fusedExec {
-			code = cf.fused
-		} else {
-			code = cf.code
-		}
+		code = cf.code
 		pc = fr.pc
 	}
 	reenter()
@@ -695,213 +682,6 @@ func (e *exec) run() (uint64, bool) {
 				taint[cin.dst] = t
 				if t {
 					e.noteTaint(cin.id)
-				}
-			}
-			pc++
-			continue
-
-		// Fused superinstructions (fusedExec runs only). Each handler
-		// replays its pair sub-instruction by sub-instruction — result()
-		// per value, taint per operand set, traps and dirty marks in
-		// source order — so injections landing on either half (including
-		// mid-pair dynamic targets) behave exactly as on the unfused array.
-		case opFusedCmpBr:
-			var tIn bool
-			if track {
-				tIn = taintOf(taint, in.a) || taintOf(taint, in.b)
-			}
-			v := evalCmp(in.op1, in.srcTy, get(regs, consts, in.a), get(regs, consts, in.b))
-			preInj := e.injected
-			v, ok := e.result(in.id, in.ty, v)
-			if !ok {
-				return 0, false
-			}
-			regs[in.dst] = v
-			if track {
-				t := tIn || (e.injected && !preInj)
-				taint[in.dst] = t
-				if t {
-					e.noteTaint(in.id)
-					e.taintStats.TaintedBranches++
-				}
-			}
-			if v&1 != 0 {
-				if !e.applyMoves(in.movesA, regs, consts, taint) {
-					return 0, false
-				}
-				pc = in.jumpA
-			} else {
-				if !e.applyMoves(in.movesB, regs, consts, taint) {
-					return 0, false
-				}
-				pc = in.jumpB
-			}
-			continue
-
-		case opFusedLoadArith:
-			addr := get(regs, consts, in.a)
-			if !e.checkAddr(cf, addr) {
-				return 0, false
-			}
-			var tIn bool
-			if track {
-				tIn = taintOf(taint, in.a) || e.taintMem[addr]
-			}
-			v := ir.CanonInt(in.ty, e.mem[addr])
-			preInj := e.injected
-			v, ok := e.result(in.id, in.ty, v)
-			if !ok {
-				return 0, false
-			}
-			regs[in.dst] = v
-			if track {
-				t := tIn || (e.injected && !preInj)
-				taint[in.dst] = t
-				if t {
-					e.noteTaint(in.id)
-				}
-			}
-			var tIn2 bool
-			if track {
-				tIn2 = taintOf(taint, in.a2) || taintOf(taint, in.b2)
-			}
-			v2 := evalFusedArith(in.op2, in.ty2, get(regs, consts, in.a2), get(regs, consts, in.b2))
-			preInj = e.injected
-			v2, ok = e.result(in.id2, in.ty2, v2)
-			if !ok {
-				return 0, false
-			}
-			regs[in.dst2] = v2
-			if track {
-				t := tIn2 || (e.injected && !preInj)
-				taint[in.dst2] = t
-				if t {
-					e.noteTaint(in.id2)
-				}
-			}
-			pc++
-			continue
-
-		case opFusedArithLoad:
-			var tIn bool
-			if track {
-				tIn = taintOf(taint, in.a) || taintOf(taint, in.b)
-			}
-			v := evalFusedArith(in.op1, in.ty, get(regs, consts, in.a), get(regs, consts, in.b))
-			preInj := e.injected
-			v, ok := e.result(in.id, in.ty, v)
-			if !ok {
-				return 0, false
-			}
-			regs[in.dst] = v
-			if track {
-				t := tIn || (e.injected && !preInj)
-				taint[in.dst] = t
-				if t {
-					e.noteTaint(in.id)
-				}
-			}
-			addr := get(regs, consts, in.a2)
-			if !e.checkAddr(cf, addr) {
-				return 0, false
-			}
-			var tIn2 bool
-			if track {
-				tIn2 = taintOf(taint, in.a2) || e.taintMem[addr]
-			}
-			v2 := ir.CanonInt(in.ty2, e.mem[addr])
-			preInj = e.injected
-			v2, ok = e.result(in.id2, in.ty2, v2)
-			if !ok {
-				return 0, false
-			}
-			regs[in.dst2] = v2
-			if track {
-				t := tIn2 || (e.injected && !preInj)
-				taint[in.dst2] = t
-				if t {
-					e.noteTaint(in.id2)
-				}
-			}
-			pc++
-			continue
-
-		case opFusedArithStore:
-			var tIn bool
-			if track {
-				tIn = taintOf(taint, in.a) || taintOf(taint, in.b)
-			}
-			v := evalFusedArith(in.op1, in.ty, get(regs, consts, in.a), get(regs, consts, in.b))
-			preInj := e.injected
-			v, ok := e.result(in.id, in.ty, v)
-			if !ok {
-				return 0, false
-			}
-			regs[in.dst] = v
-			if track {
-				t := tIn || (e.injected && !preInj)
-				taint[in.dst] = t
-				if t {
-					e.noteTaint(in.id)
-				}
-			}
-			addr := get(regs, consts, in.b2)
-			if !e.checkAddr(cf, addr) {
-				return 0, false
-			}
-			e.mem[addr] = get(regs, consts, in.a2)
-			if e.dirty != nil {
-				e.dirty[addr>>pageShift] = true
-			}
-			if track {
-				tVal := taintOf(taint, in.a2)
-				tPtr := taintOf(taint, in.b2)
-				e.taintMem[addr] = tVal || tPtr
-				if tVal || tPtr {
-					e.taintStats.TaintedMemWrites++
-				}
-				if tPtr {
-					e.taintStats.WildStores++
-				}
-			}
-			pc++
-			continue
-
-		case opFusedArithArith:
-			var tIn bool
-			if track {
-				tIn = taintOf(taint, in.a) || taintOf(taint, in.b)
-			}
-			v := evalFusedArith(in.op1, in.ty, get(regs, consts, in.a), get(regs, consts, in.b))
-			preInj := e.injected
-			v, ok := e.result(in.id, in.ty, v)
-			if !ok {
-				return 0, false
-			}
-			regs[in.dst] = v
-			if track {
-				t := tIn || (e.injected && !preInj)
-				taint[in.dst] = t
-				if t {
-					e.noteTaint(in.id)
-				}
-			}
-			var tIn2 bool
-			if track {
-				tIn2 = taintOf(taint, in.a2) || taintOf(taint, in.b2)
-			}
-			v2 := evalFusedArith(in.op2, in.ty2, get(regs, consts, in.a2), get(regs, consts, in.b2))
-			preInj = e.injected
-			v2, ok = e.result(in.id2, in.ty2, v2)
-			if !ok {
-				return 0, false
-			}
-			regs[in.dst2] = v2
-			if track {
-				t := tIn2 || (e.injected && !preInj)
-				taint[in.dst2] = t
-				if t {
-					e.noteTaint(in.id2)
 				}
 			}
 			pc++

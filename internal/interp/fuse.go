@@ -8,10 +8,13 @@ import "repro/internal/ir"
 // feeding the block's conditional branch, a load feeding arithmetic,
 // arithmetic feeding a load/store address or another arithmetic op. Fusion
 // never crosses a block boundary (all jump targets are block starts, so a
-// fused slot can never be entered mid-pair), and each fused handler
-// replicates the sequential semantics sub-instruction by sub-instruction —
-// including the dynamic-instruction clock, the budget check ordering and
-// the trap points — so results are bit-identical to the unfused array.
+// fused slot can never be entered mid-pair), and each fused handler of the
+// fast loop replicates the sequential semantics sub-instruction by
+// sub-instruction — including the dynamic-instruction clock, the budget
+// check ordering and the trap points — so results are bit-identical to the
+// unfused array. Only the fast loop runs the fused array; the generic
+// engine runs the unfused one, and machine state crosses between them
+// through fusedPC (a trial's hand-off, the convergence compare).
 //
 // Fused opcodes live far above ir.opMax; they exist only inside compiled
 // fused code and never appear in a Program's unfused array.
@@ -87,8 +90,9 @@ func fusePair(a, b *inst) (inst, bool) {
 
 // fuseFunc builds the function's fused code array: a greedy left-to-right
 // pairing within each block, then a jump-target remap from unfused to fused
-// pcs. Global counter indices (blkA/blkB/edgeA/edgeB) are positions in the
-// shared counter space, not pcs, so they carry over unchanged.
+// pcs, kept as fusedPC. Global counter indices (blkA/blkB/edgeA/edgeB) are
+// positions in the shared counter space, not pcs, so they carry over
+// unchanged.
 func fuseFunc(cf *compiledFunc) {
 	n := len(cf.code)
 	remap := make([]int32, n)
@@ -99,7 +103,7 @@ func fuseFunc(cf *compiledFunc) {
 		lb := cf.blockOf[i]
 		if i+1 < n && cf.blockOf[i+1] == lb {
 			if fi, ok := fusePair(&cf.code[i], &cf.code[i+1]); ok {
-				remap[i+1] = int32(len(fused)) // mid-pair; never a jump target
+				remap[i+1] = -1 // mid-pair: never a jump target, a block entry or a call
 				fused = append(fused, fi)
 				fusedOf = append(fusedOf, lb)
 				i += 2
@@ -120,6 +124,7 @@ func fuseFunc(cf *compiledFunc) {
 		}
 	}
 	cf.fused = fused
+	cf.fusedPC = remap
 	cf.fusedOf = fusedOf
 	cf.fusedStart = make([]int32, cf.numBlocks)
 	for lb, s := range cf.blockStart {

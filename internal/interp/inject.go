@@ -10,17 +10,18 @@ import (
 
 // Injector is the fault-injection trial engine: one machine that runs
 // trials one after another, reusing its memory, register slab and frame
-// stack, and every trial runs on the fused code arrays. A trial runs in two
-// phases. It restores its start state (a golden checkpoint, a batch fork, or
-// the program entry) and runs the generic engine up to and through the
-// injection, so the fault keeps its exact per-dynamic-instruction
-// semantics, including targets inside fused pairs. Once the fault has
-// fired, the trial finishes on the fast loop: no plan state is consulted
-// downstream of the injection, and both loops keep the same dyn clock, trap
-// points and budget order, so results are bit-identical to Run or RunFrom
-// of the same plan. Against a checkpointed golden the tail also ends early
-// once the machine is back in the golden's exact state at one of its
-// snapshots (converge.go).
+// stack. A trial runs in two phases. It restores its start state (a golden
+// checkpoint, a batch fork, or the program entry) and runs the generic
+// engine on the unfused code arrays up to and through the injection, so
+// the fault keeps its exact per-dynamic-instruction semantics. At the
+// first fused-slot start after the fault fires (at most one instruction
+// later, the second half of a fused pair) it rewrites every frame's pc
+// through compiledFunc.fusedPC and finishes on the fast loop over the
+// fused arrays: no plan state is consulted downstream of the injection,
+// and both loops keep the same dyn clock, trap points and budget order, so
+// results are bit-identical to Run or RunFrom of the same plan. Against a
+// checkpointed golden the tail also ends early once the machine is back in
+// the golden's exact state at one of its snapshots (converge.go).
 //
 // An Injector is not safe for concurrent use; campaigns keep one per worker.
 type Injector struct {
@@ -42,14 +43,15 @@ func newInjector(p *Program, limits Options) *Injector {
 // Trial runs one fault-injection trial of plan against a golden run on
 // args, with maxDyn as its dynamic budget (0: the interpreter default). It
 // resumes from the latest of the golden's checkpoints c that precedes the
-// injection point and counts the resume in c's usage counters, like
-// RunWithCheckpoints; with no such snapshot (or c nil) it starts at the
-// program entry. A tail that re-joins the golden at one of c's snapshots
-// ends there with the golden's end state, counted in c's usage counters.
-// rng resolves the plan's deferred fault bits. The Result's Output is the
-// machine's buffer, valid only until its next trial.
+// injection point, if that lies within the budget, and counts the resume
+// in c's usage counters, like RunWithCheckpoints; otherwise (or with c
+// nil) it starts at the program entry. A tail that re-joins the golden at
+// one of c's snapshots ends there with the golden's end state, counted in
+// c's usage counters. rng resolves the plan's deferred fault bits. The
+// Result's Output is the machine's buffer, valid only until its next
+// trial.
 func (m *Injector) Trial(args []uint64, c *Checkpoints, plan *fault.Plan, rng *xrand.RNG, maxDyn int64) *Result {
-	return m.run(c, c.startFor(m.e.p, plan), args, plan, rng, maxDyn)
+	return m.run(c, c.startFor(m.e.p, plan, maxDyn), args, plan, rng, maxDyn)
 }
 
 // run executes one trial from snapshot s, or from the program entry with
@@ -84,20 +86,36 @@ func (m *Injector) run(c *Checkpoints, s *Snapshot, args []uint64, plan *fault.P
 	ret, ok := e.run()
 	if !ok && e.paused {
 		e.paused = false
+		e.toFused()
 		e.armConvergence(c)
 		ret, _ = e.runFast()
 	}
 	return e.finish(ret)
 }
 
+// toFused hands a machine the generic engine suspended over to the fast
+// loop by rewriting every frame's pc, in place, into the fused code
+// arrays. Every frame must sit at a fused-slot start: the top one does at
+// a hand-off (injectBoundary), suspended callers at their calls, which are
+// never fused.
+func (e *exec) toFused() {
+	for i := range e.frames {
+		fr := &e.frames[i]
+		fr.pc = e.p.funcs[fr.fi].fusedPC[fr.pc]
+	}
+}
+
 // injectBoundary is the trial machine's boundary hook: once the fault has
-// fired the run suspends so the trial can switch to the fast-path tail.
-// Until then (a static plan whose conservative stop undershot the actual
-// occurrence) the stop is re-armed from the remaining occurrence distance,
-// which the target's at-most-one-per-dyn execution rate makes safe.
+// fired the run suspends at the next fused-slot start so the trial can
+// switch to the fast-path tail; inside a fused pair it runs on one more
+// instruction, keeping the stop armed. Until the fault fires (a static
+// plan whose conservative stop undershot the actual occurrence) the stop
+// is re-armed from the remaining occurrence distance, which the target's
+// at-most-one-per-dyn execution rate makes safe.
 func (e *exec) injectBoundary() bool {
 	if e.injected {
-		return false
+		fr := &e.frames[len(e.frames)-1]
+		return e.p.funcs[fr.fi].fusedPC[fr.pc] < 0
 	}
 	if pl := e.plan; pl.Mode == fault.ModeStatic {
 		e.nextCkpt = e.dyn + (pl.Occurrence - e.occSeen)

@@ -46,16 +46,15 @@ func Analyze(p *interp.Program, g *campaign.Golden, trials int, rng *xrand.RNG) 
 	reached := make(map[campaign.Outcome]int)
 	counts := make(map[campaign.Outcome]int)
 
-	budget := g.DynCount*3 + 10000
 	for i := 0; i < trials; i++ {
 		plan := fault.SampleDynamic(rng, g.DynCount)
 		r := interp.RunWithCheckpoints(p, g.Input, g.Checkpoints, interp.Options{
 			Plan:             &plan,
 			FaultRNG:         rng,
-			MaxDyn:           budget,
+			MaxDyn:           g.TrialBudget(),
 			TrackPropagation: true,
 		})
-		outcome := classify(g, r)
+		outcome := campaign.ClassifyResult(g, r, nil)
 		t := Trial{Outcome: outcome, InjectedID: r.InjectedID}
 		if r.Propagation != nil {
 			t.Stats = *r.Propagation
@@ -72,24 +71,6 @@ func Analyze(p *interp.Program, g *campaign.Golden, trials int, rng *xrand.RNG) 
 		prof.OutputReached[o] = float64(reached[o]) / float64(n)
 	}
 	return prof, nil
-}
-
-// classify mirrors campaign.Classify's decision on an already-run Result.
-func classify(g *campaign.Golden, r *interp.Result) campaign.Outcome {
-	switch {
-	case !r.Injected:
-		return campaign.Benign
-	case r.DetectedFlag:
-		return campaign.Detected
-	case r.Trap != nil:
-		return campaign.Crash
-	case r.BudgetExceeded:
-		return campaign.Hang
-	case !interp.OutputEqual(g.Output, r.Output):
-		return campaign.SDC
-	default:
-		return campaign.Benign
-	}
 }
 
 // Render formats the profile.

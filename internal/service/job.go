@@ -72,11 +72,15 @@ type JobSpec struct {
 	// sensitivity derivation.
 	TrialsPerRep int `json:"trials_per_rep,omitempty"`
 	// MaxTokens caps the job's dynamic-instruction spend (the service's
-	// token currency). Flat campaigns and search jobs are charged when
-	// they return, so a blown budget fails them afterwards; only adaptive
-	// rounds and compose segment measurements are charged as they go, and
-	// exceeding the budget cancels those at the next round or segment.
-	// 0 uses the server default; negative means unlimited.
+	// token currency). Campaign and sensitivity jobs are charged as they
+	// go, and crossing the budget cancels the rest: a flat campaign's
+	// in-process trials run in sub-ranges the remaining budget can pay at
+	// worst-case trial cost, so it stops within one trial of the budget,
+	// while a peer's range is charged when it returns; adaptive rounds and
+	// compose segment measurements are charged as each one ends. Search
+	// jobs are charged once, when they return. A job that crosses its
+	// budget fails with "token budget exceeded". 0 uses the server
+	// default; negative means unlimited.
 	MaxTokens int64 `json:"max_tokens,omitempty"`
 }
 
@@ -166,8 +170,9 @@ type JobResult struct {
 
 // tokenMeter charges a job's dynamic-instruction spend against its budget
 // and cancels the job's context the moment the budget is crossed. Charges
-// land at campaign/shard/round granularity, so a job can overshoot by at
-// most one in-flight unit of work.
+// land per in-process trial sub-range, peer range, adaptive round, compose
+// segment or search, so a job can overshoot by at most the units of work
+// in flight when the budget is crossed.
 type tokenMeter struct {
 	budget int64 // <= 0: unlimited
 	spent  atomic.Int64
@@ -186,6 +191,28 @@ func (m *tokenMeter) charge(n int64) {
 // exceeded reports whether the budget was crossed.
 func (m *tokenMeter) exceeded() bool {
 	return m.budget > 0 && m.spent.Load() > m.budget
+}
+
+// overallShard runs trials [lo, hi) of a flat campaign in-process, like
+// campaign.OverallShard, charging m as it goes: as consecutive sub-ranges,
+// each no longer than the remaining budget can pay at the worst-case trial
+// cost (Golden.TrialBudget()+1), each charged before the next starts, so
+// the job stops within one trial of its budget. Sub-range tallies merge in
+// range order, bit-identical to one OverallShard call over [lo, hi), which
+// is what an unlimited or ample budget runs.
+func (m *tokenMeter) overallShard(p *interp.Program, g *campaign.Golden, lo, hi int, opts campaign.ParallelOptions) campaign.Counts {
+	var c campaign.Counts
+	for lo < hi && opts.Ctx.Err() == nil {
+		n := hi - lo
+		if m.budget > 0 {
+			n = int(min(int64(n), max(1, (m.budget-m.spent.Load())/(g.TrialBudget()+1))))
+		}
+		sub := campaign.OverallShard(p, g, lo, lo+n, opts)
+		m.charge(sub.DynInstrs)
+		c.Merge(sub)
+		lo += n
+	}
+	return c
 }
 
 // runJob executes a validated spec. ctx is the job's cancellation scope
@@ -279,10 +306,7 @@ func (s *Server) runCampaign(ctx context.Context, spec *JobSpec, fi core.FIOptio
 		}
 		return nil
 	}
-	c, ranges, err := s.runFlatCampaign(ctx, spec, be, g, fi.Model, meter, ew)
-	if err != nil {
-		return err
-	}
+	c, ranges := s.runFlatCampaign(ctx, spec, be, g, fi.Model, meter, ew)
 	res.Shards = ranges
 	tr.Advance(c.DynInstrs)
 	tr.Emit("fi.campaign", c.Fields()...)

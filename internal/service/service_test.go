@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -259,6 +260,39 @@ func TestServiceTokenBudget(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "token budget exceeded") {
 		t.Fatalf("budget-blown job: got %v, want token budget error", err)
 	}
+}
+
+// TestServiceTokenBudgetStopsFlatCampaign: a flat campaign far larger than
+// its budget stops within one trial of the budget instead of running every
+// trial and failing afterwards.
+func TestServiceTokenBudgetStopsFlatCampaign(t *testing.T) {
+	const budget = 100000
+	s, ts := newTestServer(t, Config{})
+	cl := &Client{Base: ts.URL}
+	_, err := cl.Submit(context.Background(), &JobSpec{
+		Kind: KindCampaign, Bench: "pathfinder", Trials: 20000, Seed: 1, MaxTokens: budget,
+	})
+	if err == nil || !strings.Contains(err.Error(), "token budget exceeded") {
+		t.Fatalf("budget-blown job: got %v, want token budget error", err)
+	}
+	var spent, of int64
+	msg := err.Error()
+	if _, err := fmt.Sscanf(msg[strings.Index(msg, "spent"):], "spent %d of %d", &spent, &of); err != nil || of != budget {
+		t.Fatalf("no spend in %q (%v)", msg, err)
+	}
+	trials := s.rec.Counter("service.shard.trials")
+	if trials > 100 {
+		t.Fatalf("budget-blown job ran %d trials", trials)
+	}
+	b := prog.Build("pathfinder")
+	g, err := campaign.NewGolden(b.Prog, b.Encode(b.RefInput()), b.MaxDyn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if worst := g.TrialBudget() + 1; spent > budget+worst {
+		t.Fatalf("spent %d, more than the budget %d plus one worst-case trial (%d)", spent, budget, worst)
+	}
+	t.Logf("stopped after %d trials, spent %d of %d", trials, spent, budget)
 }
 
 // TestServicePeerShardDispatch: a coordinator with a peer worker must

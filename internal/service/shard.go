@@ -51,12 +51,15 @@ type ShardResponse struct {
 
 // runFlatCampaign runs a flat campaign as min(1+len(Peers), trials)
 // contiguous ranges, range 0 in-process and range k on peer k, and returns
-// the merged tally with the number of ranges it used. A peer that fails
-// hands its range back to the coordinator (with a job event), so a dead
-// peer degrades throughput, not correctness. Tallies merge in range order,
-// making the merge — like everything else in the trial pipeline — a
-// deterministic fold.
-func (s *Server) runFlatCampaign(ctx context.Context, spec *JobSpec, be *benchEntry, g *campaign.Golden, model fault.Model, meter *tokenMeter, ew *eventWriter) (campaign.Counts, int, error) {
+// the merged tally with the number of ranges it used. In-process ranges
+// are charged to meter as they go (tokenMeter.overallShard), a peer's
+// range when it returns; a crossed budget cancels ctx, which stops the
+// local trials and the in-flight peer requests, and a range the stop left
+// unrun adds nothing. A peer that fails otherwise hands its range back to
+// the coordinator (with a job event), so a dead peer degrades throughput,
+// not correctness. Tallies merge in range order, making the merge — like
+// everything else in the trial pipeline — a deterministic fold.
+func (s *Server) runFlatCampaign(ctx context.Context, spec *JobSpec, be *benchEntry, g *campaign.Golden, model fault.Model, meter *tokenMeter, ew *eventWriter) (campaign.Counts, int) {
 	trials := spec.Trials
 	ranges := min(1+len(s.cfg.Peers), trials)
 	popts := campaign.ParallelOptions{
@@ -66,18 +69,17 @@ func (s *Server) runFlatCampaign(ctx context.Context, spec *JobSpec, be *benchEn
 		Model:   model,
 	}
 	tallies := make([]campaign.Counts, ranges)
-	errs := make([]error, ranges)
 	parallel.ForEach(ranges, ranges, func(r int) {
 		lo, hi := campaign.ShardRange(trials, r, ranges)
 		if r > 0 {
 			peer := s.cfg.Peers[r-1]
 			c, err := s.dispatchShard(ctx, peer, spec, g, lo, hi)
 			if err == nil {
+				meter.charge(c.DynInstrs)
 				tallies[r] = c
 				return
 			}
 			if ctx.Err() != nil {
-				errs[r] = err
 				return
 			}
 			ew.event("shard.fallback", map[string]any{
@@ -85,19 +87,15 @@ func (s *Server) runFlatCampaign(ctx context.Context, spec *JobSpec, be *benchEn
 			})
 			s.rec.Count("service.shard.fallbacks", 1)
 		}
-		tallies[r] = campaign.OverallShard(be.b.Prog, g, lo, hi, popts)
+		tallies[r] = meter.overallShard(be.b.Prog, g, lo, hi, popts)
 	})
 	var c campaign.Counts
-	for r := range tallies {
-		if errs[r] != nil {
-			return c, ranges, fmt.Errorf("shard %d/%d: %w", r, ranges, errs[r])
-		}
-		c.Merge(tallies[r])
+	for _, t := range tallies {
+		c.Merge(t)
 	}
-	meter.charge(c.DynInstrs)
 	s.rec.Count("service.shard.trials", int64(c.Trials))
 	s.rec.Count("service.shard.dyn", c.DynInstrs)
-	return c, ranges, nil
+	return c, ranges
 }
 
 // dispatchShard runs one shard on a peer worker and verifies the
