@@ -254,12 +254,14 @@ profile:
 # End-to-end trace determinism: the same small search, traced at 1 and 4
 # workers, must write byte-identical JSONL (the telemetry layer's contract;
 # the in-process version is cmd/peppax's TestTelemetryWorkerEquivalence).
+# At 20 generations of 16 the GA breeds identical offspring within one
+# generation, so at 4 workers they race on one fitness-memo key.
 # Leaves trace-w1.jsonl behind as a sample artifact.
 test-telemetry:
-	$(GO) run ./cmd/peppax -bench pathfinder -generations 3 -pop 4 \
+	$(GO) run ./cmd/peppax -bench pathfinder -generations 20 -pop 16 \
 		-trials 40 -rep-trials 4 -seed 7 -checkpoints 1,3 -baseline \
 		-workers 1 -trace trace-w1.jsonl > /dev/null
-	$(GO) run ./cmd/peppax -bench pathfinder -generations 3 -pop 4 \
+	$(GO) run ./cmd/peppax -bench pathfinder -generations 20 -pop 16 \
 		-trials 40 -rep-trials 4 -seed 7 -checkpoints 1,3 -baseline \
 		-workers 4 -trace trace-w4.jsonl > /dev/null
 	cmp trace-w1.jsonl trace-w4.jsonl
@@ -268,18 +270,19 @@ test-telemetry:
 # Live observability gate, in three parts: (1) the targeted unit tests for
 # the Prometheus exposition, the heat events and the recorder lifecycle;
 # (2) heat-event determinism end-to-end — the same traced search at 1 and 4
-# workers must emit byte-identical heat.topk lines; (3) a live scrape — run
-# a search with -metrics-addr on an ephemeral port and curl /healthz and
-# /metrics while it executes. Leaves heat-w1.jsonl behind as a sample
-# artifact.
+# workers (sized, like test-telemetry's, so that duplicate offspring race on
+# one fitness-memo key) must emit byte-identical heat.topk lines; (3) a
+# live scrape — run a search with -metrics-addr on an ephemeral port and
+# curl /healthz and /metrics while it executes. Leaves heat-w1.jsonl behind
+# as a sample artifact.
 test-observability:
 	$(GO) test -count=1 -run 'Prom|Metrics|Heat|DropsAndCounts|Freezes|FitnessUniform|NormalizeUniform|Geomean' \
 		./internal/telemetry ./internal/core ./internal/stats ./cmd/benchjson ./cmd/peppax
 	$(GO) build -o bin/peppax ./cmd/peppax
-	./bin/peppax -bench pathfinder -generations 3 -pop 4 -trials 40 \
+	./bin/peppax -bench pathfinder -generations 20 -pop 16 -trials 40 \
 		-rep-trials 4 -seed 7 -checkpoints 1,3 -baseline -heat-topk 8 \
 		-workers 1 -trace heat-w1.jsonl > /dev/null
-	./bin/peppax -bench pathfinder -generations 3 -pop 4 -trials 40 \
+	./bin/peppax -bench pathfinder -generations 20 -pop 16 -trials 40 \
 		-rep-trials 4 -seed 7 -checkpoints 1,3 -baseline -heat-topk 8 \
 		-workers 4 -trace heat-w4.jsonl > /dev/null
 	grep -c '"ev":"heat.topk"' heat-w1.jsonl > /dev/null

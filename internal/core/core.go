@@ -29,6 +29,9 @@ import (
 // Cost breaks down where a search spends its budget. Dynamic-instruction
 // counts are the machine-independent cost currency (the paper reports
 // wall-clock hours on its testbed; relative costs are what transfer).
+// SearchDyn charges every GA evaluation its profiled run's dyn, including
+// evaluations the fitness memo answered without running
+// (Result.SearchDynExecuted is the executed part).
 type Cost struct {
 	SmallInputDyn   int64
 	SensitivityDyn  int64

@@ -125,8 +125,15 @@ type Result struct {
 	// cost after each generation — the basis for giving the baseline an
 	// equal budget at any generation cut-off (Figures 5, 7, 8).
 	SearchDynHistory []int64
-	// Evaluations counts candidate executions during the GA search.
+	// Evaluations counts candidate evaluations during the GA search, each
+	// charged to Cost.SearchDyn as one profiled run.
 	Evaluations int
+	// ProfiledInputs counts the distinct inputs the GA search profiled;
+	// every other evaluation reused a recorded run (FitnessEval's memo).
+	ProfiledInputs int
+	// SearchDynExecuted is the part of Cost.SearchDyn the profiler actually
+	// executed: the runs of the ProfiledInputs. The rest is modeled.
+	SearchDynExecuted int64
 	// ComposeStats, under Options.Compose, records the profile cache's
 	// effectiveness over the whole search (hits, misses, re-measurements,
 	// measurement spend); nil otherwise.
@@ -337,6 +344,7 @@ func Search(b *prog.Benchmark, opts Options, rng *xrand.RNG) (*Result, error) {
 	res.BestInput = best.Genome
 	res.BestFitness = best.Fitness
 	res.Evaluations = engine.Evaluations
+	res.ProfiledInputs, res.SearchDynExecuted = fe.Profiled()
 	res.Cost.SearchTime = time.Since(t0)
 	res.Cost.SearchDyn = searchDyn.Load()
 	endPhase()
@@ -417,7 +425,7 @@ func overallCampaign(p *interp.Program, g *campaign.Golden, trials int, rng *xra
 //
 // This is the one-shot convenience form. Loops evaluating many candidates
 // should build a FitnessEval once and call Eval, which reuses the profiling
-// context.
+// context and profiles each distinct input once.
 func Fitness(b *prog.Benchmark, scores []float64, input []float64) (float64, int64) {
 	return NewFitnessEval(b, scores).Eval(input)
 }

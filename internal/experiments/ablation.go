@@ -122,7 +122,7 @@ func AblationFitness(s *Suite, bench string) (*AblationFitnessResult, error) {
 		return f
 	}
 	covFit := func(g ga.Genome) float64 {
-		gold, err := campaign.NewGoldenCheckpointed(b.Prog, b.Encode(g), b.MaxDyn, campaign.CheckpointAuto)
+		gold, err := campaign.NewGolden(b.Prog, b.Encode(g), b.MaxDyn)
 		if err != nil {
 			return 0
 		}

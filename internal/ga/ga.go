@@ -92,8 +92,9 @@ type Engine struct {
 	best Individual
 	gen  int
 
-	// Evaluations counts fitness calls — each corresponds to one program
-	// execution in PEPPA-X (the cheap per-input evaluation of Table 6).
+	// Evaluations counts fitness calls — each is charged as one program
+	// execution in PEPPA-X (the cheap per-input evaluation of Table 6),
+	// though core.FitnessEval runs each distinct input only once.
 	Evaluations int
 	// Mutations and Crossovers count operator applications. With a rate of
 	// Disabled the corresponding counter must stay 0 — the regression

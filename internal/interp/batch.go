@@ -106,14 +106,15 @@ func batchCanceled(done <-chan struct{}) bool {
 // during the call — its Output buffer is reused by the next trial. c is the
 // golden's checkpoints (nil: none), which base, if set, must belong to;
 // trial tails that re-join the golden at one of its snapshots end there,
-// as in Injector.Trial. opts supplies the per-trial limits (MaxDyn,
-// MaxMemWords, MaxDepth); Plan, FaultRNG, Profile, TrackPropagation and
-// CheckpointInterval must be unset — trials carry their own plans and
-// streams. Static-mode trials require a profiled base (or a base-less
-// batch), like RunFrom. The shared trunk runs the unfused code arrays, as
-// every generic run does, so its forks sit at unfused instruction
-// boundaries and each trial hands off to the fast loop as Injector.Trial
-// does.
+// as in Injector.Trial. A base past opts.MaxDyn is ignored: the batch then
+// starts from the entry, as Injector.Trial does. opts supplies the
+// per-trial limits (MaxDyn, MaxMemWords, MaxDepth); Plan, FaultRNG,
+// Profile, TrackPropagation and CheckpointInterval must be unset — trials
+// carry their own plans and streams. Static-mode trials require a profiled
+// base (or a base-less batch), like RunFrom. The shared trunk runs the
+// unfused code arrays, as every generic run does, so its forks sit at
+// unfused instruction boundaries and each trial hands off to the fast loop
+// as Injector.Trial does.
 //
 // When opts.Done closes mid-batch the trunk suspends at its next boundary
 // and the trial loop stops before its next trial: trials already reported
@@ -127,6 +128,11 @@ func BatchRun(p *Program, args []uint64, c *Checkpoints, base *Snapshot, trials 
 	st := BatchStats{Trials: len(trials)}
 	if len(trials) == 0 {
 		return st
+	}
+	// A base past the budget does not qualify, as in Checkpoints.startFor:
+	// a run from the entry exceeds the budget before it gets there.
+	if base != nil && opts.MaxDyn > 0 && base.dyn > opts.MaxDyn {
+		base = nil
 	}
 
 	// The trunk profiles only when a static-mode plan needs occurrence

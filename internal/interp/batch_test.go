@@ -186,6 +186,38 @@ func TestBatchFallbackPastTrunkEnd(t *testing.T) {
 	}
 }
 
+// TestBatchBaseSnapshotPastBudget: a batch whose base snapshot lies past
+// the trials' dyn budget must start from the program entry, as
+// Injector.Trial does (Checkpoints.startFor). A run from the entry exceeds
+// the budget before it reaches the snapshot, so the trial must hang at
+// MaxDyn+1 like Run, not report the snapshot's dyn+1.
+func TestBatchBaseSnapshotPastBudget(t *testing.T) {
+	p := buildSumLoop(t)
+	args := []uint64{200}
+	g := batchGolden(t, p, args, 120)
+	base := g.Checkpoints.snaps[0]
+	if base.dyn != 122 {
+		t.Fatalf("first snapshot at dyn %d, want 122", base.dyn)
+	}
+	const maxDyn = 117
+	plan := fault.Plan{Mode: fault.ModeDynamic, TargetDyn: base.dyn + 1, Bit: 0}
+	want := Run(p, args, Options{Plan: &plan, MaxDyn: maxDyn})
+	if !want.BudgetExceeded || want.DynCount != maxDyn+1 {
+		t.Fatalf("Run: budget exceeded %v at dyn %d, want a hang at dyn %d", want.BudgetExceeded, want.DynCount, maxDyn+1)
+	}
+	var got Result
+	n := 0
+	st := BatchRun(p, args, g.Checkpoints, base, []BatchTrial{{Plan: plan}}, Options{MaxDyn: maxDyn},
+		func(i int, r *Result) { got = *r; n++ })
+	if n != 1 {
+		t.Fatalf("report called %d times for 1 trial", n)
+	}
+	sameResult(t, "base-past-budget", want, &got)
+	if st.Fallback != 1 || st.FallbackRestored != 0 {
+		t.Fatalf("trial did not start from the entry: %+v", st)
+	}
+}
+
 // TestBatchSnapshotImmutableUnderConcurrentForks runs several BatchRun
 // executions concurrently off the SAME base snapshot (as campaign workers
 // do) and verifies the snapshot's pages, frames and registers are

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/campaign"
-	"repro/internal/core"
 	"repro/internal/interp"
 	"repro/internal/prog"
 	"repro/internal/xrand"
@@ -133,9 +132,12 @@ func BenchmarkOverall(b *testing.B) {
 // reference-input run folded into the §4.2.5 fitness — on two engines:
 // perinstr is the reference engine, a profiled interp.Run over the unfused
 // arrays with per-instruction counts, and fused is the fast loop behind
-// core.FitnessEval. cmd/benchjson derives the per-benchmark perinstr/fused
-// speedup for BENCH_fitness.json. allocs/op is reported; the fast loop must
-// be allocation-free in steady state.
+// core.FitnessEval: the work of one of its memo misses, a reused Profiler's
+// run folded over Program.CounterScores. (FitnessEval.Eval itself would
+// answer every iteration after the first from its memo.) cmd/benchjson
+// derives the per-benchmark perinstr/fused speedup for BENCH_fitness.json.
+// allocs/op is reported; the fast loop must be allocation-free in steady
+// state.
 func BenchmarkFitnessProfile(b *testing.B) {
 	type evalFn = func(input []float64) (fitness float64, dyn int64)
 	engines := []struct {
@@ -155,7 +157,14 @@ func BenchmarkFitnessProfile(b *testing.B) {
 			}
 		}},
 		{"fused", func(bench *prog.Benchmark, scores []float64) evalFn {
-			return core.NewFitnessEval(bench, scores).Eval
+			prof := interp.NewProfiler(bench.Prog)
+			counterScores := bench.Prog.CounterScores(scores)
+			var args []uint64
+			return func(in []float64) (float64, int64) {
+				args = bench.EncodeInto(args[:0], in)
+				r := prof.Run(args, bench.MaxDyn)
+				return r.Fitness(counterScores), r.DynCount
+			}
 		}},
 	}
 	for _, eng := range engines {
@@ -171,7 +180,7 @@ func BenchmarkFitnessProfile(b *testing.B) {
 					eval := eng.eval(bench, scores)
 					in := bench.RefInput()
 					var dyn int64
-					eval(in) // warm the pooled profiling context
+					eval(in) // warm the profiler and argument buffer
 					b.ReportAllocs()
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
