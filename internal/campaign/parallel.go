@@ -85,12 +85,16 @@ func OverallParallel(p *interp.Program, g *Golden, trials int, opts ParallelOpti
 // instruction's plans come from a stream seeded by (Seed, ID), so results
 // are identical for every Workers and BatchSize.
 func PerInstructionParallel(p *interp.Program, g *Golden, ids []int, trialsPerInstr int, opts ParallelOptions) []InstrResult {
-	return parallel.Map(opts.Workers, len(ids), func(k int) InstrResult {
+	res := make([]InstrResult, len(ids))
+	// One trial machine per worker for the whole call, as in RunPlans: an
+	// instruction's trials run in order on its worker's machine.
+	machines := make([]*interp.Injector, parallel.Workers(opts.Workers))
+	parallel.ForEachWorker(opts.Workers, len(ids), func(w, k int) {
 		id := ids[k]
-		res := InstrResult{ID: id}
+		res[k].ID = id
 		execCount := g.InstrCounts[id]
 		if execCount <= 0 {
-			return res
+			return
 		}
 		ty := p.InstrType(id)
 		rng := trialRNG(opts.Seed, id)
@@ -99,13 +103,28 @@ func PerInstructionParallel(p *interp.Program, g *Golden, ids []int, trialsPerIn
 			plans[t] = fault.SampleStatic(rng, id, ty, execCount)
 		}
 		// Static plans draw their fault bits eagerly, so the trials share
-		// the instruction's stream without consuming it. One worker: the
-		// instruction-level fan-out already occupies the pool.
-		res.Counts = tally(RunPlans(p, g, plans, func(int) *xrand.RNG { return rng }, ParallelOptions{
-			Workers: 1, BatchSize: opts.BatchSize, Ctx: opts.Ctx,
-		}))
-		return res
+		// the instruction's stream without consuming it.
+		if opts.BatchSize > 1 {
+			// One worker: the instruction-level fan-out already occupies
+			// the pool.
+			res[k].Counts = tally(RunPlans(p, g, plans, func(int) *xrand.RNG { return rng }, ParallelOptions{
+				Workers: 1, BatchSize: opts.BatchSize, Ctx: opts.Ctx,
+			}))
+			return
+		}
+		if machines[w] == nil {
+			machines[w] = interp.NewInjector(p)
+		}
+		for t := range plans {
+			if ctxCanceled(opts.Ctx) {
+				break
+			}
+			o, r := Classify(machines[w], g, &plans[t], rng, nil)
+			res[k].Counts.Add(o)
+			res[k].Counts.DynInstrs += r.DynCount
+		}
 	})
+	return res
 }
 
 // tally folds trial results in index order, skipping the trials

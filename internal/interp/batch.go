@@ -13,9 +13,9 @@ import (
 // up to each injection point; BatchRun pays that stretch once. A single
 // profiled trunk runs the generic engine forward from the shared base
 // snapshot on the unfused code arrays and captures a copy-on-write fork —
-// pages shared with the previous fork via the dirty map, exactly like
-// interval checkpoints — at an instruction boundary strictly before each
-// trial's injection point. Every trial then runs on the trial machine
+// sharing every chunk equal to the previous fork's, exactly like interval
+// checkpoints — at an instruction boundary strictly before each trial's
+// injection point. Every trial then runs on the trial machine
 // (Injector) from its fork, so the generic engine covers only the short
 // fork-to-injection window before the fast-path tail.
 //
@@ -168,7 +168,6 @@ func BatchRun(p *Program, args []uint64, c *Checkpoints, base *Snapshot, trials 
 		te.pushFrame(p.entry)
 		copy(te.regSlab[:len(args)], args)
 	}
-	te.dirty = make([]bool, pageCount(int64(len(te.mem))))
 
 	// Seed the fork events with each trial's initial due bound; the base
 	// must be strictly before every injection point (the ForPlan contract).
@@ -181,10 +180,10 @@ func BatchRun(p *Program, args []uint64, c *Checkpoints, base *Snapshot, trials 
 		} else {
 			due = startDyn + pl.Occurrence
 			if base != nil {
-				if base.counts == nil {
+				if !base.profiled() {
 					panic("interp: static-mode batch trial on a snapshot of an unprofiled run")
 				}
-				due -= base.counts[pl.StaticID]
+				due -= base.counts.at(pl.StaticID)
 			}
 		}
 		if due <= startDyn {
@@ -225,7 +224,7 @@ func BatchRun(p *Program, args []uint64, c *Checkpoints, base *Snapshot, trials 
 				continue
 			}
 			if snap == nil {
-				snap = te.captureSnapshot(lastSnap)
+				snap, _ = te.captureSnapshot(lastSnap)
 				lastSnap = snap
 			}
 			forks[ev.idx] = snap

@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -146,7 +147,7 @@ func TestBatchStaticOccurrenceSweep(t *testing.T) {
 	var trials []BatchTrial
 	var wants []*Result
 	for id, n := range g.InstrCounts {
-		for occ := base.counts[id] + 1; occ <= n; occ++ {
+		for occ := base.counts.at(id) + 1; occ <= n; occ++ {
 			plan := fault.Plan{Mode: fault.ModeStatic, StaticID: id, Occurrence: occ, Bit: 0}
 			wants = append(wants, Run(p, args, Options{Plan: &plan, MaxDyn: budget}))
 			trials = append(trials, BatchTrial{Plan: plan})
@@ -220,7 +221,7 @@ func TestBatchBaseSnapshotPastBudget(t *testing.T) {
 
 // TestBatchSnapshotImmutableUnderConcurrentForks runs several BatchRun
 // executions concurrently off the SAME base snapshot (as campaign workers
-// do) and verifies the snapshot's pages, frames and registers are
+// do) and verifies the snapshot's memory and register chunks are
 // bit-identical afterwards. Run under -race this also proves the forks
 // never write shared snapshot state.
 func TestBatchSnapshotImmutableUnderConcurrentForks(t *testing.T) {
@@ -230,11 +231,7 @@ func TestBatchSnapshotImmutableUnderConcurrentForks(t *testing.T) {
 	base := g.Checkpoints.snaps[1]
 	budget := trialBudget(g)
 
-	pagesBefore := make([][]uint64, len(base.pages))
-	for i, pg := range base.pages {
-		pagesBefore[i] = append([]uint64(nil), pg...)
-	}
-	regsBefore := append([]uint64(nil), base.regs...)
+	memBefore, regsBefore := chunkCopies(base.mem), chunkCopies(base.regs)
 
 	plans := make([]fault.Plan, 32)
 	for i := range plans {
@@ -264,17 +261,11 @@ func TestBatchSnapshotImmutableUnderConcurrentForks(t *testing.T) {
 	}
 	wg.Wait()
 
-	for i, pg := range base.pages {
-		for j := range pg {
-			if pg[j] != pagesBefore[i][j] {
-				t.Fatalf("snapshot page %d word %d mutated: %d -> %d", i, j, pagesBefore[i][j], pg[j])
-			}
-		}
+	if !slices.Equal(chunkCopies(base.mem), memBefore) {
+		t.Fatal("snapshot memory chunks mutated")
 	}
-	for i := range regsBefore {
-		if base.regs[i] != regsBefore[i] {
-			t.Fatalf("snapshot register %d mutated", i)
-		}
+	if !slices.Equal(chunkCopies(base.regs), regsBefore) {
+		t.Fatal("snapshot register chunks mutated")
 	}
 }
 

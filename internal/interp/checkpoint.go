@@ -2,8 +2,10 @@ package interp
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/fault"
 )
@@ -21,47 +23,94 @@ import (
 // of the work. Block entries are also where a trial's fast-path tail
 // compares itself with the snapshots (converge.go).
 //
-// Memory is captured copy-on-write at page granularity: the checkpointed
-// run tracks written pages, and each snapshot shares every untouched page
-// with its predecessor, so snapshot cost scales with the write set rather
-// than the footprint.
+// Snapshots are copy-on-write by comparison. A snapshot holds three arrays
+// (memory below memTop, the live register slab and the per-instruction
+// count vector) as chunkWords-word chunks, and each chunk equal to the
+// previous snapshot's chunk at the same offset is that chunk, shared by
+// pointer. Nothing marks writes, so the engines' store paths carry no
+// bookkeeping, and a snapshot allocates only the chunks that changed.
 
-// pageWords is the snapshot page granularity (4 KiB of word-addressed
-// memory); pageShift is its log2.
+// chunkWords is the copy-on-write granularity of a snapshot's arrays
+// (DESIGN §8 has the measured alternatives); chunkShift is its log2.
 const (
-	pageWords = 512
-	pageShift = 9
+	chunkWords = 32
+	chunkShift = 5
 )
 
-func pageCount(words int64) int64 { return (words + pageWords - 1) >> pageShift }
+// chunks is a copy of an n-word array held as chunkWords-word chunks. Chunk
+// i holds words [i*chunkWords, min((i+1)*chunkWords, n)) in its first
+// slots; its slots past n are unspecified (a chunk shared with a longer
+// predecessor keeps that array's words there). Chunks are never written
+// once captured, so snapshots and concurrent trials share them freely.
+type chunks[T uint64 | int64] struct {
+	n  int
+	cs []*[chunkWords]T
+}
 
-// markDirty flags the pages covering [lo, hi) as written since the last
-// snapshot.
-func (e *exec) markDirty(lo, hi int64) {
-	if hi <= lo {
-		return
+// window returns the words of src that chunk i covers.
+func window[T uint64 | int64](src []T, i int) []T {
+	lo := i << chunkShift
+	return src[lo:min(lo+chunkWords, len(src))]
+}
+
+// captureChunks copies src, sharing every chunk whose words equal prev's
+// chunk at the same offset, and adds the bytes of its chunk table and of
+// the chunks it allocates to *bytes.
+func captureChunks[T uint64 | int64](src []T, prev chunks[T], bytes *int64) chunks[T] {
+	a := chunks[T]{n: len(src), cs: make([]*[chunkWords]T, (len(src)+chunkWords-1)>>chunkShift)}
+	*bytes += int64(len(a.cs)) * int64(unsafe.Sizeof((*[chunkWords]T)(nil)))
+	for i := range a.cs {
+		w := window(src, i)
+		if i < len(prev.cs) && slices.Equal(prev.cs[i][:len(w)], w) {
+			a.cs[i] = prev.cs[i]
+			continue
+		}
+		a.cs[i] = new([chunkWords]T)
+		copy(a.cs[i][:], w)
+		*bytes += int64(unsafe.Sizeof(*a.cs[i]))
 	}
-	for pg := lo >> pageShift; pg <= (hi-1)>>pageShift; pg++ {
-		e.dirty[pg] = true
+	return a
+}
+
+// restore copies the array into dst[:n] and leaves the rest of dst as it
+// is.
+func (a chunks[T]) restore(dst []T) {
+	for i, c := range a.cs {
+		copy(dst[i<<chunkShift:a.n], c[:])
 	}
 }
+
+// equal reports whether src, which has n words, holds the array.
+func (a chunks[T]) equal(src []T) bool {
+	for i, c := range a.cs {
+		if w := window(src, i); !slices.Equal(c[:len(w)], w) {
+			return false
+		}
+	}
+	return true
+}
+
+// at returns word i.
+func (a chunks[T]) at(i int) T { return a.cs[i>>chunkShift][i&(chunkWords-1)] }
 
 // Snapshot is a resumable copy of the machine state at one dynamic
 // instruction boundary of a fault-free run. Its frame pcs index the unfused
 // code arrays, which the generic engine resumes from it; a trial's
 // fast-loop tail compares its machine with the snapshot through
-// compiledFunc.fusedPC (converge.go).
+// compiledFunc.fusedPC (converge.go). Its memory, registers and counts
+// share every chunk that equals the previous snapshot's.
 type Snapshot struct {
 	dyn      int64
-	memTop   int64
-	pages    [][]uint64 // mem[i*pageWords:...]; clean pages shared with the previous snapshot
+	mem      chunks[uint64] // mem[:memTop]; nothing above memTop is read before an alloca zeroes it
+	regs     chunks[uint64] // regSlab[:slabTop]
+	counts   chunks[int64]  // per-static-instruction execution counts; no chunk table unless profiled
 	frames   []frame
-	regs     []uint64 // regSlab[:slabTop]
-	slabTop  int
 	output   []OutVal
-	counts   []int64 // per-static-instruction execution counts (profiled runs)
 	detected bool
 }
+
+// profiled reports whether s holds execution counts.
+func (s *Snapshot) profiled() bool { return s.counts.cs != nil }
 
 // Dyn returns the dynamic instruction count at which the snapshot was taken.
 func (s *Snapshot) Dyn() int64 { return s.dyn }
@@ -75,6 +124,7 @@ type Checkpoints struct {
 	prog     *Program
 	interval int64
 	snaps    []*Snapshot
+	bytes    int64      // what snaps hold, each shared chunk once
 	end      *goldenEnd // nil when the run did not return
 
 	restored     atomic.Int64
@@ -103,6 +153,10 @@ type CheckpointStats struct {
 	// non-zero interval is kept).
 	Snapshots int
 	Interval  int64
+	// Bytes is the memory the snapshots hold, each chunk shared between
+	// consecutive snapshots counted once. It is a property of the golden
+	// run alone, like Snapshots.
+	Bytes int64
 	// Restored counts trials resumed from a snapshot; Scratch counts trials
 	// that ran from dynamic instruction 0 because no snapshot preceded
 	// their injection point.
@@ -134,6 +188,7 @@ func (st *CheckpointStats) Accumulate(o CheckpointStats) {
 	if st.Interval == 0 {
 		st.Interval = o.Interval
 	}
+	st.Bytes += o.Bytes
 	st.Restored += o.Restored
 	st.Scratch += o.Scratch
 	st.SkippedDyn += o.SkippedDyn
@@ -152,6 +207,7 @@ func (c *Checkpoints) Stats() CheckpointStats {
 	return CheckpointStats{
 		Snapshots:     len(c.snaps),
 		Interval:      c.interval,
+		Bytes:         c.bytes,
 		Restored:      c.restored.Load(),
 		Scratch:       c.scratch.Load(),
 		SkippedDyn:    c.skipped.Load(),
@@ -208,88 +264,64 @@ func (e *exec) takeSnapshot() {
 	if n := len(c.snaps); n > 0 {
 		prev = c.snaps[n-1]
 	}
-	c.snaps = append(c.snaps, e.captureSnapshot(prev))
+	s, bytes := e.captureSnapshot(prev)
+	c.snaps = append(c.snaps, s)
+	c.bytes += bytes
 	e.nextCkpt = e.dyn + c.interval
 }
 
-// captureSnapshot copies the current machine state into a Snapshot whose
-// clean pages are shared with prev (nil forces a full page copy), then
-// clears the dirty-page map. Callable only at instruction boundaries where
-// fr.pc has been synced, with e.dirty tracking every write since prev was
-// captured (or, when the run itself started by restoring prev, since that
-// restore — the pages are bit-identical either way). The batch executor
-// chains trunk forks through here with each fork as the next prev.
-func (e *exec) captureSnapshot(prev *Snapshot) *Snapshot {
-	nPages := int(pageCount(e.memTop))
-	pages := make([][]uint64, nPages)
-	for i := range pages {
-		if prev != nil && i < len(prev.pages) && !e.dirty[i] {
-			// Untouched since the previous snapshot: share its copy. A page
-			// that entered the address space after prev was taken is only
-			// shareable because fresh memory is zero and every alloca/store
-			// marks its pages dirty — unwritten growth matches prev's
-			// zero padding.
-			pages[i] = prev.pages[i]
-			continue
-		}
-		pg := make([]uint64, pageWords)
-		lo := i * pageWords
-		hi := lo + pageWords
-		if hi > len(e.mem) {
-			hi = len(e.mem)
-		}
-		copy(pg, e.mem[lo:hi])
-		pages[i] = pg
+// captureSnapshot copies the current machine state into a Snapshot that
+// shares every chunk equal to prev's at the same offset (prev nil: none),
+// and returns it with the bytes it holds that prev does not share.
+// Callable only at instruction boundaries where fr.pc has been synced. The
+// batch executor chains trunk forks through here with each fork as the
+// next prev.
+func (e *exec) captureSnapshot(prev *Snapshot) (*Snapshot, int64) {
+	if prev == nil {
+		prev = &Snapshot{}
 	}
-	clear(e.dirty)
 	s := &Snapshot{
 		dyn:      e.dyn,
-		memTop:   e.memTop,
-		pages:    pages,
 		frames:   append([]frame(nil), e.frames...),
-		regs:     append([]uint64(nil), e.regSlab[:e.slabTop]...),
-		slabTop:  e.slabTop,
 		output:   append([]OutVal(nil), e.output...),
 		detected: e.detected,
 	}
+	bytes := int64(unsafe.Sizeof(*s)) + int64(len(s.frames))*int64(unsafe.Sizeof(frame{})) +
+		int64(len(s.output))*int64(unsafe.Sizeof(OutVal{}))
+	s.mem = captureChunks(e.mem[:e.memTop], prev.mem, &bytes)
+	s.regs = captureChunks(e.regSlab[:e.slabTop], prev.regs, &bytes)
 	if e.counts != nil {
-		s.counts = append([]int64(nil), e.counts...)
+		s.counts = captureChunks(e.counts, prev.counts, &bytes)
 	}
-	return s
+	return s, bytes
 }
 
 // restoreInto rebuilds the snapshot's machine state inside a fresh (or
-// reset) exec.
+// reset) exec. It writes no memory at or above the snapshot's memTop: what
+// a reused machine left there is never read before an alloca zeroes it.
+// The golden prefix is taint-free (taint exists only downstream of an
+// injection), so a fresh exec's zeroed shadows are already correct, and
+// growMem keeps their size.
 func (s *Snapshot) restoreInto(e *exec) {
 	e.dyn = s.dyn
-	e.memTop = s.memTop
-	if covered := int64(len(s.pages)) * pageWords; int64(len(e.mem)) < covered {
-		e.growMem(covered)
+	e.memTop = int64(s.mem.n)
+	if int64(len(e.mem)) < e.memTop {
+		e.growMem(e.memTop)
 	}
-	for i, pg := range s.pages {
-		copy(e.mem[int64(i)*pageWords:], pg)
+	s.mem.restore(e.mem)
+	if s.regs.n > len(e.regSlab) {
+		e.growSlab(s.regs.n)
 	}
-	if s.slabTop > len(e.regSlab) {
-		e.growSlab(s.slabTop)
-	}
-	copy(e.regSlab[:s.slabTop], s.regs)
-	e.slabTop = s.slabTop
+	s.regs.restore(e.regSlab)
+	e.slabTop = s.regs.n
 	e.frames = append(e.frames[:0], s.frames...)
 	e.output = append(e.output[:0], s.output...)
 	e.detected = s.detected
 	if e.profile {
-		if s.counts == nil {
+		if !s.profiled() {
 			panic("interp: profiled resume from a snapshot of an unprofiled run")
 		}
-		copy(e.counts, s.counts)
-	}
-	// The golden prefix is taint-free (taint exists only downstream of an
-	// injection), so a fresh exec's zeroed shadows are already correct;
-	// only their sizes must track memory.
-	if e.taintMem != nil && len(e.taintMem) < len(e.mem) {
-		t := make([]bool, len(e.mem))
-		copy(t, e.taintMem)
-		e.taintMem = t
+		s.counts.restore(e.counts)
 	}
 }
 
@@ -314,8 +346,8 @@ func (c *Checkpoints) ForPlan(plan *fault.Plan) *Snapshot {
 		// Still on the prefix while the target static instruction has
 		// executed fewer than Occurrence times.
 		before = func(s *Snapshot) bool {
-			return s.counts != nil && plan.StaticID < len(s.counts) &&
-				s.counts[plan.StaticID] < plan.Occurrence
+			return s.profiled() && plan.StaticID < s.counts.n &&
+				s.counts.at(plan.StaticID) < plan.Occurrence
 		}
 	default:
 		return nil
@@ -343,10 +375,10 @@ func RunFrom(p *Program, s *Snapshot, opts Options) *Result {
 	e := newExec(p, opts)
 	s.restoreInto(e)
 	if pl := opts.Plan; pl != nil && pl.Mode == fault.ModeStatic {
-		if s.counts == nil {
+		if !s.profiled() {
 			panic("interp: static-mode plan resumed from a snapshot of an unprofiled run")
 		}
-		e.occSeen = s.counts[pl.StaticID]
+		e.occSeen = s.counts.at(pl.StaticID)
 	}
 	ret, _ := e.run()
 	return e.finish(ret)

@@ -89,13 +89,14 @@ func (e *exec) converge(fr *frame, pc int32, dyn int64) bool {
 // matches reports whether the machine is in snapshot s's state, taken at
 // the same dyn: memTop, frames, the live register slab, output, detection
 // flag and memory below memTop — everything a later instruction can
-// observe. Memory above memTop is never read before an alloca zeroes it.
-// The machine runs the fused arrays and s holds unfused pcs, so each
+// observe, and everything s holds apart from counts, which a trial tail
+// does not keep. Memory above memTop is never read before an alloca zeroes
+// it. The machine runs the fused arrays and s holds unfused pcs, so each
 // snapshot frame's pc is translated through fusedPC; snapshot frames sit
 // at block entries and calls, which always start a fused slot. The cheap
-// fields go first.
+// fields go first, and the arrays compare chunk by chunk.
 func matches(e *exec, s *Snapshot) bool {
-	if e.memTop != s.memTop || e.slabTop != s.slabTop || len(e.frames) != len(s.frames) ||
+	if e.memTop != int64(s.mem.n) || e.slabTop != s.regs.n || len(e.frames) != len(s.frames) ||
 		len(e.output) != len(s.output) || e.detected != s.detected {
 		return false
 	}
@@ -105,15 +106,6 @@ func matches(e *exec, s *Snapshot) bool {
 			return false
 		}
 	}
-	if !slices.Equal(e.regSlab[:e.slabTop], s.regs) || !slices.Equal(e.output, s.output) {
-		return false
-	}
-	for pg, words := range s.pages {
-		lo := int64(pg) << pageShift
-		hi := min(lo+pageWords, e.memTop)
-		if !slices.Equal(e.mem[lo:hi], words[:hi-lo]) {
-			return false
-		}
-	}
-	return true
+	return s.regs.equal(e.regSlab[:e.slabTop]) && slices.Equal(e.output, s.output) &&
+		s.mem.equal(e.mem[:e.memTop])
 }

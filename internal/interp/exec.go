@@ -263,11 +263,9 @@ type exec struct {
 	overlay     []int32
 
 	// Golden-prefix checkpointing (nil / maxInt unless the run was started
-	// with Options.CheckpointInterval). dirty tracks written memory pages so
-	// snapshots can share unchanged pages with their predecessor.
+	// with Options.CheckpointInterval).
 	ckpt     *Checkpoints
 	nextCkpt int64
-	dirty    []bool
 
 	// Trial-tail snapshot comparisons (converge.go); conv.at is
 	// math.MaxInt64 unless a trial tail armed it.
@@ -359,7 +357,6 @@ func Run(p *Program, args []uint64, opts Options) *Result {
 		}
 		e.ckpt = &Checkpoints{prog: p, interval: opts.CheckpointInterval}
 		e.nextCkpt = opts.CheckpointInterval
-		e.dirty = make([]bool, pageCount(int64(len(e.mem))))
 	}
 	entry := p.funcs[p.entry]
 	if len(args) != entry.nParams {
@@ -414,7 +411,7 @@ func (e *exec) growSlab(need int) {
 }
 
 // growMem grows e.mem to at least n words in one allocation, keeping the
-// taint shadow and the dirty-page map sized with it.
+// taint shadow sized with it.
 func (e *exec) growMem(n int64) {
 	sz := int64(len(e.mem)) * 2
 	if sz < n {
@@ -427,11 +424,6 @@ func (e *exec) growMem(n int64) {
 		t := make([]bool, sz)
 		copy(t, e.taintMem)
 		e.taintMem = t
-	}
-	if e.dirty != nil {
-		d := make([]bool, pageCount(sz))
-		copy(d, e.dirty)
-		e.dirty = d
 	}
 }
 
@@ -807,9 +799,6 @@ func (e *exec) run() (uint64, bool) {
 			// Zero the region: stack memory may be reused across frames and
 			// determinism requires a fixed initial state.
 			clear(e.mem[base:e.memTop])
-			if e.dirty != nil {
-				e.markDirty(base, e.memTop)
-			}
 			if track {
 				clear(e.taintMem[base:e.memTop])
 				tIn = false // a fresh allocation's address is clean
@@ -830,9 +819,6 @@ func (e *exec) run() (uint64, bool) {
 				return 0, false
 			}
 			e.mem[addr] = get(regs, consts, in.a)
-			if e.dirty != nil {
-				e.dirty[addr>>pageShift] = true
-			}
 			if track {
 				tVal := taintOf(taint, in.a)
 				tPtr := taintOf(taint, in.b)

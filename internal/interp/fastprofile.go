@@ -205,9 +205,11 @@ func (r *ProfileRun) Coverage() float64 {
 
 // resetFast rewinds the machine state for the next fast-path run. Memory
 // contents are deliberately NOT cleared: word 0 is never written (checkAddr
-// rejects address 0), loads can only reach addresses below memTop, and
-// every address below memTop was claimed by an OpAlloca that zeroed it —
-// so a fresh run cannot observe a previous run's memory.
+// rejects address 0), loads and stores reach only addresses below memTop,
+// and every word below memTop was either written by a snapshot restore or
+// zeroed by the OpAlloca that claimed it. A restore writes nothing above
+// its memTop, so what an earlier run left there stays unobservable through
+// alloca zeroing alone.
 func (e *exec) resetFast(maxDyn int64) {
 	e.memTop = 1
 	e.dyn = 0

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/fault"
+	"repro/internal/ir"
 	"repro/internal/ir/irtest"
 	"repro/internal/xrand"
 )
@@ -14,14 +15,20 @@ import (
 // dynamic injection point, fault bit, fault model and dyn budget, a trial
 // on the Injector — resumed from the golden's snapshots, and again from
 // the program entry — must return the Result a fresh Run of the same plan
-// returns, field by field.
+// returns, field by field. The low four bits of spacing set the snapshot
+// interval; a non-zero high nibble k runs the module under stackedEntry
+// with 8k words of padding.
 func FuzzInjectorTrial(f *testing.F) {
 	f.Add(uint64(2021), int64(3), int64(-7), 1.5, uint8(2), uint64(9), uint8(5), uint8(0), uint64(1), uint16(0))
 	f.Add(uint64(7), int64(-40), int64(12), -3.25, uint8(0), uint64(1), uint8(63), uint8(1), uint64(2), uint16(0))
 	f.Add(uint64(99), int64(0), int64(0), 0.0, uint8(5), uint64(1<<40), uint8(0), uint8(2), uint64(3), uint16(30))
 	f.Add(uint64(314), int64(50), int64(1), 2.5, uint8(1), uint64(17), uint8(31), uint8(3), uint64(4), uint16(12))
 	f.Fuzz(func(t *testing.T, modSeed uint64, a, b int64, x float64, spacing uint8, target uint64, bit, model uint8, rngSeed uint64, budget uint16) {
-		p := mustCompile(t, irtest.RandomModule(xrand.New(modSeed)))
+		mod := irtest.RandomModule(xrand.New(modSeed))
+		if pad := int64(spacing >> 4); pad > 0 {
+			stackedEntry(mod, 8*pad)
+		}
+		p := mustCompile(t, mod)
 		args := []uint64{uint64(a), uint64(b), math.Float64bits(x)}
 		golden := Run(p, args, Options{MaxDyn: 100000})
 		if golden.Trap != nil || golden.BudgetExceeded || golden.DynCount == 0 {
@@ -51,4 +58,30 @@ func FuzzInjectorTrial(f *testing.F) {
 			sameResult(t, plan.String(), want, got)
 		}
 	})
+}
+
+// stackedEntry makes a new entry function of m that calls m's random main
+// twice, the second time above pad words of its own stack:
+//
+//	stacked(a, b, x) { r = main(a, b, x)
+//	                   buf = alloca pad; store r, buf+pad-1
+//	                   return main(b, a, x) ^ load(buf+pad-1) }
+//
+// Between the calls, main's popped buffer leaves written words above
+// memTop, which the padding reclaims, and the second call's memTop sits
+// pad words higher. The seed memtop-crosses-chunk (pad 32, a snapshot at
+// every block entry) has snapshots at memTop 9, 1, 33 and 41, and r lives
+// through the second call in word 32, the first word of the second chunk.
+func stackedEntry(m *ir.Module, pad int64) {
+	f := m.NewFunc("stacked", ir.I64, &ir.Param{Name: "a", Ty: ir.I64}, &ir.Param{Name: "b", Ty: ir.I64}, &ir.Param{Name: "x", Ty: ir.F64})
+	b := ir.NewBuilder(f)
+	r := b.Call(ir.I64, "main", b.Param(0), b.Param(1), b.Param(2))
+	next := b.Block("next")
+	b.Br(next)
+	b.SetBlock(next)
+	slot := b.GEP(b.AllocaN(pad), ir.I64c(pad-1))
+	b.Store(r, slot)
+	r2 := b.Call(ir.I64, "main", b.Param(1), b.Param(0), b.Param(2))
+	b.Ret(b.Xor(r2, b.Load(ir.I64, slot)))
+	m.EntryName = f.Name
 }

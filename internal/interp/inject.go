@@ -60,15 +60,15 @@ func (m *Injector) Trial(args []uint64, c *Checkpoints, plan *fault.Plan, rng *x
 func (m *Injector) run(c *Checkpoints, s *Snapshot, args []uint64, plan *fault.Plan, rng *xrand.RNG, maxDyn int64) *Result {
 	e := m.e
 	// resetFast leaves memory as it is: every word below memTop is either
-	// restored from s, which copies every snapshot page, or claimed by an
-	// alloca that zeroes it.
+	// restored from s, which copies every word below its memTop, or claimed
+	// by an alloca that zeroes it.
 	e.resetFast(maxDyn)
 	e.plan, e.rng = plan, rng
 	e.injected, e.injID, e.injBit, e.occSeen = false, 0, 0, 0
 	if s != nil {
 		s.restoreInto(e)
 		if plan.Mode == fault.ModeStatic {
-			e.occSeen = s.counts[plan.StaticID]
+			e.occSeen = s.counts.at(plan.StaticID)
 		}
 	} else {
 		entry := e.p.funcs[e.p.entry]

@@ -39,7 +39,9 @@ func BenchmarkGoldenRun(b *testing.B) {
 }
 
 // BenchmarkGoldenCheckpointed measures the same execution while recording
-// the auto-tuned snapshot schedule — the overhead side of checkpointing.
+// the auto-tuned snapshot schedule — the overhead side of checkpointing —
+// and reports snapbytes/op, the bytes the snapshots hold
+// (CheckpointStats.Bytes), which depends on the program and input alone.
 func BenchmarkGoldenCheckpointed(b *testing.B) {
 	for _, name := range prog.Names() {
 		b.Run(name, func(b *testing.B) {
@@ -47,15 +49,16 @@ func BenchmarkGoldenCheckpointed(b *testing.B) {
 			in := bench.Encode(bench.RefInput())
 			plain := interp.Run(bench.Prog, in, interp.Options{MaxDyn: bench.MaxDyn})
 			interval := interp.AutoCheckpointInterval(plain.DynCount)
-			var dyn int64
+			var dyn, bytes int64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				r := interp.Run(bench.Prog, in, interp.Options{
 					Profile: true, CheckpointInterval: interval, MaxDyn: bench.MaxDyn,
 				})
-				dyn = r.DynCount
+				dyn, bytes = r.DynCount, r.Checkpoints.Stats().Bytes
 			}
 			b.ReportMetric(float64(dyn), "dyn/op")
+			b.ReportMetric(float64(bytes), "snapbytes/op")
 		})
 	}
 }
