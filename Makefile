@@ -98,17 +98,29 @@ bench-fitness:
 	$(GO) run ./cmd/benchjson < BENCH_fitness.txt > BENCH_fitness.json
 	@echo "wrote BENCH_fitness.json"
 
-# Adaptive stratified FI gate, in two parts: (1) the adaptive-vs-full
+# Adaptive stratified FI gate, in three parts: (1) the adaptive-vs-full
 # equivalence suite — on >=5/7 benchmarks the composed stratified estimate
 # must land inside the full 1000-trial campaign's Wilson interval while
 # spending >=30% fewer trials, and on every kernel the adaptive burst-fault
 # interval must overlap the flat burst campaign's — plus worker invariance
-# (bit-identical results at workers 1/4, under every fault model) and the
-# Wilson-interval property tests; (2) the core/experiments threading tests (adaptive final campaign,
-# adaptive baseline, rejection bound).
+# (bit-identical results at workers 1/4, under every fault model), the
+# Wilson-interval property tests and the property tests of
+# campaign.Compose, the one stratified composition adaptive and compose
+# share; (2) the core/experiments threading tests (adaptive final
+# campaign, adaptive baseline, rejection bound); (3) end-to-end trace
+# determinism — the same fi -adaptive run at 1 and 4 workers must write
+# byte-identical JSONL.
 test-adaptive:
-	$(GO) test -count=1 -run 'Adaptive|BuildStrata|Wilson|PercentileOfValue|RandomSearchBoundsRejections' \
-		./internal/campaign ./internal/stats ./internal/core ./internal/experiments
+	$(GO) test -count=1 -run 'Adaptive|BuildStrata|Wilson|PercentileOfValue|RandomSearchBoundsRejections|Stratified' \
+		./internal/campaign ./internal/compose ./internal/stats ./internal/core ./internal/experiments
+	$(GO) build -o bin/fi ./cmd/fi
+	./bin/fi -bench needle -trials 300 -seed 7 -adaptive -workers 1 \
+		-trace adaptive-w1.jsonl > /dev/null
+	./bin/fi -bench needle -trials 300 -seed 7 -adaptive -workers 4 \
+		-trace adaptive-w4.jsonl > /dev/null
+	grep -c '"ev":"fi.adaptive"' adaptive-w1.jsonl > /dev/null
+	cmp adaptive-w1.jsonl adaptive-w4.jsonl
+	@echo "adaptive traces byte-identical across worker counts"
 
 # Compositional-estimation gate, in two parts: (1) the compose test suite —
 # partition coverage, cache reuse/staleness, the 7-benchmark equivalence
@@ -185,9 +197,10 @@ bench-shard:
 # range on each daemon) and in-process, both at default worker settings,
 # and require byte-identical fi output once the local run's "checkpoints:"
 # summary and the blank line after it are dropped (it describes local
-# execution state the remote renderer cannot see). The peer's /metrics must
-# show peppax_service_shard_trials above 0, and both daemons must drain on
-# SIGTERM with exit 143.
+# execution state the remote renderer cannot see); then the same for an
+# -adaptive campaign, which the coordinator runs alone. The peer's
+# /metrics must show peppax_service_shard_trials above 0, and both daemons
+# must drain on SIGTERM with exit 143.
 # All artifacts (output pair, daemon logs) land under $(E2E_DIR), inside the
 # gitignored bin/ tree, never at the repo root.
 E2E_ADDR ?= 127.0.0.1:9473
@@ -212,6 +225,11 @@ e2e-service:
 	./bin/fi -bench needle -trials 300 -seed 7 \
 		-remote http://$(E2E_ADDR) > $(E2E_DIR)/fi-remote.txt && \
 	cmp $(E2E_DIR)/fi-local.txt $(E2E_DIR)/fi-remote.txt && \
+	./bin/fi -bench needle -trials 300 -seed 7 -adaptive > $(E2E_DIR)/fi-adaptive-local-full.txt && \
+	sed '/^checkpoints: /{N;d;}' $(E2E_DIR)/fi-adaptive-local-full.txt > $(E2E_DIR)/fi-adaptive-local.txt && \
+	./bin/fi -bench needle -trials 300 -seed 7 -adaptive \
+		-remote http://$(E2E_ADDR) > $(E2E_DIR)/fi-adaptive-remote.txt && \
+	cmp $(E2E_DIR)/fi-adaptive-local.txt $(E2E_DIR)/fi-adaptive-remote.txt && \
 	curl -sf http://$(E2E_ADDR)/metrics | grep -q '^peppax_service_' && \
 	curl -sf http://$(E2E_PEER)/metrics | \
 		awk '$$1 == "peppax_service_shard_trials" && $$2 > 0 { ok = 1 } END { exit !ok }' ; \
@@ -221,7 +239,7 @@ e2e-service:
 	[ $$rc -eq 0 ] && [ $$drain -eq 143 ] && [ $$peerdrain -eq 143 ]; rc=$$?; \
 	grep -q 'drained, bye' $(E2E_DIR)/peppaxd-e2e.log || rc=1; \
 	grep -q 'drained, bye' $(E2E_DIR)/peppaxd-peer.log || rc=1; exit $$rc
-	@echo "remote (coordinator + peer) and in-process fi output byte-identical; peer served trials; graceful drain ok"
+	@echo "remote (coordinator + peer) and in-process fi output byte-identical, flat and adaptive; peer served trials; graceful drain ok"
 
 # Benchmark build gate. perfbench/ is its own Go module (replace repro =>
 # ../), so build, test and ci never compile it: vet and test it in place,

@@ -206,20 +206,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// equivalence contract).
 		direct := campaign.OverallParallel(b.Prog, g, *trials, campaign.ParallelOptions{
 			Workers: fi.Workers, Seed: *seed, Model: fi.Model,
-		})
+		}).Estimate()
 		tr.Advance(direct.DynInstrs)
-		dLo, dHi := direct.SDCInterval()
 		tr.Emit("fi.compose",
 			telemetry.F("granularity", part.Granularity),
 			telemetry.F("segments", len(part.Segments)),
-			telemetry.F("sdc", est.SDC),
+			telemetry.F("sdc", est.P),
 			telemetry.F("lo", est.Lo),
 			telemetry.F("hi", est.Hi),
 			telemetry.F("measure_trials", est.MeasureTrials),
 			telemetry.F("measure_dyn", est.MeasureDyn),
-			telemetry.F("direct_sdc", direct.SDCProbability()),
-			telemetry.F("direct_lo", dLo),
-			telemetry.F("direct_hi", dHi))
+			telemetry.F("direct_sdc", direct.P),
+			telemetry.F("direct_lo", direct.Lo),
+			telemetry.F("direct_hi", direct.Hi))
 		campaign.EmitCheckpointTelemetry(tr, "fi.checkpoints", g.CheckpointStats())
 		printCheckpointSummary(stdout, g)
 		fmt.Fprintf(stdout, "compositional estimate over %d %s segments (%d profile trials):\n",
@@ -229,11 +228,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "%-22s %-8s %-10s [%5.2f%%, %5.2f%%]     %-8d %s\n",
 				se.Segment, pctS(se.Weight), pctS(se.P), se.Lo*100, se.Hi*100, se.Trials, se.Source)
 		}
-		fmt.Fprintf(stdout, "\n  composed SDC: %.2f%%  (95%% CI [%.2f%%, %.2f%%])\n", est.SDC*100, est.Lo*100, est.Hi*100)
+		fmt.Fprintf(stdout, "\n  composed SDC: %.2f%%  (95%% CI [%.2f%%, %.2f%%])\n", est.P*100, est.Lo*100, est.Hi*100)
 		fmt.Fprintf(stdout, "  direct SDC:   %.2f%%  (95%% CI [%.2f%%, %.2f%%], %d trials)\n",
-			direct.SDCProbability()*100, dLo*100, dHi*100, direct.Trials)
+			direct.P*100, direct.Lo*100, direct.Hi*100, direct.Trials)
 		inside := "inside"
-		if est.SDC < dLo || est.SDC > dHi {
+		if est.P < direct.Lo || est.P > direct.Hi {
 			inside = "OUTSIDE"
 		}
 		fmt.Fprintf(stdout, "  composed estimate is %s the direct campaign's interval\n", inside)
@@ -252,13 +251,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		campaign.EmitAdaptiveTelemetry(tr, "fi.adaptive", ar)
 		campaign.EmitCheckpointTelemetry(tr, "fi.checkpoints", g.CheckpointStats())
 		printCheckpointSummary(stdout, g)
-		c := ar.Counts
-		fmt.Fprintf(stdout, "%d adaptive stratified fault-injection trials (%d strata, %d converged, %d rounds, %d/%d trials saved):\n",
-			c.Trials, len(ar.Strata), ar.StrataConverged(), ar.Rounds, ar.TrialsSaved(), ar.MaxTrials)
-		fmt.Fprintf(stdout, "  SDC estimate: %.2f%%  (95%% CI [%.2f%%, %.2f%%], target half-width %.2f%%)\n",
-			ar.Estimate*100, ar.Lo*100, ar.Hi*100, ar.CITarget*100)
-		fmt.Fprintf(stdout, "  crash:  %4d  hang: %4d  benign: %4d  (pooled across strata)\n",
-			c.Crash, c.Hang, c.Benign)
+		printAdaptive(stdout, ar.Estimate, service.SummarizeAdaptive(ar))
 		return 0
 	}
 
@@ -272,12 +265,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}, c.Fields()...)...)
 	campaign.EmitCheckpointTelemetry(tr, "fi.checkpoints", g.CheckpointStats())
 	printCheckpointSummary(stdout, g)
-	lo, hi := c.SDCInterval()
-	fmt.Fprintf(stdout, "%d fault-injection trials (%s in random dynamic instruction results):\n", c.Trials, desc)
-	fmt.Fprintf(stdout, "  SDC:    %4d  (%.2f%%, 95%% CI [%.2f%%, %.2f%%])\n", c.SDC, c.SDCProbability()*100, lo*100, hi*100)
-	fmt.Fprintf(stdout, "  crash:  %4d  (%.2f%%)\n", c.Crash, float64(c.Crash)/float64(c.Trials)*100)
-	fmt.Fprintf(stdout, "  hang:   %4d  (%.2f%%)\n", c.Hang, float64(c.Hang)/float64(c.Trials)*100)
-	fmt.Fprintf(stdout, "  benign: %4d  (%.2f%%)\n", c.Benign, float64(c.Benign)/float64(c.Trials)*100)
+	printFlat(stdout, desc, c.Estimate())
 	return 0
 }
 
@@ -295,22 +283,32 @@ func runRemote(stdout, stderr io.Writer, b *prog.Benchmark, in []float64, spec *
 	fmt.Fprintf(stdout, "%s with input %v\n", b.Name, in)
 	fmt.Fprintf(stdout, "golden run: %d dynamic instructions, coverage %.2f, %d output values\n\n",
 		res.GoldenDyn, res.GoldenCoverage, res.GoldenOutputs)
-	c := res.Counts
-	if ar := res.Adaptive; ar != nil {
-		fmt.Fprintf(stdout, "%d adaptive stratified fault-injection trials (%d strata, %d converged, %d rounds, %d/%d trials saved):\n",
-			c.Trials, ar.Strata, ar.Converged, ar.Rounds, ar.TrialsSaved, ar.MaxTrials)
-		fmt.Fprintf(stdout, "  SDC estimate: %.2f%%  (95%% CI [%.2f%%, %.2f%%], target half-width %.2f%%)\n",
-			res.SDC*100, res.Lo*100, res.Hi*100, ar.CITarget*100)
-		fmt.Fprintf(stdout, "  crash:  %4d  hang: %4d  benign: %4d  (pooled across strata)\n",
-			c.Crash, c.Hang, c.Benign)
-		return 0
+	est := campaign.Estimate{Counts: res.Counts, P: res.SDC, Lo: res.Lo, Hi: res.Hi}
+	if res.Adaptive != nil {
+		printAdaptive(stdout, est, res.Adaptive)
+	} else {
+		printFlat(stdout, modelDesc(spec.FaultModel), est)
 	}
-	fmt.Fprintf(stdout, "%d fault-injection trials (%s in random dynamic instruction results):\n", c.Trials, modelDesc(spec.FaultModel))
-	fmt.Fprintf(stdout, "  SDC:    %4d  (%.2f%%, 95%% CI [%.2f%%, %.2f%%])\n", c.SDC, res.SDC*100, res.Lo*100, res.Hi*100)
-	fmt.Fprintf(stdout, "  crash:  %4d  (%.2f%%)\n", c.Crash, float64(c.Crash)/float64(c.Trials)*100)
-	fmt.Fprintf(stdout, "  hang:   %4d  (%.2f%%)\n", c.Hang, float64(c.Hang)/float64(c.Trials)*100)
-	fmt.Fprintf(stdout, "  benign: %4d  (%.2f%%)\n", c.Benign, float64(c.Benign)/float64(c.Trials)*100)
 	return 0
+}
+
+// printFlat renders a flat campaign's estimate; desc names the fault model.
+func printFlat(w io.Writer, desc string, e campaign.Estimate) {
+	fmt.Fprintf(w, "%d fault-injection trials (%s in random dynamic instruction results):\n", e.Trials, desc)
+	fmt.Fprintf(w, "  SDC:    %4d  (%.2f%%, 95%% CI [%.2f%%, %.2f%%])\n", e.SDC, e.P*100, e.Lo*100, e.Hi*100)
+	fmt.Fprintf(w, "  crash:  %4d  (%.2f%%)\n", e.Crash, float64(e.Crash)/float64(e.Trials)*100)
+	fmt.Fprintf(w, "  hang:   %4d  (%.2f%%)\n", e.Hang, float64(e.Hang)/float64(e.Trials)*100)
+	fmt.Fprintf(w, "  benign: %4d  (%.2f%%)\n", e.Benign, float64(e.Benign)/float64(e.Trials)*100)
+}
+
+// printAdaptive renders an adaptive campaign's estimate and strata summary.
+func printAdaptive(w io.Writer, e campaign.Estimate, ar *service.AdaptiveSummary) {
+	fmt.Fprintf(w, "%d adaptive stratified fault-injection trials (%d strata, %d converged, %d rounds, %d/%d trials saved):\n",
+		e.Trials, ar.Strata, ar.Converged, ar.Rounds, ar.TrialsSaved, ar.MaxTrials)
+	fmt.Fprintf(w, "  SDC estimate: %.2f%%  (95%% CI [%.2f%%, %.2f%%], target half-width %.2f%%)\n",
+		e.P*100, e.Lo*100, e.Hi*100, ar.CITarget*100)
+	fmt.Fprintf(w, "  crash:  %4d  hang: %4d  benign: %4d  (pooled across strata)\n",
+		e.Crash, e.Hang, e.Benign)
 }
 
 // printCheckpointSummary reports how much golden-prefix replay the snapshot

@@ -184,10 +184,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	fmt.Fprintf(stdout, "SDC-bound input:   %v\n", res.BestInput)
 	fmt.Fprintf(stdout, "fitness score:     %.4f\n", res.BestFitness)
-	lo, hi := res.SDCInterval()
+	f := res.Final
 	fmt.Fprintf(stdout, "SDC probability:   %.2f%% (95%% CI [%.2f%%, %.2f%%]; %d/%d trials; crash %d, hang %d, benign %d)\n",
-		res.SDCBound()*100, lo*100, hi*100,
-		res.Final.SDC, res.Final.Trials, res.Final.Crash, res.Final.Hang, res.Final.Benign)
+		f.P*100, f.Lo*100, f.Hi*100, f.SDC, f.Trials, f.Crash, f.Hang, f.Benign)
 	if ar := res.FinalAdaptive; ar != nil {
 		fmt.Fprintf(stdout, "adaptive campaign: %d strata (%d converged), %d rounds, %d/%d trials saved at CI target %.2f%%\n",
 			len(ar.Strata), ar.StrataConverged(), ar.Rounds, ar.TrialsSaved(), ar.MaxTrials, ar.CITarget*100)
@@ -202,7 +201,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	for _, cp := range res.Checkpoints {
 		fmt.Fprintf(stdout, "  checkpoint @%-5d SDC %.2f%%  input %v\n",
-			cp.Generation, cp.SDCEstimate()*100, cp.BestInput)
+			cp.Generation, cp.P*100, cp.BestInput)
 	}
 
 	if *baseline {
@@ -216,14 +215,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 			FIOptions:      opts.FIOptions,
 		}, xrand.New(*seed+1))
 		fmt.Fprintf(stdout, "  evaluated %d inputs (%d rejected), best SDC %.2f%% with input %v\n",
-			base.Inputs, base.Rejected, base.BestSDC*100, base.BestInput)
+			base.Inputs, base.Rejected, base.Best.P*100, base.BestInput)
 		if st := base.ComposeStats; st != nil {
 			fmt.Fprintf(stdout, "  compose cache: %d composed estimates, %d hits, %d re-measured\n",
 				st.Composed, st.Hits, st.Remeasured)
 		}
-		if base.BestSDC < res.SDCBound() {
-			fmt.Fprintf(stdout, "  PEPPA-X bound is %.1fx higher\n",
-				res.SDCBound()/maxf(base.BestSDC, 1e-9))
+		if base.Best.P < f.P {
+			fmt.Fprintf(stdout, "  PEPPA-X bound is %.1fx higher\n", f.P/max(base.Best.P, 1e-9))
 		}
 	}
 
@@ -231,7 +229,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// CI-gate mode (§7.1.2): a conservative release check. The SDC
 		// bound found by the search must stay within the reliability
 		// target, or the build fails.
-		bound := res.SDCBound()
+		bound := f.P
 		if bound > *maxSDC {
 			fmt.Fprintf(stdout, "\nCI gate FAILED: SDC bound %.2f%% exceeds target %.2f%%\n", bound*100, *maxSDC*100)
 			return 2
@@ -239,11 +237,4 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "\nCI gate passed: SDC bound %.2f%% within target %.2f%%\n", bound*100, *maxSDC*100)
 	}
 	return 0
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

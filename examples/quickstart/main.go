@@ -34,9 +34,9 @@ func main() {
 
 	fmt.Printf("benchmark:       %s — %s\n", bench.Name, bench.Description)
 	fmt.Printf("SDC-bound input: %v\n", res.BestInput)
-	lo, hi := res.SDCInterval()
+	f := res.Final
 	fmt.Printf("SDC probability: %.1f%% (95%% CI [%.1f%%, %.1f%%], %d FI trials)\n\n",
-		res.SDCBound()*100, lo*100, hi*100, res.Final.Trials)
+		f.P*100, f.Lo*100, f.Hi*100, f.Trials)
 
 	// How over-optimistic would an evaluation with the suite's default
 	// reference input have been?
@@ -44,13 +44,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	refCounts := campaign.OverallParallel(bench.Prog, ref, opts.FinalTrials, campaign.ParallelOptions{
+	refEst := campaign.OverallParallel(bench.Prog, ref, opts.FinalTrials, campaign.ParallelOptions{
 		Workers: opts.Workers, Seed: rng.Uint64(),
-	})
+	}).Estimate()
 	fmt.Printf("reference input: %v\n", bench.RefInput())
-	fmt.Printf("SDC probability: %.1f%%\n\n", refCounts.SDCProbability()*100)
+	fmt.Printf("SDC probability: %.1f%%\n\n", refEst.P*100)
 
-	gap := res.SDCBound() - refCounts.SDCProbability()
+	gap := f.P - refEst.P
 	fmt.Printf("evaluating with the reference input underestimates the SDC bound by %.1f points;\n", gap*100)
 	fmt.Printf("a reliability target set from it would be violated by inputs like %v.\n", res.BestInput)
 }

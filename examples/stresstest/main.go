@@ -36,7 +36,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("%s: SDC-bound input %v (SDC %.1f%%)\n\n",
-		name, search.BestInput, search.SDCBound()*100)
+		name, search.BestInput, search.Final.P*100)
 
 	refGolden, err := campaign.NewGolden(bench.Prog, bench.Encode(bench.RefInput()), bench.MaxDyn)
 	if err != nil {

@@ -116,10 +116,9 @@ type Stratum struct {
 	// run; Weight is its fraction of the whole run (ExecCount / DynCount).
 	ExecCount int64
 	Weight    float64
-	// Counts tallies the stratum's trials.
-	Counts Counts
-	// Lo and Hi are the true 95% Wilson bounds of the stratum's SDC rate.
-	Lo, Hi float64
+	// Estimate is the stratum's own flat estimate: its trials' tally, SDC
+	// ratio and 95% Wilson bounds.
+	Estimate
 	// Converged records that the stratum's interval half-width reached the
 	// target and it stopped drawing trials.
 	Converged bool
@@ -132,9 +131,9 @@ type Stratum struct {
 // halfWidth is the stratum's current Wilson half-width.
 func (st *Stratum) halfWidth() float64 { return (st.Hi - st.Lo) / 2 }
 
-// refresh recomputes the Wilson bounds from the tally.
+// refresh recomputes the flat estimate from the tally.
 func (st *Stratum) refresh() {
-	st.Lo, st.Hi = stats.WilsonInterval95(st.Counts.SDC, st.Counts.Trials)
+	st.Estimate = st.Counts.Estimate()
 }
 
 // SampleOccurrence draws one static-mode plan from a cumulative-count
@@ -164,19 +163,9 @@ func SampleOccurrence(rng *xrand.RNG, p *interp.Program, ids []int, cum []int64,
 type AdaptiveResult struct {
 	// Strata holds the per-stratum measurements, in rank order.
 	Strata []Stratum
-	// Counts pools every executed trial's outcome. Its raw SDCProbability is
-	// allocation-weighted (adaptive allocation oversamples high-variance
-	// strata), so the whole-program rate is Estimate, not the pooled ratio;
-	// Counts exists for trial/cost accounting and outcome breakdowns.
-	Counts Counts
-	// Estimate is the composed whole-program SDC rate Σ_s w_s·p̂_s — the
-	// unbiased stratified estimator.
-	Estimate float64
-	// Lo and Hi are the honest composed 95% bounds: per-stratum Wilson
-	// intervals composed about their midpoints with quadrature half-widths
-	// sqrt(Σ (w_s·hw_s)²), widened (rarely) to bracket Estimate, clamped to
-	// [0,1].
-	Lo, Hi float64
+	// Estimate is the whole-program estimate Compose builds from the
+	// strata; its Counts pool every executed trial in stratum order.
+	Estimate
 	// CITarget, MaxTrials and Rounds record the run's configuration and
 	// round count; TrialsSaved derives from MaxTrials.
 	CITarget  float64
@@ -207,27 +196,13 @@ func (r *AdaptiveResult) StrataConverged() int {
 	return n
 }
 
-// compose recomputes the composed estimate and interval from the per-stratum
-// Wilson bounds. The point estimate is the unbiased Σ w_s·p̂_s; the interval
-// is centered on the composed Wilson midpoints (exactly as a single Wilson
-// interval is centered on its adjusted midpoint, not on p̂) with half-width
-// sqrt(Σ (w_s·hw_s)²) — the normal-approximation quadrature for independent
-// strata. Since p̂_s can sit anywhere inside its stratum interval, the
-// quadrature interval is widened to bracket the point estimate when the two
-// disagree, keeping Lo ≤ Estimate ≤ Hi an invariant.
-func (r *AdaptiveResult) compose() {
-	var est, center, variance float64
-	for i := range r.Strata {
-		st := &r.Strata[i]
-		est += st.Weight * st.Counts.SDCProbability()
-		center += st.Weight * (st.Lo + st.Hi) / 2
-		wh := st.Weight * st.halfWidth()
-		variance += wh * wh
+// composeStrata is the whole-program estimate over the strata tallies.
+func composeStrata(strata []Stratum) Estimate {
+	parts := make([]Part, len(strata))
+	for i := range strata {
+		parts[i] = Part{Weight: strata[i].Weight, Counts: strata[i].Counts}
 	}
-	half := math.Sqrt(variance)
-	r.Estimate = est
-	r.Lo = math.Max(0, math.Min(center-half, est))
-	r.Hi = math.Min(1, math.Max(center+half, est))
+	return Compose(parts)
 }
 
 // BuildStrata partitions the golden run's executed static instructions into
@@ -327,7 +302,7 @@ func OverallAdaptive(p *interp.Program, g *Golden, opts AdaptiveOptions) *Adapti
 		MaxTrials: opts.MaxTrials,
 	}
 	if len(res.Strata) == 0 {
-		res.Lo, res.Hi = 0, 1
+		res.Estimate = composeStrata(res.Strata)
 		return res
 	}
 	// Seed round: every stratum gets the minimum, scaled down if the floor
@@ -361,7 +336,7 @@ func OverallAdaptive(p *interp.Program, g *Golden, opts AdaptiveOptions) *Adapti
 			}
 			total += st.Counts.Trials
 		}
-		res.compose()
+		res.Estimate = composeStrata(res.Strata)
 		if allConverged || (res.Hi-res.Lo)/2 <= opts.CITarget || total >= opts.MaxTrials {
 			break
 		}
@@ -370,17 +345,14 @@ func OverallAdaptive(p *interp.Program, g *Golden, opts AdaptiveOptions) *Adapti
 			break
 		}
 	}
-	// A canceled run may break before any round refreshed the intervals;
-	// compose is idempotent, so recomputing keeps Lo/Hi/Estimate honest.
+	// A canceled run may break before any round refreshed the strata
+	// (then nothing was measured, and the estimate is 0 in [0, 1]); both
+	// steps are idempotent, so repeating them keeps every interval honest.
 	if ctxCanceled(opts.Ctx) {
 		for i := range res.Strata {
 			res.Strata[i].refresh()
 		}
-		res.compose()
-	}
-	// Pool the tally in stratum order (deterministic fold).
-	for i := range res.Strata {
-		res.Counts.Merge(res.Strata[i].Counts)
+		res.Estimate = composeStrata(res.Strata)
 	}
 	return res
 }
@@ -503,7 +475,7 @@ func EmitAdaptiveTelemetry(tr *telemetry.Stream, event string, r *AdaptiveResult
 	tr.Gauge("fi.adaptive.strata", int64(len(r.Strata)))
 	tr.Gauge("fi.adaptive.strata_converged", int64(r.StrataConverged()))
 	tr.GaugeF("fi.adaptive.ci_width", r.Width())
-	tr.GaugeF("fi.adaptive.estimate", r.Estimate)
+	tr.GaugeF("fi.adaptive.estimate", r.P)
 	tr.Emit(event, append([]telemetry.Field{
 		telemetry.F("strata", len(r.Strata)),
 		telemetry.F("converged", r.StrataConverged()),
@@ -511,7 +483,7 @@ func EmitAdaptiveTelemetry(tr *telemetry.Stream, event string, r *AdaptiveResult
 		telemetry.F("max_trials", r.MaxTrials),
 		telemetry.F("saved", r.TrialsSaved()),
 		telemetry.F("ci_target", r.CITarget),
-		telemetry.F("estimate", r.Estimate),
+		telemetry.F("estimate", r.P),
 		telemetry.F("lo", r.Lo),
 		telemetry.F("hi", r.Hi),
 	}, r.Counts.Fields()...)...)

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -39,10 +40,10 @@ func TestAdaptiveEquivalence(t *testing.T) {
 		full := OverallParallel(b.Prog, g, fullTrials, ParallelOptions{Workers: 4, Seed: 11, BatchSize: 32})
 		lo, hi := stats.WilsonInterval95(full.SDC, full.Trials)
 		res := OverallAdaptive(b.Prog, g, AdaptiveOptions{Workers: 4, Seed: 11, MaxTrials: fullTrials, Scores: scores})
-		inInterval := res.Estimate >= lo && res.Estimate <= hi
+		inInterval := res.P >= lo && res.P <= hi
 		savedEnough := res.Counts.Trials <= fullTrials*7/10
 		t.Logf("%s: full=%.4f [%.4f,%.4f] adaptive=%.4f [%.4f,%.4f] trials=%d/%d rounds=%d converged=%d/%d",
-			name, full.SDCProbability(), lo, hi, res.Estimate, res.Lo, res.Hi,
+			name, full.SDCProbability(), lo, hi, res.P, res.Lo, res.Hi,
 			res.Counts.Trials, fullTrials, res.Rounds, res.StrataConverged(), len(res.Strata))
 		if inInterval && savedEnough {
 			pass++
@@ -50,15 +51,15 @@ func TestAdaptiveEquivalence(t *testing.T) {
 		if savedEnough {
 			saved++
 		}
-		if res.Lo > res.Estimate || res.Hi < res.Estimate {
-			t.Errorf("%s: composed interval [%.4f,%.4f] does not bracket estimate %.4f", name, res.Lo, res.Hi, res.Estimate)
+		if res.Lo > res.P || res.Hi < res.P {
+			t.Errorf("%s: composed interval [%.4f,%.4f] does not bracket estimate %.4f", name, res.Lo, res.Hi, res.P)
 		}
 
 		burst := OverallParallel(b.Prog, g, fullTrials, ParallelOptions{Workers: 4, Seed: 11, BatchSize: 32, Model: fault.BurstFlip})
 		blo, bhi := burst.SDCInterval()
 		bres := OverallAdaptive(b.Prog, g, AdaptiveOptions{Workers: 4, Seed: 11, MaxTrials: fullTrials, Scores: scores, Model: fault.BurstFlip})
 		t.Logf("%s: flat burst=%.4f [%.4f,%.4f] adaptive burst=%.4f [%.4f,%.4f] trials=%d/%d",
-			name, burst.SDCProbability(), blo, bhi, bres.Estimate, bres.Lo, bres.Hi, bres.Counts.Trials, fullTrials)
+			name, burst.SDCProbability(), blo, bhi, bres.P, bres.Lo, bres.Hi, bres.Counts.Trials, fullTrials)
 		if bres.Hi < blo || bres.Lo > bhi {
 			t.Errorf("%s: adaptive burst interval [%.4f,%.4f] misses the flat burst interval [%.4f,%.4f]",
 				name, bres.Lo, bres.Hi, blo, bhi)
@@ -224,10 +225,29 @@ func TestAdaptiveStopping(t *testing.T) {
 			t.Fatalf("stratum %d marked converged with half-width %g", i, hw)
 		}
 	}
-	if res.Lo > res.Estimate || res.Hi < res.Estimate {
-		t.Fatalf("composed interval [%f,%f] does not bracket estimate %f", res.Lo, res.Hi, res.Estimate)
+	if res.Lo > res.P || res.Hi < res.P {
+		t.Fatalf("composed interval [%f,%f] does not bracket estimate %f", res.Lo, res.Hi, res.P)
 	}
 	if res.Lo < 0 || res.Hi > 1 {
 		t.Fatalf("composed interval [%f,%f] outside [0,1]", res.Lo, res.Hi)
+	}
+}
+
+// TestAdaptiveCanceledBeforeFirstRound: a campaign canceled before its
+// first round measured nothing, so it reports 0 in [0, 1], not the
+// narrower interval the quadrature of its empty strata's [0, 1] intervals
+// would give.
+func TestAdaptiveCanceledBeforeFirstRound(t *testing.T) {
+	b := prog.Build("pathfinder")
+	g, err := NewGoldenCheckpointed(b.Prog, b.Encode(b.RefInput()), b.MaxDyn, CheckpointAuto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res := OverallAdaptive(b.Prog, g, AdaptiveOptions{Seed: 5, Ctx: ctx})
+	if len(res.Strata) < 2 || res.Rounds != 0 || res.Estimate != (Estimate{P: 0, Lo: 0, Hi: 1}) {
+		t.Fatalf("canceled campaign: %d strata, %d rounds, estimate %+v; want 0 in [0, 1] after no round",
+			len(res.Strata), res.Rounds, res.Estimate)
 	}
 }

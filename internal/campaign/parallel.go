@@ -81,55 +81,45 @@ func OverallParallel(p *interp.Program, g *Golden, trials int, opts ParallelOpti
 // instruction in ids with trialsPerInstr faults targeted at random dynamic
 // occurrences of that instruction (the paper's per-instruction
 // methodology); instructions that never execute under the input get a
-// zero-trial result. The instruction list fans out across workers and each
-// instruction's plans come from a stream seeded by (Seed, ID), so results
-// are identical for every Workers and BatchSize.
+// zero-trial result. Each instruction's plans come from a stream seeded by
+// (Seed, ID), and all of them run in one RunPlans call, so results are
+// identical for every Workers and BatchSize.
 func PerInstructionParallel(p *interp.Program, g *Golden, ids []int, trialsPerInstr int, opts ParallelOptions) []InstrResult {
-	res := make([]InstrResult, len(ids))
-	// One trial machine per worker for the whole call, as in RunPlans: an
-	// instruction's trials run in order on its worker's machine.
-	machines := make([]*interp.Injector, parallel.Workers(opts.Workers))
-	parallel.ForEachWorker(opts.Workers, len(ids), func(w, k int) {
-		id := ids[k]
-		res[k].ID = id
-		execCount := g.InstrCounts[id]
-		if execCount <= 0 {
-			return
-		}
-		ty := p.InstrType(id)
-		rng := trialRNG(opts.Seed, id)
-		plans := make([]fault.Plan, trialsPerInstr)
-		for t := range plans {
-			plans[t] = fault.SampleStatic(rng, id, ty, execCount)
-		}
-		// Static plans draw their fault bits eagerly, so the trials share
-		// the instruction's stream without consuming it.
-		if opts.BatchSize > 1 {
-			// One worker: the instruction-level fan-out already occupies
-			// the pool.
-			res[k].Counts = tally(RunPlans(p, g, plans, func(int) *xrand.RNG { return rng }, ParallelOptions{
-				Workers: 1, BatchSize: opts.BatchSize, Ctx: opts.Ctx,
-			}))
-			return
-		}
-		if machines[w] == nil {
-			machines[w] = interp.NewInjector(p)
-		}
-		for t := range plans {
-			if ctxCanceled(opts.Ctx) {
-				break
+	trialsPerInstr = max(trialsPerInstr, 0)
+	var (
+		plans []fault.Plan
+		rngs  []*xrand.RNG
+	)
+	for _, id := range ids {
+		if n := g.InstrCounts[id]; n > 0 {
+			rng := trialRNG(opts.Seed, id)
+			ty := p.InstrType(id)
+			for t := 0; t < trialsPerInstr; t++ {
+				plans = append(plans, fault.SampleStatic(rng, id, ty, n))
+				rngs = append(rngs, rng)
 			}
-			o, r := Classify(machines[w], g, &plans[t], rng, nil)
-			res[k].Counts.Add(o)
-			res[k].Counts.DynInstrs += r.DynCount
 		}
+	}
+	// Static plans draw their fault bits eagerly, so an instruction's
+	// trials share its stream without consuming it.
+	out := RunPlans(p, g, plans, func(i int) *xrand.RNG { return rngs[i] }, ParallelOptions{
+		Workers: opts.Workers, BatchSize: opts.BatchSize, Ctx: opts.Ctx,
 	})
+	res := make([]InstrResult, len(ids))
+	off := 0
+	for k, id := range ids {
+		res[k].ID = id
+		if g.InstrCounts[id] > 0 {
+			res[k].Counts = Tally(out[off : off+trialsPerInstr])
+			off += trialsPerInstr
+		}
+	}
 	return res
 }
 
-// tally folds trial results in index order, skipping the trials
+// Tally folds trial results in index order, skipping the trials
 // cancellation left unrun.
-func tally(res []TrialResult) Counts {
+func Tally(res []TrialResult) Counts {
 	var c Counts
 	for _, t := range res {
 		if t.Skipped {
@@ -167,8 +157,9 @@ func RunPlans(p *interp.Program, g *Golden, plans []fault.Plan, rngFor func(i in
 	}
 	if opts.BatchSize <= 1 {
 		// One trial machine per worker, built on first use and dropped on
-		// return, so no machine memory outlives the call.
-		machines := make([]*interp.Injector, parallel.Workers(opts.Workers))
+		// return, so no machine memory outlives the call. ForEachWorker
+		// runs at most one worker per plan.
+		machines := make([]*interp.Injector, min(parallel.Workers(opts.Workers), len(plans)))
 		parallel.ForEachWorker(opts.Workers, len(plans), func(w, i int) {
 			if ctxCanceled(opts.Ctx) {
 				return

@@ -1,6 +1,12 @@
 package campaign
 
-import "testing"
+import (
+	"math"
+	"slices"
+	"testing"
+
+	"repro/internal/prog"
+)
 
 func TestOverallParallelDeterministicAcrossWorkers(t *testing.T) {
 	p := buildAccumulator(t)
@@ -50,5 +56,27 @@ func TestPerInstructionParallelMatchesAnyWorkerCount(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("instr %d differs across worker counts: %+v vs %+v", a[i].ID, a[i], b[i])
 		}
+	}
+}
+
+// TestHugeWorkerCount: per-worker state is sized by the work, never by the
+// knob alone, so math.MaxInt workers runs flat and per-instruction
+// campaigns with the serial tallies instead of failing to allocate.
+func TestHugeWorkerCount(t *testing.T) {
+	b := prog.Build("pathfinder")
+	g, err := NewGoldenCheckpointed(b.Prog, b.Encode(b.RefInput()), b.MaxDyn, CheckpointAuto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	huge := ParallelOptions{Workers: math.MaxInt, Seed: 4}
+	serial := ParallelOptions{Workers: 1, Seed: 4}
+	if got, want := OverallParallel(b.Prog, g, 5, huge), OverallParallel(b.Prog, g, 5, serial); got != want {
+		t.Fatalf("flat campaign at math.MaxInt workers: %+v, want %+v", got, want)
+	}
+	ids := AllInstructionIDs(b.Prog)
+	got := PerInstructionParallel(b.Prog, g, ids, 3, huge)
+	want := PerInstructionParallel(b.Prog, g, ids, 3, serial)
+	if !slices.Equal(got, want) {
+		t.Fatal("per-instruction campaign at math.MaxInt workers differs from the serial one")
 	}
 }

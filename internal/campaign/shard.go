@@ -46,7 +46,7 @@ func OverallShard(p *interp.Program, g *Golden, lo, hi int, opts ParallelOptions
 		rngs[i] = trialRNG(opts.Seed, lo+i)
 		plans[i] = samplePlan(opts.Model, rngs[i], g.DynCount)
 	}
-	return tally(RunPlans(p, g, plans, func(i int) *xrand.RNG { return rngs[i] }, opts))
+	return Tally(RunPlans(p, g, plans, func(i int) *xrand.RNG { return rngs[i] }, opts))
 }
 
 // TrialRunner executes one pre-planned set of trials — the signature of

@@ -9,7 +9,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/interp"
 	"repro/internal/parallel"
-	"repro/internal/stats"
 	"repro/internal/telemetry"
 	"repro/internal/xrand"
 )
@@ -39,10 +38,9 @@ const (
 // staleness signal for reuse).
 type Profile struct {
 	Segment string
-	Counts  campaign.Counts
-	// P is the conditional SDC probability; Lo and Hi its Wilson 95%
-	// bounds.
-	P, Lo, Hi float64
+	// Estimate is the flat estimate of the segment's trials: the
+	// conditional SDC probability P with its Wilson 95% bounds.
+	campaign.Estimate
 	// Frac is the segment's dynamic-execution fraction at measurement
 	// time.
 	Frac float64
@@ -119,7 +117,8 @@ type Options struct {
 	// Ctx, when non-nil, cancels estimation cooperatively BETWEEN segment
 	// measurements: once canceled, EstimateGolden stops before its next
 	// segment and composes only the segments already handled (the rest
-	// report Source "skipped"). The segment measurement in flight always
+	// report Source "skipped"; with none handled the estimate is 0 in
+	// [0, 1]). The segment measurement in flight always
 	// completes — a partial profile must never be cached, since the memo
 	// would serve it to every later estimate.
 	Ctx context.Context
@@ -152,6 +151,16 @@ type Stats struct {
 	// instructions spent measuring profiles (reuse spends neither).
 	MeasureTrials int64
 	MeasureDyn    int64
+}
+
+// Add folds another estimator's tallies into s.
+func (s *Stats) Add(o Stats) {
+	s.Hits += o.Hits
+	s.Misses += o.Misses
+	s.Remeasured += o.Remeasured
+	s.Composed += o.Composed
+	s.MeasureTrials += o.MeasureTrials
+	s.MeasureDyn += o.MeasureDyn
 }
 
 // Estimator composes cached per-segment profiles into whole-program SDC
@@ -201,9 +210,8 @@ type SegmentEstimate struct {
 	// Weight is the segment's dynamic fraction under the estimated input
 	// (0 for segments the input never executes).
 	Weight float64
-	// P, Lo, Hi are the profile's conditional SDC rate and Wilson bounds.
-	P, Lo, Hi float64
-	Trials    int
+	// Estimate is the profile's (zero for a skipped segment).
+	campaign.Estimate
 	// Source records how the profile was obtained for this estimate:
 	// "cached", "measured", "remeasured", or "skipped" (zero weight).
 	Source string
@@ -211,23 +219,15 @@ type SegmentEstimate struct {
 
 // Estimate is a composed whole-program SDC estimate for one input.
 type Estimate struct {
-	// SDC is the composed estimate Σ_s w_s·p̂_s; faults on dynamic
-	// instructions outside every profiled segment (non-injectable sites)
-	// contribute zero, exactly as in the stratified campaign estimator.
-	SDC float64
-	// Lo and Hi are the honest composed 95% bounds: per-segment Wilson
-	// intervals composed about their midpoints with quadrature half-widths
-	// sqrt(Σ (w_s·hw_s)²), widened (rarely) to bracket SDC, clamped to
-	// [0,1] — the same rule campaign.AdaptiveResult uses.
-	Lo, Hi float64
+	// Estimate is campaign.Compose over the segments the input executes,
+	// weighted by their dynamic fractions: faults on dynamic instructions
+	// outside every profiled segment (non-injectable sites) contribute
+	// zero, exactly as in the stratified campaign estimator. Its Counts
+	// pool the trials of every profile used, cached ones included.
+	campaign.Estimate
 	// Segments lists every partition segment in partition order, including
 	// zero-weight ones.
 	Segments []SegmentEstimate
-	// Counts pools the trials of every profile the estimate used,
-	// including cached ones. Like the adaptive campaign's pooled counts it
-	// is allocation-weighted — use SDC, not Counts.SDCProbability(), for
-	// the rate — and exists for outcome breakdowns.
-	Counts campaign.Counts
 	// Reused, Measured and Remeasured count this estimate's segment
 	// sources; MeasureTrials and MeasureDyn are the FI spend THIS call
 	// added (zero on exact reuse), which is what budget accounting should
@@ -248,7 +248,7 @@ func (e *Estimator) EstimateGolden(g *campaign.Golden) *Estimate {
 	defer e.mu.Unlock()
 
 	est := &Estimate{Segments: make([]SegmentEstimate, len(e.part.Segments))}
-	var center, variance float64
+	var parts []campaign.Part
 	for si := range e.part.Segments {
 		seg := &e.part.Segments[si]
 		se := &est.Segments[si]
@@ -310,23 +310,10 @@ func (e *Estimator) EstimateGolden(g *campaign.Golden) *Estimate {
 			est.MeasureDyn += prof.Counts.DynInstrs
 		}
 
-		se.P, se.Lo, se.Hi, se.Trials = prof.P, prof.Lo, prof.Hi, prof.Counts.Trials
-		est.Counts.Trials += prof.Counts.Trials
-		est.Counts.SDC += prof.Counts.SDC
-		est.Counts.Crash += prof.Counts.Crash
-		est.Counts.Hang += prof.Counts.Hang
-		est.Counts.Benign += prof.Counts.Benign
-		est.Counts.Detected += prof.Counts.Detected
-		est.Counts.DynInstrs += prof.Counts.DynInstrs
-
-		est.SDC += w * prof.P
-		center += w * (prof.Lo + prof.Hi) / 2
-		wh := w * (prof.Hi - prof.Lo) / 2
-		variance += wh * wh
+		se.Estimate = prof.Estimate
+		parts = append(parts, campaign.Part{Weight: w, Counts: prof.Counts})
 	}
-	half := math.Sqrt(variance)
-	est.Lo = math.Max(0, math.Min(center-half, est.SDC))
-	est.Hi = math.Min(1, math.Max(center+half, est.SDC))
+	est.Estimate = campaign.Compose(parts)
 
 	e.stats.Composed++
 	e.stats.MeasureTrials += int64(est.MeasureTrials)
@@ -415,16 +402,8 @@ func (e *Estimator) measure(g *campaign.Golden, si int, seg *Segment, segDyn int
 		Workers: e.opts.Workers,
 	})
 
-	prof := &Profile{Segment: seg.Name, Frac: w, Mix: mix, Dyn: g.DynCount, Epoch: epoch}
-	for _, r := range results {
-		if r.Skipped {
-			continue
-		}
-		prof.Counts.Add(r.Outcome)
-		prof.Counts.DynInstrs += r.Dyn
-	}
-	prof.P = prof.Counts.SDCProbability()
-	prof.Lo, prof.Hi = stats.WilsonInterval95(prof.Counts.SDC, prof.Counts.Trials)
+	prof := &Profile{Segment: seg.Name, Estimate: campaign.Tally(results).Estimate(),
+		Frac: w, Mix: mix, Dyn: g.DynCount, Epoch: epoch}
 	if tr := e.opts.Trace; tr != nil {
 		tr.Emit("compose.profile",
 			telemetry.F("segment", seg.Name),

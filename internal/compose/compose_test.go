@@ -1,6 +1,7 @@
 package compose
 
 import (
+	"context"
 	"reflect"
 	"sync"
 	"testing"
@@ -109,12 +110,30 @@ func TestEstimateExactReuse(t *testing.T) {
 	if second.Measured != 0 || second.Remeasured != 0 || second.MeasureTrials != 0 || second.MeasureDyn != 0 {
 		t.Fatalf("reuse estimate spent new measurement: %+v", second)
 	}
-	if second.SDC != first.SDC || second.Lo != first.Lo || second.Hi != first.Hi {
+	if second.P != first.P || second.Lo != first.Lo || second.Hi != first.Hi {
 		t.Fatalf("reuse estimate differs: %v vs %v", second, first)
 	}
 	st := e.Stats()
 	if st.Hits == 0 || st.Composed != 2 {
 		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// TestStratifiedCanceledCompose: an estimate canceled before its first
+// segment measured nothing, so it is 0 with the whole unit interval.
+func TestStratifiedCanceledCompose(t *testing.T) {
+	b := prog.Build("pathfinder")
+	g := golden(t, b, b.RefInput())
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	est := NewEstimator(b.Prog, nil, Options{Trials: 200, Seed: 7, Ctx: ctx}).EstimateGolden(g)
+	if est.Estimate != (campaign.Estimate{P: 0, Lo: 0, Hi: 1}) || est.MeasureTrials != 0 {
+		t.Fatalf("canceled estimate %+v (%d trials), want 0 in [0, 1]", est.Estimate, est.MeasureTrials)
+	}
+	for _, se := range est.Segments {
+		if se.Source != "skipped" {
+			t.Fatalf("segment %s has source %q after cancellation", se.Segment, se.Source)
+		}
 	}
 }
 
@@ -167,8 +186,8 @@ func TestEstimateWeightsMatchMix(t *testing.T) {
 	if sum <= 0 || sum > 1 {
 		t.Errorf("weight sum %.6f outside (0,1]", sum)
 	}
-	if est.Lo > est.SDC || est.Hi < est.SDC {
-		t.Errorf("composed interval [%.4f,%.4f] does not bracket %.4f", est.Lo, est.Hi, est.SDC)
+	if est.Lo > est.P || est.Hi < est.P {
+		t.Errorf("composed interval [%.4f,%.4f] does not bracket %.4f", est.Lo, est.Hi, est.P)
 	}
 }
 
@@ -185,8 +204,8 @@ func TestSharedCacheAcrossEstimators(t *testing.T) {
 	if second.Measured != 0 {
 		t.Fatalf("second estimator re-measured despite shared cache: %+v", second)
 	}
-	if second.SDC != first.SDC {
-		t.Fatalf("shared-cache estimates differ: %v vs %v", second.SDC, first.SDC)
+	if second.P != first.P {
+		t.Fatalf("shared-cache estimates differ: %v vs %v", second.P, first.P)
 	}
 
 	o := prog.Build("hpccg")

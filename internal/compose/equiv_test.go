@@ -31,12 +31,12 @@ func TestComposeEquivalence(t *testing.T) {
 		loA, hiA := stats.WilsonInterval95(directA.SDC, directA.Trials)
 		estA := e.EstimateGolden(gA)
 		t.Logf("%s fresh: direct=%.4f [%.4f,%.4f] composed=%.4f [%.4f,%.4f] trials=%d",
-			name, directA.SDCProbability(), loA, hiA, estA.SDC, estA.Lo, estA.Hi, estA.MeasureTrials)
-		if estA.SDC < loA || estA.SDC > hiA {
-			t.Errorf("%s: fresh composed estimate %.4f outside direct interval [%.4f,%.4f]", name, estA.SDC, loA, hiA)
+			name, directA.SDCProbability(), loA, hiA, estA.P, estA.Lo, estA.Hi, estA.MeasureTrials)
+		if estA.P < loA || estA.P > hiA {
+			t.Errorf("%s: fresh composed estimate %.4f outside direct interval [%.4f,%.4f]", name, estA.P, loA, hiA)
 		}
-		if estA.Lo > estA.SDC || estA.Hi < estA.SDC {
-			t.Errorf("%s: composed interval [%.4f,%.4f] does not bracket %.4f", name, estA.Lo, estA.Hi, estA.SDC)
+		if estA.Lo > estA.P || estA.Hi < estA.P {
+			t.Errorf("%s: composed interval [%.4f,%.4f] does not bracket %.4f", name, estA.Lo, estA.Hi, estA.P)
 		}
 
 		// A GA-like neighbor: a small relative perturbation of the same
@@ -54,9 +54,9 @@ func TestComposeEquivalence(t *testing.T) {
 		loB, hiB := stats.WilsonInterval95(directB.SDC, directB.Trials)
 		estB := e.EstimateGolden(gB)
 		t.Logf("%s reuse: direct=%.4f [%.4f,%.4f] composed=%.4f [%.4f,%.4f] reused=%d remeasured=%d",
-			name, directB.SDCProbability(), loB, hiB, estB.SDC, estB.Lo, estB.Hi, estB.Reused, estB.Remeasured)
-		if estB.SDC < loB || estB.SDC > hiB {
-			t.Errorf("%s: reuse composed estimate %.4f outside direct interval [%.4f,%.4f]", name, estB.SDC, loB, hiB)
+			name, directB.SDCProbability(), loB, hiB, estB.P, estB.Lo, estB.Hi, estB.Reused, estB.Remeasured)
+		if estB.P < loB || estB.P > hiB {
+			t.Errorf("%s: reuse composed estimate %.4f outside direct interval [%.4f,%.4f]", name, estB.P, loB, hiB)
 		}
 	}
 }
@@ -97,8 +97,8 @@ func TestComposeBitIdentity(t *testing.T) {
 			}
 		}
 		// Exact reuse must reproduce the measured numbers bit-for-bit.
-		if refFirst.SDC != refSecond.SDC || refFirst.Lo != refSecond.Lo || refFirst.Hi != refSecond.Hi {
-			t.Errorf("%s: exact-reuse estimate drifted from measurement: %v vs %v", name, refSecond.SDC, refFirst.SDC)
+		if refFirst.P != refSecond.P || refFirst.Lo != refSecond.Lo || refFirst.Hi != refSecond.Hi {
+			t.Errorf("%s: exact-reuse estimate drifted from measurement: %v vs %v", name, refSecond.P, refFirst.P)
 		}
 	}
 }

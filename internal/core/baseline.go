@@ -65,19 +65,18 @@ type BaselinePoint struct {
 // BaselineResult is the outcome of a baseline search.
 type BaselineResult struct {
 	BestInput []float64
-	Best      campaign.Counts
-	BestSDC   float64
-	Inputs    int // candidates evaluated
+	// Best is the best candidate's estimate: its flat, adaptive or
+	// composed measurement. The first candidate holds it until a later one
+	// measures strictly higher.
+	Best   campaign.Estimate
+	Inputs int // candidates evaluated
 	// Rejected counts invalid candidates (golden run failed), which are
 	// excluded per §3.1.2 and advance neither Inputs nor DynSpent.
 	Rejected int
 	History  []BaselinePoint
 	DynSpent int64
 	Elapsed  time.Duration
-	// BestComposed, under Options.Compose, is the best candidate's full
-	// composed estimate (Best then pools its profile trials and BestSDC is
-	// the composed rate); ComposeStats records cache effectiveness.
-	BestComposed *compose.Estimate
+	// ComposeStats, under Options.Compose, records cache effectiveness.
 	ComposeStats *compose.Stats
 }
 
@@ -98,7 +97,7 @@ func RandomSearch(b *prog.Benchmark, opts BaselineOptions, rng *xrand.RNG) *Base
 	start := time.Now()
 	tr := opts.Trace
 	endPhase := tr.Phase("baseline")
-	res := &BaselineResult{BestSDC: -1}
+	res := &BaselineResult{}
 	// Compositional candidate evaluation: one estimator for the whole
 	// search, so profiles carry across candidates. The seed draw happens
 	// only in compose mode, keeping non-compose runs bit-identical to
@@ -142,15 +141,12 @@ func RandomSearch(b *prog.Benchmark, opts BaselineOptions, rng *xrand.RNG) *Base
 		rejects = 0
 		res.DynSpent += g.DynCount
 		var (
-			c        campaign.Counts
-			sdc      float64
-			ce       *compose.Estimate
+			e        campaign.Estimate
 			spentDyn int64
 		)
 		if composeEst != nil {
-			ce = composeEst.EstimateGolden(g)
-			c = ce.Counts
-			sdc = ce.SDC
+			ce := composeEst.EstimateGolden(g)
+			e = ce.Estimate
 			// Cached profile trials were paid for by earlier candidates;
 			// the budget charges only what this candidate's evaluation
 			// added.
@@ -163,40 +159,36 @@ func RandomSearch(b *prog.Benchmark, opts BaselineOptions, rng *xrand.RNG) *Base
 				MaxTrials: opts.TrialsPerInput,
 				Model:     opts.Model,
 			})
-			c = ar.Counts
-			sdc = ar.Estimate
+			e = ar.Estimate
 			campaign.EmitAdaptiveTelemetry(tr, "fi.adaptive", ar)
 		} else {
-			c = campaign.OverallParallel(b.Prog, g, opts.TrialsPerInput, campaign.ParallelOptions{
+			e = campaign.OverallParallel(b.Prog, g, opts.TrialsPerInput, campaign.ParallelOptions{
 				Workers: opts.Workers,
 				Seed:    rng.Uint64(),
 				Model:   opts.Model,
-			})
-			sdc = c.SDCProbability()
+			}).Estimate()
 		}
 		if composeEst == nil {
-			spentDyn = c.DynInstrs
+			spentDyn = e.DynInstrs
 		}
 		res.DynSpent += spentDyn
 		ckStats.Accumulate(g.CheckpointStats())
 		res.Inputs++
-		newBest := sdc > res.BestSDC
+		newBest := res.Inputs == 1 || e.P > res.Best.P
 		if newBest {
-			res.BestSDC = sdc
 			res.BestInput = in
-			res.Best = c
-			res.BestComposed = ce
+			res.Best = e
 		}
 		res.History = append(res.History, BaselinePoint{
-			Input: in, SDC: sdc, DynSpent: res.DynSpent, BestSDC: res.BestSDC,
+			Input: in, SDC: e.P, DynSpent: res.DynSpent, BestSDC: res.Best.P,
 		})
 		tr.Advance(g.DynCount + spentDyn)
 		tr.Emit("baseline.candidate", append([]telemetry.Field{
 			telemetry.F("input", res.Inputs-1),
-			telemetry.F("sdc", sdc),
-			telemetry.F("best_sdc", res.BestSDC),
+			telemetry.F("sdc", e.P),
+			telemetry.F("best_sdc", res.Best.P),
 			telemetry.F("rejected", res.Rejected),
-		}, c.Fields()...)...)
+		}, e.Fields()...)...)
 		// Each new best updates the live heat map. With no sensitivity
 		// scores in the baseline, heat is the pure dynamic-execution
 		// fraction (nil score vector).
@@ -205,9 +197,6 @@ func RandomSearch(b *prog.Benchmark, opts BaselineOptions, rng *xrand.RNG) *Base
 				[]telemetry.Field{telemetry.F("input", res.Inputs-1)},
 				nil, g.InstrCounts, g.DynCount, opts.HeatTopK)
 		}
-	}
-	if res.BestSDC < 0 {
-		res.BestSDC = 0
 	}
 	res.Elapsed = time.Since(start)
 	endPhase()
@@ -225,7 +214,7 @@ func RandomSearch(b *prog.Benchmark, opts BaselineOptions, rng *xrand.RNG) *Base
 	}
 	tr.Emit("baseline.done",
 		telemetry.F("inputs", res.Inputs),
-		telemetry.F("best_sdc", res.BestSDC),
+		telemetry.F("best_sdc", res.Best.P),
 		telemetry.F("rejected", res.Rejected))
 	return res
 }

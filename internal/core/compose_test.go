@@ -1,9 +1,11 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/compose"
+	"repro/internal/fault"
 	"repro/internal/prog"
 	"repro/internal/xrand"
 )
@@ -42,17 +44,12 @@ func TestSearchCompose(t *testing.T) {
 	if res.Distribution.Composed == nil {
 		t.Fatal("distribution lacks the composed estimate")
 	}
+	if got, want := res.ComposeStats.Composed, int64(1+len(res.Checkpoints)); got != want {
+		t.Fatalf("%d composed estimates, want %d: checkpoints not composed", got, want)
+	}
 	for i, cp := range res.Checkpoints {
-		if cp.Composed == nil {
-			t.Fatalf("checkpoint %d lacks composed estimate", i)
-		}
-		if cp.Composed.SDC < cp.Composed.Lo || cp.Composed.SDC > cp.Composed.Hi {
-			t.Fatalf("checkpoint %d interval [%v,%v] does not bracket %v",
-				i, cp.Composed.Lo, cp.Composed.Hi, cp.Composed.SDC)
-		}
-		if cp.SDCEstimate() != cp.Composed.SDC {
-			t.Fatalf("checkpoint %d SDCEstimate %v != composed %v",
-				i, cp.SDCEstimate(), cp.Composed.SDC)
+		if cp.P < cp.Lo || cp.P > cp.Hi {
+			t.Fatalf("checkpoint %d interval [%v,%v] does not bracket %v", i, cp.Lo, cp.Hi, cp.P)
 		}
 	}
 
@@ -66,8 +63,8 @@ func TestSearchCompose(t *testing.T) {
 		t.Fatalf("best fitness differs across workers: %v vs %v", res4.BestFitness, res.BestFitness)
 	}
 	for i := range res.Checkpoints {
-		if res4.Checkpoints[i].SDCEstimate() != res.Checkpoints[i].SDCEstimate() {
-			t.Fatalf("checkpoint %d composed SDC differs across workers", i)
+		if res4.Checkpoints[i].Estimate != res.Checkpoints[i].Estimate {
+			t.Fatalf("checkpoint %d composed estimate differs across workers", i)
 		}
 	}
 }
@@ -98,11 +95,8 @@ func TestRandomSearchCompose(t *testing.T) {
 	if res.ComposeStats.Hits == 0 {
 		t.Fatalf("no profile reuse across candidates: %+v", res.ComposeStats)
 	}
-	if res.BestComposed == nil {
-		t.Fatal("BestComposed not recorded")
-	}
-	if res.BestSDC != res.BestComposed.SDC {
-		t.Fatalf("BestSDC %v != composed %v", res.BestSDC, res.BestComposed.SDC)
+	if res.Best.Trials == 0 || res.Best.P < res.Best.Lo || res.Best.P > res.Best.Hi {
+		t.Fatalf("best composed estimate not recorded: %+v", res.Best)
 	}
 	// The incremental claim: five candidates must cost less FI measurement
 	// than five independent full passes would.
@@ -113,9 +107,52 @@ func TestRandomSearchCompose(t *testing.T) {
 
 	opts.Workers = 4
 	res4 := RandomSearch(b, opts, xrand.New(21))
-	if res4.BestSDC != res.BestSDC || res4.DynSpent != res.DynSpent {
-		t.Fatalf("compose baseline differs across workers: sdc %v vs %v, dyn %d vs %d",
-			res4.BestSDC, res.BestSDC, res4.DynSpent, res.DynSpent)
+	if res4.Best != res.Best || res4.DynSpent != res.DynSpent {
+		t.Fatalf("compose baseline differs across workers: best %+v vs %+v, dyn %d vs %d",
+			res4.Best, res.Best, res4.DynSpent, res.DynSpent)
+	}
+}
+
+// TestSearchComposeCheckpointModel: compositional checkpoints measure under
+// the campaign fault model, on their own estimator, while the sensitivity
+// derivation and the GA stay single-flip. So a burst-flip search reaches
+// the same checkpoint inputs as a single-flip one but measures them on
+// burst profiles, and ComposeStats counts both estimators' work.
+func TestSearchComposeCheckpointModel(t *testing.T) {
+	b := prog.Build("needle")
+	opts := DefaultOptions()
+	opts.Generations = 4
+	opts.PopSize = 6
+	opts.TrialsPerRep = 4
+	opts.FinalTrials = 100
+	opts.Checkpoints = []int{2, 4}
+	opts.Compose = true
+	flip, err := Search(b, opts, xrand.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Model = fault.BurstFlip
+	burst, err := Search(b, opts, xrand.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(burst.Distribution.Scores, flip.Distribution.Scores) {
+		t.Fatal("the fault model moved the single-flip sensitivity derivation")
+	}
+	for i, cp := range burst.Checkpoints {
+		if !slices.Equal(cp.BestInput, flip.Checkpoints[i].BestInput) {
+			t.Fatalf("checkpoint %d input moved: %v vs %v", i, cp.BestInput, flip.Checkpoints[i].BestInput)
+		}
+		if cp.Counts == flip.Checkpoints[i].Counts {
+			t.Fatalf("checkpoint %d measured single flips under -fault-model burst: %+v", i, cp.Estimate)
+		}
+	}
+	if got, want := burst.ComposeStats.Composed, int64(1+len(burst.Checkpoints)); got != want {
+		t.Fatalf("%d composed estimates, want %d", got, want)
+	}
+	if burst.ComposeStats.Misses <= flip.ComposeStats.Misses {
+		t.Fatalf("burst checkpoints measured no profiles of their own: %+v vs %+v",
+			burst.ComposeStats, flip.ComposeStats)
 	}
 }
 

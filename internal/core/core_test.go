@@ -171,8 +171,8 @@ func TestRandomSearchBudget(t *testing.T) {
 	if res.DynSpent > 40_000_000 {
 		t.Fatalf("overshot budget grossly: %d", res.DynSpent)
 	}
-	if res.BestSDC < 0 || res.BestSDC > 1 {
-		t.Fatalf("best SDC %v", res.BestSDC)
+	if res.Best.P < 0 || res.Best.P > 1 {
+		t.Fatalf("best SDC %v", res.Best.P)
 	}
 	// History best must be monotone.
 	prev := -1.0
@@ -207,8 +207,8 @@ func TestRandomSearchBoundsRejections(t *testing.T) {
 	if res.Rejected != DefaultMaxConsecutiveRejects {
 		t.Fatalf("rejected = %d, want the consecutive bound %d", res.Rejected, DefaultMaxConsecutiveRejects)
 	}
-	if res.BestSDC != 0 {
-		t.Fatalf("best SDC = %v, want 0", res.BestSDC)
+	if res.Best.P != 0 {
+		t.Fatalf("best SDC = %v, want 0", res.Best.P)
 	}
 }
 
@@ -231,9 +231,9 @@ func TestRandomSearchAdaptive(t *testing.T) {
 		t.Fatalf("adaptive candidate spent %d trials, cap 200", res.Best.Trials)
 	}
 	again := RandomSearch(b, opts, xrand.New(7))
-	if res.BestSDC != again.BestSDC || res.Inputs != again.Inputs {
+	if res.Best.P != again.Best.P || res.Inputs != again.Inputs {
 		t.Fatalf("adaptive baseline is not deterministic: %v/%d vs %v/%d",
-			res.BestSDC, res.Inputs, again.BestSDC, again.Inputs)
+			res.Best.P, res.Inputs, again.Best.P, again.Inputs)
 	}
 }
 
@@ -259,8 +259,8 @@ func TestSearchAdaptiveFinal(t *testing.T) {
 	if res.FinalAdaptive.Counts.Trials > 400 {
 		t.Fatalf("adaptive final spent %d trials, cap 400", res.FinalAdaptive.Counts.Trials)
 	}
-	if res.SDCBound() != res.FinalAdaptive.Estimate {
-		t.Fatalf("SDCBound %v != composed estimate %v", res.SDCBound(), res.FinalAdaptive.Estimate)
+	if res.SDCBound() != res.FinalAdaptive.P {
+		t.Fatalf("SDCBound %v != composed estimate %v", res.SDCBound(), res.FinalAdaptive.P)
 	}
 	lo, hi := res.SDCInterval()
 	if lo > res.SDCBound() || hi < res.SDCBound() || lo < 0 || hi > 1 {

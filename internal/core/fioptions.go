@@ -18,12 +18,14 @@ type FIOptions struct {
 	// drawn and folded serially, and every trial's RNG derives from its
 	// campaign seed and index, so results are bit-identical for every value.
 	Workers int
-	// Model selects the fault model of the whole-program measurements: flat
-	// and adaptive campaigns, and the baseline's compositional estimates.
-	// Nil is the single-bit-flip default, byte-identical to the historical
-	// path. The search's §4.2.3 sensitivity derivation (with the
-	// compositional checkpoints that share its estimator) and GA fitness
-	// stay single-flip: they are search heuristics, not the reported bound.
+	// Model selects the fault model of the whole-program measurements: the
+	// Figure 5 checkpoints, the closing measurement and the baseline's
+	// candidates, whether flat, adaptive or compositional. Nil is the
+	// single-bit-flip default, byte-identical to the historical path. The
+	// search's §4.2.3 sensitivity derivation and GA fitness stay
+	// single-flip: they are search heuristics, not the reported bound. So
+	// under Compose with a non-nil Model the checkpoints get their own
+	// estimator under Model, on the same profile cache.
 	Model fault.Model
 	// CITarget > 0 switches the closing measurement (and each baseline
 	// candidate's campaign) to the adaptive stratified runner

@@ -86,7 +86,7 @@ func TestBaselineWorkerEquivalence(t *testing.T) {
 		}
 		if !reflect.DeepEqual(r, want) {
 			t.Errorf("Workers=%d diverged from Workers=1: got best SDC %v (%d inputs), want %v (%d inputs)",
-				w, r.BestSDC, r.Inputs, want.BestSDC, want.Inputs)
+				w, r.Best.P, r.Inputs, want.Best.P, want.Inputs)
 		}
 	}
 }

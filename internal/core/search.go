@@ -77,21 +77,10 @@ type Checkpoint struct {
 	Generation int
 	BestInput  []float64
 	Fitness    float64
-	Counts     campaign.Counts
-	// Composed, under Options.Compose, is the compositional estimate that
-	// replaced the checkpoint campaign; Counts then holds its pooled
-	// profile trials (allocation-weighted — use SDCEstimate for the rate).
-	Composed *compose.Estimate
-}
-
-// SDCEstimate returns the checkpoint's SDC rate: the composed estimate
-// when the checkpoint was measured compositionally, else the campaign
-// ratio.
-func (cp *Checkpoint) SDCEstimate() float64 {
-	if cp.Composed != nil {
-		return cp.Composed.SDC
-	}
-	return cp.Counts.SDCProbability()
+	// Estimate is the best input's measured SDC probability: a flat
+	// FinalTrials-trial campaign, or under Options.Compose the composed
+	// estimate (zero when the input's golden run failed).
+	campaign.Estimate
 }
 
 // Result is the outcome of one PEPPA-X search.
@@ -106,15 +95,12 @@ type Result struct {
 	// BestInput is the reported SDC-bound input with its fitness score.
 	BestInput   []float64
 	BestFitness float64
-	// Final is the closing statistical FI campaign on BestInput — the
-	// paper's reported program SDC probability bound. Under an adaptive
-	// campaign (Options.CITarget > 0) Final holds the pooled per-stratum
-	// tally, whose raw ratio is allocation-weighted; the honest bound is
-	// FinalAdaptive's composed estimate, which SDCBound reports.
-	Final campaign.Counts
-	// FinalAdaptive is the adaptive campaign's full result (stratum tallies,
-	// composed estimate and honest interval); nil when the closing campaign
-	// ran flat.
+	// Final is the closing statistical FI campaign's estimate on BestInput
+	// — the paper's reported program SDC probability bound, flat or, under
+	// Options.CITarget > 0, adaptive.
+	Final campaign.Estimate
+	// FinalAdaptive is the adaptive campaign's full result (its strata and
+	// rounds); nil when the closing campaign ran flat.
 	FinalAdaptive *campaign.AdaptiveResult
 
 	// Checkpoints are the Figure 5 measurements, ordered by generation.
@@ -136,31 +122,18 @@ type Result struct {
 	SearchDynExecuted int64
 	// ComposeStats, under Options.Compose, records the profile cache's
 	// effectiveness over the whole search (hits, misses, re-measurements,
-	// measurement spend); nil otherwise.
+	// measurement spend), summed over the checkpoints' own estimator when
+	// a non-default Model gives them one; nil otherwise.
 	ComposeStats *compose.Stats
 
 	Cost Cost
 }
 
-// SDCBound returns the SDC probability measured for the reported input: the
-// flat campaign's trial ratio, or the adaptive campaign's composed
-// stratified estimate (the pooled ratio would be allocation-biased).
-func (r *Result) SDCBound() float64 {
-	if r.FinalAdaptive != nil {
-		return r.FinalAdaptive.Estimate
-	}
-	return r.Final.SDCProbability()
-}
+// SDCBound returns the SDC probability measured for the reported input.
+func (r *Result) SDCBound() float64 { return r.Final.P }
 
-// SDCInterval returns the true 95% bounds of the measured SDC probability:
-// Wilson bounds for a flat campaign, the composed stratified interval for
-// an adaptive one.
-func (r *Result) SDCInterval() (lo, hi float64) {
-	if r.FinalAdaptive != nil {
-		return r.FinalAdaptive.Lo, r.FinalAdaptive.Hi
-	}
-	return r.Final.SDCInterval()
-}
+// SDCInterval returns the true 95% bounds of the measured SDC probability.
+func (r *Result) SDCInterval() (lo, hi float64) { return r.Final.Lo, r.Final.Hi }
 
 // PipelineDynAt returns the total pipeline cost, in dynamic instructions,
 // had the search been stopped at the given generation: the fixed small-input
@@ -223,17 +196,31 @@ func Search(b *prog.Benchmark, opts Options, rng *xrand.RNG) (*Result, error) {
 	// measured on the sensitivity golden are reused — or incrementally
 	// re-measured — across all later generations. The seed is drawn off the
 	// search RNG only when compose is on, keeping non-compose runs
-	// bit-identical to earlier versions.
-	var composeEst *compose.Estimator
+	// bit-identical to earlier versions. The derivation measures single
+	// flips; under another fault model the checkpoints get their own
+	// estimator under it, on the same cache (keys hold the model) and on a
+	// seed derived from the first, so no other draw moves.
+	var composeEst, checkpointEst *compose.Estimator
 	if opts.Compose {
-		composeEst = compose.NewEstimator(b.Prog, opts.ComposeCache, compose.Options{
+		cache := opts.ComposeCache
+		if cache == nil {
+			cache = compose.NewCache(0)
+		}
+		copts := compose.Options{
 			Trials:    opts.ComposeTrials,
 			Threshold: opts.ComposeThreshold,
 			Workers:   opts.Workers,
 			Seed:      rng.Uint64(),
 			Trace:     tr,
 			Ctx:       opts.Ctx,
-		})
+		}
+		composeEst = compose.NewEstimator(b.Prog, cache, copts)
+		checkpointEst = composeEst
+		if opts.Model != nil {
+			copts.Model = opts.Model
+			copts.Seed = parallel.DeriveSeed(copts.Seed, 1)
+			checkpointEst = compose.NewEstimator(b.Prog, cache, copts)
+		}
 	}
 	dist := sensitivity.Derive(b.Prog, sensGolden, sensitivity.Options{
 		TrialsPerRep: opts.TrialsPerRep,
@@ -309,14 +296,12 @@ func Search(b *prog.Benchmark, opts Options, rng *xrand.RNG) (*Result, error) {
 			cp := Checkpoint{Generation: gen, BestInput: best.Genome, Fitness: best.Fitness}
 			var heatG *campaign.Golden
 			if g, err := campaign.NewGoldenCheckpointed(b.Prog, b.Encode(best.Genome), b.MaxDyn, campaign.CheckpointAuto); err == nil {
-				if composeEst != nil {
+				if checkpointEst != nil {
 					// Composed checkpoint: reuse cached profiles under the
 					// best input's mix instead of a fresh campaign.
-					ce := composeEst.EstimateGolden(g)
-					cp.Composed = ce
-					cp.Counts = ce.Counts
+					cp.Estimate = checkpointEst.EstimateGolden(g).Estimate
 				} else {
-					cp.Counts = overallCampaign(b.Prog, g, opts.FinalTrials, fiRNG, opts)
+					cp.Estimate = overallCampaign(b.Prog, g, opts.FinalTrials, fiRNG, opts).Estimate()
 				}
 				ckStats.Accumulate(g.CheckpointStats())
 				heatG = g
@@ -327,7 +312,7 @@ func Search(b *prog.Benchmark, opts Options, rng *xrand.RNG) (*Result, error) {
 			tr.Emit("search.checkpoint", append([]telemetry.Field{
 				telemetry.F("gen", gen),
 				telemetry.F("fitness", best.Fitness),
-				telemetry.F("sdc", cp.SDCEstimate()),
+				telemetry.F("sdc", cp.P),
 			}, cp.Counts.Fields()...)...)
 			// The live heat map: score-weighted dynamic-execution fractions
 			// of the checkpointed best input, deterministic by construction
@@ -369,10 +354,10 @@ func Search(b *prog.Benchmark, opts Options, rng *xrand.RNG) (*Result, error) {
 			Ctx:       opts.Ctx,
 			Model:     opts.Model,
 		})
-		res.Final = res.FinalAdaptive.Counts
+		res.Final = res.FinalAdaptive.Estimate
 		campaign.EmitAdaptiveTelemetry(tr, "fi.adaptive", res.FinalAdaptive)
 	} else {
-		res.Final = overallCampaign(b.Prog, g, opts.FinalTrials, rng, opts)
+		res.Final = overallCampaign(b.Prog, g, opts.FinalTrials, rng, opts).Estimate()
 	}
 	ckStats.Accumulate(g.CheckpointStats())
 	res.Cost.FinalFIDyn = res.Final.DynInstrs + g.DynCount
@@ -381,6 +366,9 @@ func Search(b *prog.Benchmark, opts Options, rng *xrand.RNG) (*Result, error) {
 	endPhase()
 	if composeEst != nil {
 		st := composeEst.Stats()
+		if checkpointEst != composeEst {
+			st.Add(checkpointEst.Stats())
+		}
 		res.ComposeStats = &st
 		tr.Emit("search.compose",
 			telemetry.F("hits", st.Hits),
@@ -393,7 +381,7 @@ func Search(b *prog.Benchmark, opts Options, rng *xrand.RNG) (*Result, error) {
 	campaign.EmitCheckpointTelemetry(tr, "search.fi_checkpoints", ckStats)
 	tr.Emit("search.final", append([]telemetry.Field{
 		telemetry.F("fitness", res.BestFitness),
-		telemetry.F("sdc", res.SDCBound()),
+		telemetry.F("sdc", res.Final.P),
 	}, res.Final.Fields()...)...)
 	// Final heat map of the reported SDC-bound input — the state the
 	// /metrics heat gauges keep serving after the search ends.

@@ -318,18 +318,19 @@ func TestFigure5_7Compose(t *testing.T) {
 	if len(pts) != len(r.Checkpoints) {
 		t.Fatalf("figure5 has %d points for %d checkpoints", len(pts), len(r.Checkpoints))
 	}
+	// The sensitivity derivation and every checkpoint are composed.
+	if got, want := r.ComposeStats.Composed, int64(1+len(r.Checkpoints)); got != want {
+		t.Fatalf("%d composed estimates, want %d: checkpoints not measured compositionally", got, want)
+	}
 	for i := range r.Checkpoints {
 		cp := &r.Checkpoints[i]
-		if cp.Composed == nil {
-			t.Fatalf("checkpoint @%d was not measured compositionally", cp.Generation)
-		}
-		if pts[i].PeppaSDC != cp.SDCEstimate() {
+		if pts[i].PeppaSDC != cp.P {
 			t.Fatalf("figure5 @%d reports %v, composed estimate %v (pooled ratio %v)",
-				cp.Generation, pts[i].PeppaSDC, cp.SDCEstimate(), cp.Counts.SDCProbability())
+				cp.Generation, pts[i].PeppaSDC, cp.P, cp.Counts.SDCProbability())
 		}
-		if cp.Generation == f7.Rows[0].CutoffGen && f7.Rows[0].PeppaSDC != cp.SDCEstimate() {
+		if cp.Generation == f7.Rows[0].CutoffGen && f7.Rows[0].PeppaSDC != cp.P {
 			t.Fatalf("figure7 @%d reports %v, composed estimate %v (pooled ratio %v)",
-				cp.Generation, f7.Rows[0].PeppaSDC, cp.SDCEstimate(), cp.Counts.SDCProbability())
+				cp.Generation, f7.Rows[0].PeppaSDC, cp.P, cp.Counts.SDCProbability())
 		}
 	}
 }
@@ -480,8 +481,8 @@ func TestBaselineBestWithin(t *testing.T) {
 	}
 	// The full budget yields the overall best.
 	full := BaselineBestWithin(base, 1<<62)
-	if full != base.BestSDC {
-		t.Fatalf("full budget best = %v, want %v", full, base.BestSDC)
+	if full != base.Best.P {
+		t.Fatalf("full budget best = %v, want %v", full, base.Best.P)
 	}
 }
 

@@ -56,7 +56,7 @@ func Figure5(s *Suite) (*Figure5Result, error) {
 			budget := search.PipelineDynAt(cp.Generation)
 			fb.Points = append(fb.Points, Figure5Point{
 				Generations:  cp.Generation,
-				PeppaSDC:     cp.SDCEstimate(),
+				PeppaSDC:     cp.P,
 				PeppaFitness: cp.Fitness,
 				PeppaInput:   cp.BestInput,
 				BaselineSDC:  BaselineBestWithin(base, budget),
@@ -130,7 +130,7 @@ func Figure7(s *Suite) (*Figure7Result, error) {
 		var peppa float64
 		for _, cp := range search.Checkpoints {
 			if cp.Generation == cutoff {
-				peppa = cp.SDCEstimate()
+				peppa = cp.P
 			}
 		}
 		budget := baseline5x * search.PipelineDynAt(cutoff)

@@ -2,9 +2,12 @@ package service
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -111,5 +114,37 @@ func TestServiceRejectsEngineKnobs(t *testing.T) {
 		if status != http.StatusBadRequest || !strings.Contains(msg, "unknown field") {
 			t.Fatalf("%s %s: status %d (%s), want 400 unknown field", c.path, c.body, status, msg)
 		}
+	}
+}
+
+// TestServiceHugeWorkers: /jobs and /shard clamp a wire worker count to
+// the server's GOMAXPROCS, so math.MaxInt runs with the tallies of the
+// serial in-process campaign instead of failing the request.
+func TestServiceHugeWorkers(t *testing.T) {
+	b := prog.Build("pathfinder")
+	g, err := campaign.NewGoldenCheckpointed(b.Prog, b.Encode(b.RefInput()), b.MaxDyn, campaign.CheckpointAuto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := campaign.OverallParallel(b.Prog, g, 20, campaign.ParallelOptions{Workers: 1, Seed: 5})
+
+	s, ts := newTestServer(t, Config{})
+	spec := &JobSpec{Kind: KindCampaign, Bench: "pathfinder", Trials: 20, Seed: 5, Workers: math.MaxInt}
+	if res := submit(t, ts, spec); res.Counts != want {
+		t.Fatalf("/jobs at math.MaxInt workers: %+v, want %+v", res.Counts, want)
+	}
+	if err := s.normalize(spec); err != nil || spec.Workers != runtime.GOMAXPROCS(0) {
+		t.Fatalf("normalize left workers at %d (err %v), want GOMAXPROCS %d", spec.Workers, err, runtime.GOMAXPROCS(0))
+	}
+	status, body := post(t, ts, "/shard", fmt.Sprintf(`{"bench":"pathfinder","seed":5,"lo":0,"hi":20,"workers":%d}`, math.MaxInt))
+	if status != http.StatusOK {
+		t.Fatalf("/shard at math.MaxInt workers: status %d (%s)", status, body)
+	}
+	var sr ShardResponse
+	if err := json.Unmarshal([]byte(body), &sr); err != nil {
+		t.Fatal(err)
+	}
+	if sr.Counts != want {
+		t.Fatalf("/shard at math.MaxInt workers: %+v, want %+v", sr.Counts, want)
 	}
 }

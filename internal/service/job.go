@@ -52,7 +52,9 @@ type JobSpec struct {
 	FaultModel string `json:"fault_model,omitempty"`
 	// Workers fans the trials each process runs across goroutines
 	// (campaign.ParallelOptions semantics); a flat campaign's peers get
-	// the same value with their ranges.
+	// the same value with their ranges. Each server clamps it to its
+	// GOMAXPROCS: results are identical at every worker count, and every
+	// extra worker's trial machine starts with 4,096 memory words.
 	Workers int `json:"workers,omitempty"`
 	// Adaptive (or CITarget > 0) switches a campaign job, or a search
 	// job's closing campaign, to the adaptive stratified runner.
@@ -226,8 +228,9 @@ func (s *Server) runJob(ctx context.Context, spec *JobSpec, meter *tokenMeter, e
 	be := s.cache.bench(spec.Bench)
 	res := &JobResult{Kind: spec.Kind, Bench: spec.Bench}
 
+	var est campaign.Estimate
 	if spec.Kind == KindSearch {
-		if err := s.runSearch(ctx, spec, fi, be, meter, res, rec); err != nil {
+		if est, err = s.runSearch(ctx, spec, fi, be, meter, res, rec); err != nil {
 			return nil, err
 		}
 	} else {
@@ -257,17 +260,14 @@ func (s *Server) runJob(ctx context.Context, spec *JobSpec, meter *tokenMeter, e
 
 		switch spec.Kind {
 		case KindCampaign:
-			if err := s.runCampaign(ctx, spec, fi, be, g, meter, res, ew, tr); err != nil {
-				return nil, err
-			}
+			est = s.runCampaign(ctx, spec, fi, be, g, meter, res, ew, tr)
 		case KindSensitivity:
-			if err := s.runSensitivity(ctx, spec, fi, be, g, meter, res, tr); err != nil {
-				return nil, err
-			}
+			est = s.runSensitivity(ctx, spec, fi, be, g, meter, res, tr)
 		default:
 			return nil, fmt.Errorf("unknown job kind %q", spec.Kind)
 		}
 	}
+	res.Counts, res.SDC, res.Lo, res.Hi = est.Counts, est.P, est.Lo, est.Hi
 
 	res.Tokens = meter.spent.Load()
 	res.Canceled = ctx.Err() != nil
@@ -281,7 +281,7 @@ func (s *Server) runJob(ctx context.Context, spec *JobSpec, meter *tokenMeter, e
 // trial range per executor, or adaptive, on the coordinator with a metered
 // round executor. Either way results are bit-identical to the
 // single-process run of the same spec.
-func (s *Server) runCampaign(ctx context.Context, spec *JobSpec, fi core.FIOptions, be *benchEntry, g *campaign.Golden, meter *tokenMeter, res *JobResult, ew *eventWriter, tr *telemetry.Stream) error {
+func (s *Server) runCampaign(ctx context.Context, spec *JobSpec, fi core.FIOptions, be *benchEntry, g *campaign.Golden, meter *tokenMeter, res *JobResult, ew *eventWriter, tr *telemetry.Stream) campaign.Estimate {
 	if fi.CITarget > 0 {
 		ar := campaign.OverallAdaptive(be.b.Prog, g, campaign.AdaptiveOptions{
 			Workers:   fi.Workers,
@@ -294,32 +294,32 @@ func (s *Server) runCampaign(ctx context.Context, spec *JobSpec, fi core.FIOptio
 		})
 		tr.Advance(ar.Counts.DynInstrs)
 		campaign.EmitAdaptiveTelemetry(tr, "fi.adaptive", ar)
-		res.Counts = ar.Counts
-		res.SDC, res.Lo, res.Hi = ar.Estimate, ar.Lo, ar.Hi
-		res.Adaptive = &AdaptiveSummary{
-			Strata:      len(ar.Strata),
-			Converged:   ar.StrataConverged(),
-			Rounds:      ar.Rounds,
-			MaxTrials:   ar.MaxTrials,
-			TrialsSaved: ar.TrialsSaved(),
-			CITarget:    ar.CITarget,
-		}
-		return nil
+		res.Adaptive = SummarizeAdaptive(ar)
+		return ar.Estimate
 	}
 	c, ranges := s.runFlatCampaign(ctx, spec, be, g, fi.Model, meter, ew)
 	res.Shards = ranges
 	tr.Advance(c.DynInstrs)
 	tr.Emit("fi.campaign", c.Fields()...)
-	res.Counts = c
-	res.SDC = c.SDCProbability()
-	res.Lo, res.Hi = c.SDCInterval()
-	return nil
+	return c.Estimate()
+}
+
+// SummarizeAdaptive is an adaptive campaign's result surface.
+func SummarizeAdaptive(ar *campaign.AdaptiveResult) *AdaptiveSummary {
+	return &AdaptiveSummary{
+		Strata:      len(ar.Strata),
+		Converged:   ar.StrataConverged(),
+		Rounds:      ar.Rounds,
+		MaxTrials:   ar.MaxTrials,
+		TrialsSaved: ar.TrialsSaved(),
+		CITarget:    ar.CITarget,
+	}
 }
 
 // runSensitivity composes the whole-program SDC estimate from the shared
 // per-segment profile cache — concurrent jobs on the same program measure
 // each profile once.
-func (s *Server) runSensitivity(ctx context.Context, spec *JobSpec, fi core.FIOptions, be *benchEntry, g *campaign.Golden, meter *tokenMeter, res *JobResult, tr *telemetry.Stream) error {
+func (s *Server) runSensitivity(ctx context.Context, spec *JobSpec, fi core.FIOptions, be *benchEntry, g *campaign.Golden, meter *tokenMeter, res *JobResult, tr *telemetry.Stream) campaign.Estimate {
 	e := compose.NewEstimator(be.b.Prog, s.cache.profiles, compose.Options{
 		Trials:    spec.Trials,
 		Threshold: fi.ComposeThreshold,
@@ -334,8 +334,6 @@ func (s *Server) runSensitivity(ctx context.Context, spec *JobSpec, fi core.FIOp
 	tr.Advance(est.MeasureDyn)
 	s.publishCacheMetrics()
 	part := e.Partition()
-	res.Counts = est.Counts
-	res.SDC, res.Lo, res.Hi = est.SDC, est.Lo, est.Hi
 	res.Sensitivity = &SensitivitySummary{
 		Granularity:   part.Granularity,
 		Segments:      len(part.Segments),
@@ -345,14 +343,14 @@ func (s *Server) runSensitivity(ctx context.Context, spec *JobSpec, fi core.FIOp
 		MeasureTrials: est.MeasureTrials,
 		MeasureDyn:    est.MeasureDyn,
 	}
-	return nil
+	return est.Estimate
 }
 
 // runSearch runs the full PEPPA-X pipeline. The compose cache is the
 // shared one, so searches on the same benchmark reuse profiles across jobs;
 // the job is charged once, from the final cost breakdown, when the
 // pipeline returns.
-func (s *Server) runSearch(ctx context.Context, spec *JobSpec, fi core.FIOptions, be *benchEntry, meter *tokenMeter, res *JobResult, rec *telemetry.Recorder) error {
+func (s *Server) runSearch(ctx context.Context, spec *JobSpec, fi core.FIOptions, be *benchEntry, meter *tokenMeter, res *JobResult, rec *telemetry.Recorder) (campaign.Estimate, error) {
 	opts := core.DefaultOptions()
 	opts.Generations = spec.Generations
 	if opts.Generations <= 0 {
@@ -373,13 +371,10 @@ func (s *Server) runSearch(ctx context.Context, spec *JobSpec, fi core.FIOptions
 	opts.Trace = rec.Stream("job/" + spec.Bench)
 	r, err := core.Search(be.b, opts, xrand.New(spec.Seed))
 	if err != nil {
-		return err
+		return campaign.Estimate{}, err
 	}
 	meter.charge(r.Cost.SmallInputDyn + r.Cost.SensitivityDyn + r.Cost.SearchDyn + r.Cost.FinalFIDyn)
 	s.publishCacheMetrics()
-	res.Counts = r.Final
-	res.SDC = r.SDCBound()
-	res.Lo, res.Hi = r.SDCInterval()
 	res.Search = &SearchSummary{
 		BestInput:   r.BestInput,
 		BestFitness: r.BestFitness,
@@ -387,7 +382,7 @@ func (s *Server) runSearch(ctx context.Context, spec *JobSpec, fi core.FIOptions
 		Evaluations: r.Evaluations,
 		FinalTrials: r.Final.Trials,
 	}
-	return nil
+	return r.Final, nil
 }
 
 // meteredRunner wraps campaign.RunPlans with token accounting and

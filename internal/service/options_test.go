@@ -51,9 +51,9 @@ func TestServiceAdaptiveFaultModel(t *testing.T) {
 		Kind: KindCampaign, Bench: "pathfinder", Trials: 240, Seed: 9,
 		Adaptive: true, FaultModel: fault.BurstFlip.Name(),
 	})
-	if res.Counts != want.Counts || res.SDC != want.Estimate {
+	if res.Counts != want.Counts || res.SDC != want.P {
 		t.Fatalf("service adaptive burst %+v (sdc %v) != in-process %+v (sdc %v)",
-			res.Counts, res.SDC, want.Counts, want.Estimate)
+			res.Counts, res.SDC, want.Counts, want.P)
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -317,8 +318,17 @@ func (s *Server) normalize(spec *JobSpec) error {
 	if spec.FaultModel == "" {
 		spec.FaultModel = s.cfg.FaultModel
 	}
+	spec.Workers = clampWorkers(spec.Workers)
 	_, err := spec.fiOptions()
 	return err
+}
+
+// clampWorkers bounds a wire worker count by the server's GOMAXPROCS.
+// Results are identical at every worker count, and every extra trial
+// machine starts with its own memory, so a larger value buys nothing and
+// an absurd one would exhaust the server.
+func clampWorkers(n int) int {
+	return min(n, runtime.GOMAXPROCS(0))
 }
 
 // resolveInput applies the input rule /jobs and /shard share: an empty

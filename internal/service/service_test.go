@@ -114,9 +114,9 @@ func TestServiceAdaptiveMatchesInProcess(t *testing.T) {
 	res := submit(t, ts, &JobSpec{
 		Kind: KindCampaign, Bench: "pathfinder", Trials: 240, Seed: 9, Adaptive: true,
 	})
-	if res.Counts != want.Counts || res.SDC != want.Estimate || res.Lo != want.Lo || res.Hi != want.Hi {
+	if res.Counts != want.Counts || res.SDC != want.P || res.Lo != want.Lo || res.Hi != want.Hi {
 		t.Fatalf("service adaptive %+v (sdc %v [%v, %v]) != in-process %+v (sdc %v [%v, %v])",
-			res.Counts, res.SDC, res.Lo, res.Hi, want.Counts, want.Estimate, want.Lo, want.Hi)
+			res.Counts, res.SDC, res.Lo, res.Hi, want.Counts, want.P, want.Lo, want.Hi)
 	}
 	if res.Adaptive == nil || res.Adaptive.Rounds != want.Rounds {
 		t.Fatalf("adaptive summary missing or wrong: %+v vs rounds %d", res.Adaptive, want.Rounds)

@@ -181,7 +181,7 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	c := campaign.OverallShard(be.b.Prog, ge.g, sr.Lo, sr.Hi, campaign.ParallelOptions{
-		Workers: sr.Workers,
+		Workers: clampWorkers(sr.Workers),
 		Seed:    sr.Seed,
 		Ctx:     r.Context(),
 		Model:   model,
