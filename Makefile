@@ -82,9 +82,23 @@ bench-regression:
 # bit-identical to the reference engine, a profiled interp.Run over the
 # unfused arrays (outputs, dynamic counts, traps, reconstructed
 # per-instruction vectors), on white-box programs, trap cases, random
-# modules, every kernel and a reused profiler.
+# modules, every kernel and a reused profiler. Then the fast loop must
+# stay call-free: the object code of interp.(*exec).fastLoop in the built
+# test binary may CALL only runtime.panic* (bounds checks) and
+# runtime.morestack* (stack growth); the step also fails when the symbol
+# is missing. Last, FuzzProfilerRun fuzzes the Profiler against
+# interp.Run on random modules for a fixed 20 s.
+FAST_LOOP = repro/internal/interp.(*exec).fastLoop
+FAST_LOOP_RE = ^repro/internal/interp\.\(\*exec\)\.fastLoop$$
 test-fusion:
-	$(GO) test -count=1 -run 'Fusion|BlockProfile|ProfileEquiv' ./internal/interp
+	$(GO) test -count=1 -run 'Fusion|BlockProfile|ProfileEquiv|FuzzProfilerRun' ./internal/interp
+	$(GO) test -c -o bin/interp.test ./internal/interp
+	@asm="$$($(GO) tool objdump -s '$(FAST_LOOP_RE)' bin/interp.test)"; \
+	if [ -z "$$asm" ]; then echo "test-fusion: no symbol $(FAST_LOOP) in bin/interp.test"; exit 1; fi; \
+	calls="$$(echo "$$asm" | grep -E '[[:space:]]CALL[[:space:]]' | grep -vE 'CALL runtime\.(panic|morestack)')"; \
+	if [ -n "$$calls" ]; then echo "test-fusion: $(FAST_LOOP) makes calls:"; echo "$$calls"; exit 1; fi; \
+	echo "$(FAST_LOOP): every CALL is a bounds-check panic or stack growth"
+	$(GO) test -run '^$$' -fuzz '^FuzzProfilerRun$$' -fuzztime 20s ./internal/interp
 
 # Measure one GA candidate evaluation on the reference engine (a profiled
 # interp.Run with per-instruction counts) vs the fused fast path on every

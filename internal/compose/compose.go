@@ -111,7 +111,8 @@ type Options struct {
 	// any TrialRunner honoring the RunPlans contract stays bit-identical.
 	Model fault.Model
 	// Trace, when non-nil, receives compose.profile events per measured
-	// segment and compose.* gauges per estimate. Event payloads are
+	// segment and adds each estimate's cache outcomes to the compose.*
+	// counters. Event payloads are
 	// schedule-independent; the caller advances the stream clock.
 	Trace *telemetry.Stream
 	// Ctx, when non-nil, cancels estimation cooperatively BETWEEN segment
@@ -318,7 +319,7 @@ func (e *Estimator) EstimateGolden(g *campaign.Golden) *Estimate {
 	e.stats.Composed++
 	e.stats.MeasureTrials += int64(est.MeasureTrials)
 	e.stats.MeasureDyn += est.MeasureDyn
-	e.emitGauges()
+	e.countComposition(est)
 	return est
 }
 
@@ -440,15 +441,13 @@ func (e *Estimator) segmentTrials(g *campaign.Golden, w float64) int {
 	return t
 }
 
-// emitGauges publishes the estimator's running tallies as compose.* gauges
-// (peppax_compose_* on /metrics). Caller holds e.mu.
-func (e *Estimator) emitGauges() {
+// countComposition adds one estimate's cache outcomes to the compose.*
+// counters (peppax_compose_* on /metrics), so every estimator that shares
+// a recorder sums into the same totals.
+func (e *Estimator) countComposition(est *Estimate) {
 	tr := e.opts.Trace
-	if tr == nil {
-		return
-	}
-	tr.Gauge("compose.hits", e.stats.Hits)
-	tr.Gauge("compose.misses", e.stats.Misses)
-	tr.Gauge("compose.remeasured", e.stats.Remeasured)
-	tr.Gauge("compose.composed", e.stats.Composed)
+	tr.Count("compose.hits", int64(est.Reused))
+	tr.Count("compose.misses", int64(est.Measured))
+	tr.Count("compose.remeasured", int64(est.Remeasured))
+	tr.Count("compose.composed", 1)
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/prog"
+	"repro/internal/telemetry"
 	"repro/internal/xrand"
 )
 
@@ -214,6 +215,36 @@ func TestSharedCacheAcrossEstimators(t *testing.T) {
 	third := e3.EstimateGolden(go2)
 	if third.Measured == 0 {
 		t.Fatalf("different program must miss the shared cache: %+v", third)
+	}
+}
+
+// TestComposeMetricsAreTotals: estimators sharing one recorder add their
+// cache outcomes to the same compose.* counters, so -metrics and /metrics
+// show the process's totals rather than the tallies of whichever
+// estimator composed last.
+func TestComposeMetricsAreTotals(t *testing.T) {
+	rec := telemetry.New(telemetry.Options{})
+	cache := NewCache(0)
+	b := prog.Build("pathfinder")
+	g := golden(t, b, b.RefInput())
+	e1 := NewEstimator(b.Prog, cache, Options{Trials: 150, Seed: 7, Trace: rec.Stream("search")})
+	e2 := NewEstimator(b.Prog, cache, Options{Trials: 150, Seed: 7, Trace: rec.Stream("baseline")})
+	e1.EstimateGolden(g)
+	e1.EstimateGolden(g)
+	e2.EstimateGolden(g)
+	var sum Stats
+	sum.Add(e1.Stats())
+	sum.Add(e2.Stats())
+	if sum.Composed != 3 || sum.Misses == 0 || sum.Hits <= sum.Misses {
+		t.Fatalf("estimators' stats %+v, want 3 compositions, first misses, then hits", sum)
+	}
+	for name, want := range map[string]int64{
+		"compose.hits": sum.Hits, "compose.misses": sum.Misses,
+		"compose.remeasured": sum.Remeasured, "compose.composed": sum.Composed,
+	} {
+		if got := rec.Counter(name); got != want {
+			t.Errorf("counter %s = %d, want the estimators' total %d", name, got, want)
+		}
 	}
 }
 

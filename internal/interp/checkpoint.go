@@ -299,14 +299,16 @@ func (e *exec) captureSnapshot(prev *Snapshot) (*Snapshot, int64) {
 // restoreInto rebuilds the snapshot's machine state inside a fresh (or
 // reset) exec. It writes no memory at or above the snapshot's memTop: what
 // a reused machine left there is never read before an alloca zeroes it.
-// The golden prefix is taint-free (taint exists only downstream of an
-// injection), so a fresh exec's zeroed shadows are already correct, and
-// growMem keeps their size.
+// Memory that must grow first keeps none of its old words, which the
+// restore overwrites. The golden prefix is taint-free (taint exists only
+// downstream of an injection), so a fresh exec's zeroed shadows are
+// already correct, and growMem keeps their size. A restored register slab
+// holds each frame's constant slots, as every snapshot does.
 func (s *Snapshot) restoreInto(e *exec) {
 	e.dyn = s.dyn
 	e.memTop = int64(s.mem.n)
 	if int64(len(e.mem)) < e.memTop {
-		e.growMem(e.memTop)
+		e.growMem(0, e.memTop)
 	}
 	s.mem.restore(e.mem)
 	if s.regs.n > len(e.regSlab) {

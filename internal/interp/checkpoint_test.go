@@ -433,7 +433,7 @@ func TestSnapshotNothingAboveMemTop(t *testing.T) {
 	for _, s := range c.snaps {
 		e.resetFast(0)
 		if len(e.mem) < 2*s.mem.n {
-			e.growMem(int64(2 * s.mem.n))
+			e.growMem(e.memTop, int64(2*s.mem.n))
 		}
 		for i := range e.mem {
 			e.mem[i] = sentinel
@@ -446,8 +446,7 @@ func TestSnapshotNothingAboveMemTop(t *testing.T) {
 		}
 		e.toFused()
 		e.armConvergence(c)
-		fr := &e.frames[len(e.frames)-1]
-		if e.conv.at != s.dyn || !e.converge(fr, fr.pc, e.dyn) {
+		if e.conv.at != s.dyn || !e.converge() {
 			t.Fatalf("machine restored to the snapshot at dyn %d does not converge there", s.dyn)
 		}
 		if e.dyn != g.DynCount || !OutputEqual(e.output, g.Output) {

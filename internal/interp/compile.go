@@ -7,10 +7,10 @@
 // fitness = Σᵢ Pᵢ·(Nᵢ/N_total) (§4.2.5).
 //
 // Modules are first compiled to a flat register machine: each
-// value-producing instruction gets a frame slot, operands become slot or
-// constant-pool references, blocks flatten into a single code array with
-// branch targets as code indices, and SSA phis lower to parallel copies
-// attached to control-flow edges.
+// value-producing instruction gets a frame slot, and so does each distinct
+// constant, so every operand is a slot reference; blocks flatten into a
+// single code array with branch targets as code indices, and SSA phis
+// lower to parallel copies attached to control-flow edges.
 package interp
 
 import (
@@ -19,8 +19,9 @@ import (
 	"repro/internal/ir"
 )
 
-// ref encodes an operand: values >= 0 index frame slots, values < 0 index
-// the function constant pool at (-ref - 1).
+// ref encodes an operand as a slot of its frame's register window:
+// parameters, then values, then the function's constants, which
+// pushFrame copies into every new window.
 type ref int32
 
 // move is one phi-edge parallel copy: write the value of src into dst when
@@ -83,10 +84,10 @@ type inst struct {
 type compiledFunc struct {
 	name    string
 	nParams int
-	nSlots  int // params first, then one slot per value-producing instr
+	nSlots  int // params, then one slot per value-producing instr, then consts
 	retTy   ir.Type
 	code    []inst
-	consts  []uint64
+	consts  []uint64 // the last len(consts) slots of every register window
 
 	// Block table. Blocks are numbered in layout order; block counter b of
 	// this function lives at global counter index blockBase+b.
@@ -170,7 +171,8 @@ type Program struct {
 	// instruction of the unfused code array (a phi move list). Boundary
 	// checks in run() happen between instructions, so the batch executor
 	// subtracts this bound when arming a stop point that must be reached
-	// strictly before a given dyn value (see batch.go).
+	// strictly before a given dyn value (see batch.go). It is also the
+	// longest phi move list, which sizes each machine's move scratch.
 	maxSlotDyn int64
 }
 
@@ -311,6 +313,7 @@ type funcCompiler struct {
 	p        *Program
 	cf       *compiledFunc
 	slotOf   map[*ir.Instr]int32
+	nVals    int32                      // params plus value-producing instrs: the first constant slot
 	constIdx map[uint64]map[ir.Type]ref // dedup constant pool
 }
 
@@ -331,7 +334,7 @@ func compileFunc(p *Program, f *ir.Function) (*compiledFunc, error) {
 			}
 		}
 	}
-	cf.nSlots = int(next)
+	fc.nVals = next
 
 	// Block start pcs: jump targets skip phis (phi values are written by
 	// edge moves before the jump lands).
@@ -367,6 +370,7 @@ func compileFunc(p *Program, f *ir.Function) (*compiledFunc, error) {
 			cf.blockOf = append(cf.blockOf, int32(bi))
 		}
 	}
+	cf.nSlots = int(fc.nVals) + len(cf.consts)
 	return cf, nil
 }
 
@@ -382,7 +386,7 @@ func (fc *funcCompiler) operand(v ir.Value) (ref, error) {
 		if r, ok := byTy[x.Ty]; ok {
 			return r, nil
 		}
-		r := ref(-len(fc.cf.consts) - 1)
+		r := ref(fc.nVals + int32(len(fc.cf.consts)))
 		fc.cf.consts = append(fc.cf.consts, x.Bits)
 		byTy[x.Ty] = r
 		return r, nil

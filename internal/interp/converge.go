@@ -32,8 +32,8 @@ type goldenEnd struct {
 // reaches is compared; a comparison costs far less than the tail it can
 // save (DESIGN §19).
 type convergence struct {
-	// at is the dyn of snaps[next]; runFast compares dyn with it at every
-	// block entry. math.MaxInt64 when no snapshot is left to compare.
+	// at is the dyn of snaps[next]; the fast loop compares dyn with it at
+	// every block entry. math.MaxInt64 when no snapshot is left to compare.
 	at   int64
 	c    *Checkpoints
 	next int
@@ -55,14 +55,13 @@ func (e *exec) armConvergence(c *Checkpoints) {
 	}
 }
 
-// converge runs at a block entry of a trial tail, at pc of the top frame
-// fr, once dyn has reached the next snapshot. It syncs the frame pc and
-// e.dyn. On an exact match it moves the machine to the golden's end state,
-// counts the trial in c's usage counters and returns true; the run then
-// returns the golden's return value, c.end.ret. Otherwise it moves on to
-// the first snapshot past dyn and returns false.
-func (e *exec) converge(fr *frame, pc int32, dyn int64) bool {
-	fr.pc, e.dyn = pc, dyn
+// converge runs at a block entry of a trial tail, with the top frame's pc
+// and e.dyn synced, once e.dyn has reached the next snapshot. On an exact
+// match it moves the machine to the golden's end state, counts the trial
+// in c's usage counters and returns true; the run then returns the
+// golden's return value, c.end.ret. Otherwise it moves on to the first
+// snapshot past e.dyn and returns false.
+func (e *exec) converge() bool {
 	cv := &e.conv
 	snaps := cv.c.snaps
 	for ; cv.next < len(snaps); cv.next++ {

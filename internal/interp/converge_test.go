@@ -222,14 +222,13 @@ func TestInjectorConvergenceComparesObservableState(t *testing.T) {
 		snap.restoreInto(e)
 		e.toFused() // the trial machine's hand-off to the fast loop
 		if int64(len(e.mem)) <= e.memTop {
-			e.growMem(e.memTop + 1)
+			e.growMem(e.memTop, e.memTop+1)
 		}
 		tc.edit(e)
 		e.armConvergence(cc)
 		ok := false
-		if e.dyn >= e.conv.at { // runFast's check at a block entry
-			fr := &e.frames[len(e.frames)-1]
-			ok = e.converge(fr, fr.pc, e.dyn)
+		if e.dyn >= e.conv.at { // the fast loop's check at a block entry
+			ok = e.converge()
 		}
 		if ok != tc.want {
 			t.Fatalf("%s: converged %v, want %v", tc.name, ok, tc.want)

@@ -252,7 +252,7 @@ type exec struct {
 	trap     *Trap
 	budget   bool
 	detected bool
-	moveBuf  []uint64
+	moveBuf  []uint64 // phi parallel-copy scratch, Program.maxSlotDyn words
 
 	// Block-granular profiling state (fast path only; see fastprofile.go).
 	// blockCounts is the CounterLen()-sized block/edge counter space; overlay
@@ -300,6 +300,7 @@ func newExec(p *Program, opts Options) *exec {
 		rng:      opts.FaultRNG,
 		frames:   make([]frame, 0, 8),
 		regSlab:  make([]uint64, initialSlabSlots),
+		moveBuf:  make([]uint64, p.maxSlotDyn),
 		nextCkpt: math.MaxInt64,
 		conv:     convergence{at: math.MaxInt64},
 	}
@@ -374,16 +375,20 @@ func Run(p *Program, args []uint64, opts Options) *Result {
 	return e.finish(ret)
 }
 
-// pushFrame claims a zeroed register window for funcs[fi] and pushes its
-// frame. Callers copy arguments into the window afterwards; note the slabs
-// may have been reallocated, so caller-held windows must be re-derived.
+// pushFrame claims a register window for funcs[fi], zeroed but for the
+// function's constants in its last slots, and pushes its frame. Callers
+// copy arguments into the window afterwards; note the slabs may have been
+// reallocated, so caller-held windows must be re-derived.
 func (e *exec) pushFrame(fi int32) {
 	cf := e.p.funcs[fi]
 	if need := e.slabTop + cf.nSlots; need > len(e.regSlab) {
 		e.growSlab(need)
 	}
 	base := e.slabTop
-	clear(e.regSlab[base : base+cf.nSlots])
+	w := e.regSlab[base : base+cf.nSlots]
+	k := len(w) - len(cf.consts)
+	clear(w[:k])
+	copy(w[k:], cf.consts)
 	if e.taintSlab != nil {
 		clear(e.taintSlab[base : base+cf.nSlots])
 	}
@@ -411,18 +416,20 @@ func (e *exec) growSlab(need int) {
 }
 
 // growMem grows e.mem to at least n words in one allocation, keeping the
-// taint shadow sized with it.
-func (e *exec) growMem(n int64) {
+// taint shadow sized with it. Only the live words below live are copied:
+// every word from live up is zero in the new memory and clean in the new
+// shadow.
+func (e *exec) growMem(live, n int64) {
 	sz := int64(len(e.mem)) * 2
 	if sz < n {
 		sz = n
 	}
 	m := make([]uint64, sz)
-	copy(m, e.mem)
+	copy(m, e.mem[:live])
 	e.mem = m
 	if e.taintMem != nil {
 		t := make([]bool, sz)
-		copy(t, e.taintMem)
+		copy(t, e.taintMem[:live])
 		e.taintMem = t
 	}
 }
@@ -490,16 +497,6 @@ func (e *exec) result(id int32, ty ir.Type, v uint64) (uint64, bool) {
 	return v, true
 }
 
-func get(regs, consts []uint64, r ref) uint64 {
-	if r >= 0 {
-		return regs[r]
-	}
-	return consts[-r-1]
-}
-
-// taintOf reads the taint of an operand ref (constants are never tainted).
-func taintOf(taint []bool, r ref) bool { return r >= 0 && taint[r] }
-
 // noteTaint records that static instruction id produced a corrupted value.
 func (e *exec) noteTaint(id int32) {
 	e.taintStats.TaintedDyn++
@@ -510,16 +507,13 @@ func (e *exec) noteTaint(id int32) {
 }
 
 // applyMoves performs the parallel phi copies for a CFG edge.
-func (e *exec) applyMoves(moves []move, regs, consts []uint64, taint []bool) bool {
+func (e *exec) applyMoves(moves []move, regs []uint64, taint []bool) bool {
 	if len(moves) == 0 {
 		return true
 	}
-	if cap(e.moveBuf) < len(moves) {
-		e.moveBuf = make([]uint64, len(moves))
-	}
 	buf := e.moveBuf[:len(moves)]
 	for i, mv := range moves {
-		buf[i] = get(regs, consts, mv.src)
+		buf[i] = regs[mv.src]
 	}
 	track := taint != nil
 	if track {
@@ -528,7 +522,7 @@ func (e *exec) applyMoves(moves []move, regs, consts []uint64, taint []bool) boo
 		}
 		tb := e.taintMoveBuf[:len(moves)]
 		for i, mv := range moves {
-			tb[i] = taintOf(taint, mv.src)
+			tb[i] = taint[mv.src]
 		}
 		for i, mv := range moves {
 			preInj := e.injected
@@ -578,13 +572,12 @@ func (e *exec) run() (uint64, bool) {
 	// Locals caching the active frame; re-derived via reenter on every
 	// push/pop and whenever the slabs are reallocated.
 	var (
-		fr     *frame
-		cf     *compiledFunc
-		regs   []uint64
-		taint  []bool
-		consts []uint64
-		code   []inst
-		pc     int32
+		fr    *frame
+		cf    *compiledFunc
+		regs  []uint64
+		taint []bool
+		code  []inst
+		pc    int32
 	)
 	reenter := func() {
 		fr = &e.frames[len(e.frames)-1]
@@ -593,7 +586,6 @@ func (e *exec) run() (uint64, bool) {
 		if track {
 			taint = e.taintSlab[fr.regOff : fr.regOff+fr.nSlots]
 		}
-		consts = cf.consts
 		code = cf.code
 		pc = fr.pc
 	}
@@ -616,196 +608,121 @@ func (e *exec) run() (uint64, bool) {
 		in := &code[pc]
 		switch in.op {
 		case ir.OpBr:
-			if !e.applyMoves(in.movesA, regs, consts, taint) {
+			if !e.applyMoves(in.movesA, regs, taint) {
 				return 0, false
 			}
 			pc = in.jumpA
 			continue
 		case ir.OpCondBr:
-			if track && taintOf(taint, in.a) {
+			if track && taint[in.a] {
 				e.taintStats.TaintedBranches++
 			}
-			if get(regs, consts, in.a)&1 != 0 {
-				if !e.applyMoves(in.movesA, regs, consts, taint) {
+			if regs[in.a]&1 != 0 {
+				if !e.applyMoves(in.movesA, regs, taint) {
 					return 0, false
 				}
 				pc = in.jumpA
 			} else {
-				if !e.applyMoves(in.movesB, regs, consts, taint) {
+				if !e.applyMoves(in.movesB, regs, taint) {
 					return 0, false
 				}
 				pc = in.jumpB
 			}
 			continue
-		case ir.OpRet:
-			var rv uint64
-			if cf.retTy == ir.Void {
-				e.retTaint = false
-			} else {
-				rv = get(regs, consts, in.a)
-				if track {
-					e.retTaint = taintOf(taint, in.a)
-				}
-			}
-			// Pop: stack memory and the register window are reclaimed by
-			// lowering the watermarks.
-			e.memTop = fr.memBase
-			e.slabTop = int(fr.regOff)
-			e.frames = e.frames[:len(e.frames)-1]
-			if len(e.frames) == 0 {
-				return rv, true
+		case ir.OpCall, ir.OpRet, ir.OpAlloca, ir.OpSDiv, ir.OpSRem, ir.OpFPToSI:
+			fr.pc = pc
+			if rv, done, ok := e.step(in, false); !ok || done {
+				return rv, ok
 			}
 			reenter()
-			// pc is the caller's suspended OpCall; complete it with the
-			// callee's return value.
-			cin := &code[pc]
-			if cin.dst < 0 { // void call
-				pc++
-				continue
-			}
-			preInj := e.injected
-			v, ok := e.result(cin.id, cin.ty, rv)
-			if !ok {
-				return 0, false
-			}
-			regs[cin.dst] = v
-			if track {
-				t := e.retTaint || (e.injected && !preInj)
-				taint[cin.dst] = t
-				if t {
-					e.noteTaint(cin.id)
-				}
-			}
-			pc++
 			continue
 		}
 
 		var v uint64
 		var tIn bool
 		if track && in.nargs > 0 {
-			tIn = taintOf(taint, in.a)
+			tIn = taint[in.a]
 			if in.nargs > 1 {
-				tIn = tIn || taintOf(taint, in.b)
+				tIn = tIn || taint[in.b]
 			}
 			if in.nargs > 2 {
-				tIn = tIn || taintOf(taint, in.c)
+				tIn = tIn || taint[in.c]
 			}
 		}
 		switch in.op {
 		case ir.OpAdd:
-			v = ir.CanonInt(in.ty, get(regs, consts, in.a)+get(regs, consts, in.b))
+			v = ir.CanonInt(in.ty, regs[in.a]+regs[in.b])
 		case ir.OpSub:
-			v = ir.CanonInt(in.ty, get(regs, consts, in.a)-get(regs, consts, in.b))
+			v = ir.CanonInt(in.ty, regs[in.a]-regs[in.b])
 		case ir.OpMul:
-			v = ir.CanonInt(in.ty, get(regs, consts, in.a)*get(regs, consts, in.b))
-		case ir.OpSDiv, ir.OpSRem:
-			x := ir.SignedValue(in.ty, get(regs, consts, in.a))
-			y := ir.SignedValue(in.ty, get(regs, consts, in.b))
-			if y == 0 {
-				e.trap = &cf.traps[TrapDivZero]
-				return 0, false
-			}
-			minInt := int64(math.MinInt64)
-			if in.ty == ir.I32 {
-				minInt = math.MinInt32
-			}
-			if x == minInt && y == -1 {
-				e.trap = &cf.traps[TrapDivOverflow]
-				return 0, false
-			}
-			if in.op == ir.OpSDiv {
-				v = ir.CanonInt(in.ty, uint64(x/y))
-			} else {
-				v = ir.CanonInt(in.ty, uint64(x%y))
-			}
+			v = ir.CanonInt(in.ty, regs[in.a]*regs[in.b])
 		case ir.OpShl:
-			sh := get(regs, consts, in.b) & uint64(in.ty.Bits()-1)
-			v = ir.CanonInt(in.ty, get(regs, consts, in.a)<<sh)
+			sh := regs[in.b] & uint64(in.ty.Bits()-1)
+			v = ir.CanonInt(in.ty, regs[in.a]<<sh)
 		case ir.OpLShr:
-			sh := get(regs, consts, in.b) & uint64(in.ty.Bits()-1)
-			v = get(regs, consts, in.a) >> sh // operands canonical: high bits clear
+			sh := regs[in.b] & uint64(in.ty.Bits()-1)
+			v = regs[in.a] >> sh // operands canonical: high bits clear
 		case ir.OpAShr:
-			sh := get(regs, consts, in.b) & uint64(in.ty.Bits()-1)
-			v = ir.CanonInt(in.ty, uint64(ir.SignedValue(in.ty, get(regs, consts, in.a))>>sh))
+			sh := regs[in.b] & uint64(in.ty.Bits()-1)
+			v = ir.CanonInt(in.ty, uint64(ir.SignedValue(in.ty, regs[in.a])>>sh))
 		case ir.OpAnd:
-			v = get(regs, consts, in.a) & get(regs, consts, in.b)
+			v = regs[in.a] & regs[in.b]
 		case ir.OpOr:
-			v = get(regs, consts, in.a) | get(regs, consts, in.b)
+			v = regs[in.a] | regs[in.b]
 		case ir.OpXor:
-			v = get(regs, consts, in.a) ^ get(regs, consts, in.b)
+			v = regs[in.a] ^ regs[in.b]
 		case ir.OpFAdd:
-			v = math.Float64bits(math.Float64frombits(get(regs, consts, in.a)) + math.Float64frombits(get(regs, consts, in.b)))
+			v = math.Float64bits(math.Float64frombits(regs[in.a]) + math.Float64frombits(regs[in.b]))
 		case ir.OpFSub:
-			v = math.Float64bits(math.Float64frombits(get(regs, consts, in.a)) - math.Float64frombits(get(regs, consts, in.b)))
+			v = math.Float64bits(math.Float64frombits(regs[in.a]) - math.Float64frombits(regs[in.b]))
 		case ir.OpFMul:
-			v = math.Float64bits(math.Float64frombits(get(regs, consts, in.a)) * math.Float64frombits(get(regs, consts, in.b)))
+			v = math.Float64bits(math.Float64frombits(regs[in.a]) * math.Float64frombits(regs[in.b]))
 		case ir.OpFDiv:
-			v = math.Float64bits(math.Float64frombits(get(regs, consts, in.a)) / math.Float64frombits(get(regs, consts, in.b)))
+			v = math.Float64bits(math.Float64frombits(regs[in.a]) / math.Float64frombits(regs[in.b]))
 		case ir.OpICmpEQ:
-			v = b2u(get(regs, consts, in.a) == get(regs, consts, in.b))
+			v = b2u(regs[in.a] == regs[in.b])
 		case ir.OpICmpNE:
-			v = b2u(get(regs, consts, in.a) != get(regs, consts, in.b))
+			v = b2u(regs[in.a] != regs[in.b])
 		case ir.OpICmpSLT:
-			v = b2u(icmpOperands(in, regs, consts, func(x, y int64) bool { return x < y }))
+			v = b2u(icmpOperands(in, regs, func(x, y int64) bool { return x < y }))
 		case ir.OpICmpSLE:
-			v = b2u(icmpOperands(in, regs, consts, func(x, y int64) bool { return x <= y }))
+			v = b2u(icmpOperands(in, regs, func(x, y int64) bool { return x <= y }))
 		case ir.OpICmpSGT:
-			v = b2u(icmpOperands(in, regs, consts, func(x, y int64) bool { return x > y }))
+			v = b2u(icmpOperands(in, regs, func(x, y int64) bool { return x > y }))
 		case ir.OpICmpSGE:
-			v = b2u(icmpOperands(in, regs, consts, func(x, y int64) bool { return x >= y }))
+			v = b2u(icmpOperands(in, regs, func(x, y int64) bool { return x >= y }))
 		case ir.OpFCmpOEQ:
-			x, y := fops(in, regs, consts)
+			x, y := fops(in, regs)
 			v = b2u(x == y)
 		case ir.OpFCmpONE:
-			x, y := fops(in, regs, consts)
+			x, y := fops(in, regs)
 			v = b2u(x < y || x > y)
 		case ir.OpFCmpOLT:
-			x, y := fops(in, regs, consts)
+			x, y := fops(in, regs)
 			v = b2u(x < y)
 		case ir.OpFCmpOLE:
-			x, y := fops(in, regs, consts)
+			x, y := fops(in, regs)
 			v = b2u(x <= y)
 		case ir.OpFCmpOGT:
-			x, y := fops(in, regs, consts)
+			x, y := fops(in, regs)
 			v = b2u(x > y)
 		case ir.OpFCmpOGE:
-			x, y := fops(in, regs, consts)
+			x, y := fops(in, regs)
 			v = b2u(x >= y)
 		case ir.OpTrunc, ir.OpZExt:
-			v = ir.CanonInt(in.ty, get(regs, consts, in.a))
+			v = ir.CanonInt(in.ty, regs[in.a])
 		case ir.OpSExt:
-			v = ir.CanonInt(in.ty, uint64(ir.SignedValue(in.srcTy, get(regs, consts, in.a))))
+			v = ir.CanonInt(in.ty, uint64(ir.SignedValue(in.srcTy, regs[in.a])))
 		case ir.OpSIToFP:
-			v = math.Float64bits(float64(ir.SignedValue(in.srcTy, get(regs, consts, in.a))))
-		case ir.OpFPToSI:
-			v = fpToSI(in.ty, math.Float64frombits(get(regs, consts, in.a)))
+			v = math.Float64bits(float64(ir.SignedValue(in.srcTy, regs[in.a])))
 		case ir.OpSelect:
-			if get(regs, consts, in.a)&1 != 0 {
-				v = get(regs, consts, in.b)
+			if regs[in.a]&1 != 0 {
+				v = regs[in.b]
 			} else {
-				v = get(regs, consts, in.c)
+				v = regs[in.c]
 			}
-		case ir.OpAlloca:
-			count := int64(get(regs, consts, in.a))
-			if count < 0 || count > e.maxMem || e.memTop+count > e.maxMem {
-				e.trap = &cf.traps[TrapBadAlloc]
-				return 0, false
-			}
-			base := e.memTop
-			e.memTop += count
-			if int64(len(e.mem)) < e.memTop {
-				e.growMem(e.memTop)
-			}
-			// Zero the region: stack memory may be reused across frames and
-			// determinism requires a fixed initial state.
-			clear(e.mem[base:e.memTop])
-			if track {
-				clear(e.taintMem[base:e.memTop])
-				tIn = false // a fresh allocation's address is clean
-			}
-			v = uint64(base)
 		case ir.OpLoad:
-			addr := get(regs, consts, in.a)
+			addr := regs[in.a]
 			if !e.checkAddr(cf, addr) {
 				return 0, false
 			}
@@ -814,14 +731,13 @@ func (e *exec) run() (uint64, bool) {
 			}
 			v = ir.CanonInt(in.ty, e.mem[addr])
 		case ir.OpStore:
-			addr := get(regs, consts, in.b)
+			addr := regs[in.b]
 			if !e.checkAddr(cf, addr) {
 				return 0, false
 			}
-			e.mem[addr] = get(regs, consts, in.a)
+			e.mem[addr] = regs[in.a]
 			if track {
-				tVal := taintOf(taint, in.a)
-				tPtr := taintOf(taint, in.b)
+				tVal, tPtr := taint[in.a], taint[in.b]
 				e.taintMem[addr] = tVal || tPtr
 				if tVal || tPtr {
 					e.taintStats.TaintedMemWrites++
@@ -833,44 +749,7 @@ func (e *exec) run() (uint64, bool) {
 			pc++
 			continue
 		case ir.OpGEP:
-			v = get(regs, consts, in.a) + get(regs, consts, in.b)
-		case ir.OpCall:
-			if in.callee >= 0 {
-				// User call: suspend this frame and push the callee; its
-				// return value is delivered by the OpRet resume path above.
-				if len(e.frames) >= e.maxDep {
-					e.trap = &e.p.funcs[in.callee].traps[TrapStackOverflow]
-					return 0, false
-				}
-				fr.pc = pc
-				callerOff, callerN := fr.regOff, fr.nSlots
-				e.pushFrame(in.callee)
-				// pushFrame may reallocate the slabs and the frame stack;
-				// re-derive the caller's window before reading argument refs.
-				callerRegs := e.regSlab[callerOff : callerOff+callerN]
-				nf := e.frames[len(e.frames)-1]
-				dst := e.regSlab[nf.regOff : nf.regOff+int32(len(in.args))]
-				for i, r := range in.args {
-					dst[i] = get(callerRegs, consts, r)
-				}
-				if track {
-					callerTaint := e.taintSlab[callerOff : callerOff+callerN]
-					td := e.taintSlab[nf.regOff : nf.regOff+int32(len(in.args))]
-					for i, r := range in.args {
-						td[i] = taintOf(callerTaint, r)
-					}
-				}
-				reenter()
-				continue
-			}
-			v = e.intrinsic(in, regs, consts, taint)
-			if track {
-				tIn = e.retTaint
-			}
-			if in.dst < 0 { // void call (print intrinsics)
-				pc++
-				continue
-			}
+			v = regs[in.a] + regs[in.b]
 		default:
 			panic(fmt.Sprintf("interp: unhandled opcode %v", in.op))
 		}
@@ -892,6 +771,172 @@ func (e *exec) run() (uint64, bool) {
 	}
 }
 
+// step executes the instruction in at the synced pc of the top frame for
+// either engine: a call, a return, an alloca, a division or an fptosi, the
+// instructions the fast loop leaves to its driver. None of them is ever
+// fused, so they read alike in both code arrays; fused says which array
+// the frame pcs index. step leaves the machine at the next instruction to
+// run (the one after in, a callee's entry or the caller's next one) with
+// its frame pc synced. It returns ok=false when the run aborts (trap or
+// budget), and done when the entry frame returned rv.
+func (e *exec) step(in *inst, fused bool) (rv uint64, done, ok bool) {
+	fr := &e.frames[len(e.frames)-1]
+	cf := e.p.funcs[fr.fi]
+	regs := e.regSlab[fr.regOff : fr.regOff+fr.nSlots]
+	var taint []bool
+	if e.taintStats != nil {
+		taint = e.taintSlab[fr.regOff : fr.regOff+fr.nSlots]
+	}
+	var v uint64
+	var tIn bool
+	switch in.op {
+	case ir.OpRet:
+		e.retTaint = false
+		if cf.retTy != ir.Void {
+			v = regs[in.a]
+			e.retTaint = taint != nil && taint[in.a]
+		}
+		// Pop: stack memory and the register window are reclaimed by
+		// lowering the watermarks.
+		e.memTop = fr.memBase
+		e.slabTop = int(fr.regOff)
+		e.frames = e.frames[:len(e.frames)-1]
+		if len(e.frames) == 0 {
+			return v, true, true
+		}
+		// The caller's pc is its suspended call; complete it with the
+		// callee's return value.
+		fr = &e.frames[len(e.frames)-1]
+		cf = e.p.funcs[fr.fi]
+		if fused {
+			in = &cf.fused[fr.pc]
+		} else {
+			in = &cf.code[fr.pc]
+		}
+		if in.dst < 0 { // void call
+			fr.pc++
+			return 0, false, true
+		}
+		regs = e.regSlab[fr.regOff : fr.regOff+fr.nSlots]
+		if taint != nil {
+			taint = e.taintSlab[fr.regOff : fr.regOff+fr.nSlots]
+		}
+		tIn = e.retTaint
+	case ir.OpCall:
+		if in.callee >= 0 {
+			// User call: push the callee; its return value is delivered by
+			// the OpRet case above.
+			return 0, false, e.call(in)
+		}
+		v = e.intrinsic(in, regs, taint)
+		tIn = e.retTaint
+		if in.dst < 0 { // void call (print intrinsics)
+			fr.pc++
+			return 0, false, true
+		}
+	case ir.OpAlloca:
+		if v, ok = e.alloca(cf, regs[in.a]); !ok {
+			return 0, false, false
+		}
+	case ir.OpSDiv, ir.OpSRem:
+		if v, ok = e.divide(cf, in, regs); !ok {
+			return 0, false, false
+		}
+		tIn = taint != nil && (taint[in.a] || taint[in.b])
+	case ir.OpFPToSI:
+		v = fpToSI(in.ty, math.Float64frombits(regs[in.a]))
+		tIn = taint != nil && taint[in.a]
+	default:
+		panic(fmt.Sprintf("interp: unhandled opcode %v", in.op))
+	}
+	preInj := e.injected
+	if v, ok = e.result(in.id, in.ty, v); !ok {
+		return 0, false, false
+	}
+	regs[in.dst] = v
+	if taint != nil {
+		t := tIn || (e.injected && !preInj)
+		taint[in.dst] = t
+		if t {
+			e.noteTaint(in.id)
+		}
+	}
+	fr.pc++
+	return 0, false, true
+}
+
+// call pushes a frame for the user function in calls, with its arguments
+// copied from the caller's window, or traps when the stack is full.
+func (e *exec) call(in *inst) bool {
+	if len(e.frames) >= e.maxDep {
+		e.trap = &e.p.funcs[in.callee].traps[TrapStackOverflow]
+		return false
+	}
+	caller := e.frames[len(e.frames)-1]
+	e.pushFrame(in.callee)
+	// pushFrame may reallocate the slabs; take both windows after it.
+	callee := e.frames[len(e.frames)-1]
+	src := e.regSlab[caller.regOff : caller.regOff+caller.nSlots]
+	dst := e.regSlab[callee.regOff : callee.regOff+int32(len(in.args))]
+	for i, r := range in.args {
+		dst[i] = src[r]
+	}
+	if e.taintSlab != nil {
+		src := e.taintSlab[caller.regOff : caller.regOff+caller.nSlots]
+		dst := e.taintSlab[callee.regOff : callee.regOff+int32(len(in.args))]
+		for i, r := range in.args {
+			dst[i] = src[r]
+		}
+	}
+	return true
+}
+
+// alloca claims n words of stack memory, zeroed (and clean in the taint
+// shadow), and returns their base address, or traps on a negative or
+// over-limit size. Zeroing what it claims is what lets a reused machine
+// leave stale words above memTop.
+func (e *exec) alloca(cf *compiledFunc, n uint64) (uint64, bool) {
+	count := int64(n)
+	if count < 0 || count > e.maxMem || e.memTop+count > e.maxMem {
+		e.trap = &cf.traps[TrapBadAlloc]
+		return 0, false
+	}
+	base := e.memTop
+	e.memTop += count
+	if int64(len(e.mem)) < e.memTop {
+		e.growMem(base, e.memTop) // fresh words: already zero and clean
+	} else {
+		clear(e.mem[base:e.memTop])
+		if e.taintMem != nil {
+			clear(e.taintMem[base:e.memTop])
+		}
+	}
+	return uint64(base), true
+}
+
+// divide evaluates an OpSDiv or OpSRem instruction, or traps on a zero
+// divisor or the one overflowing quotient.
+func (e *exec) divide(cf *compiledFunc, in *inst, regs []uint64) (uint64, bool) {
+	x := ir.SignedValue(in.ty, regs[in.a])
+	y := ir.SignedValue(in.ty, regs[in.b])
+	if y == 0 {
+		e.trap = &cf.traps[TrapDivZero]
+		return 0, false
+	}
+	minInt := int64(math.MinInt64)
+	if in.ty == ir.I32 {
+		minInt = math.MinInt32
+	}
+	if x == minInt && y == -1 {
+		e.trap = &cf.traps[TrapDivOverflow]
+		return 0, false
+	}
+	if in.op == ir.OpSDiv {
+		return ir.CanonInt(in.ty, uint64(x/y)), true
+	}
+	return ir.CanonInt(in.ty, uint64(x%y)), true
+}
+
 func b2u(b bool) uint64 {
 	if b {
 		return 1
@@ -899,13 +944,13 @@ func b2u(b bool) uint64 {
 	return 0
 }
 
-func icmpOperands(in *inst, regs, consts []uint64, cmp func(x, y int64) bool) bool {
+func icmpOperands(in *inst, regs []uint64, cmp func(x, y int64) bool) bool {
 	ty := in.srcTy
-	return cmp(ir.SignedValue(ty, get(regs, consts, in.a)), ir.SignedValue(ty, get(regs, consts, in.b)))
+	return cmp(ir.SignedValue(ty, regs[in.a]), ir.SignedValue(ty, regs[in.b]))
 }
 
-func fops(in *inst, regs, consts []uint64) (float64, float64) {
-	return math.Float64frombits(get(regs, consts, in.a)), math.Float64frombits(get(regs, consts, in.b))
+func fops(in *inst, regs []uint64) (float64, float64) {
+	return math.Float64frombits(regs[in.a]), math.Float64frombits(regs[in.b])
 }
 
 // QuantizeOutput rounds a float to six significant decimal digits — the
@@ -942,14 +987,14 @@ func fpToSI(ty ir.Type, f float64) uint64 {
 
 // intrinsic evaluates a built-in call and returns its value. When tracking,
 // the return-value taint (any tainted argument) is left in e.retTaint.
-func (e *exec) intrinsic(in *inst, regs, consts []uint64, taint []bool) uint64 {
+func (e *exec) intrinsic(in *inst, regs []uint64, taint []bool) uint64 {
 	intr := -in.callee - 1
-	a := func(i int) uint64 { return get(regs, consts, in.args[i]) }
+	a := func(i int) uint64 { return regs[in.args[i]] }
 	f := func(i int) float64 { return math.Float64frombits(a(i)) }
 	if e.taintStats != nil {
 		e.retTaint = false
 		for _, r := range in.args {
-			if taintOf(taint, r) {
+			if taint[r] {
 				e.retTaint = true
 				break
 			}

@@ -12,7 +12,10 @@ import (
 // every fault-injection trial. It is a dispatch loop over the fused
 // superinstruction code array, stripped of fault injection, taint tracking
 // and checkpointing, counting executions per basic block (one counter bump
-// per block entry, Ball–Larus style) instead of per static instruction.
+// per block entry, Ball–Larus style) instead of per static instruction. It
+// comes in two parts: fastLoop, which runs every slot that needs no
+// function call and makes none, and its driver runFast, which runs the
+// rest (calls, returns, allocas, divisions, fptosi) and records aborts.
 // Observable behaviour — outputs, return value, dynamic instruction count,
 // traps, budget exhaustion and the reconstructed per-instruction count
 // vector — is bit-identical to a profiled interp.Run, the reference engine
@@ -31,7 +34,7 @@ import (
 // block-derived counts overshoot on the aborting path. fixupAbort repairs
 // this: for every live frame it retracts the current block's entry bump and
 // records the block's actually-executed prefix in e.overlay (+1 per listed
-// id); handlers append additional overlay entries for work completed inside
+// id); abort appends additional overlay entries for work completed inside
 // the aborting slot (finished phi moves, the first half of a fused pair).
 
 // Profiler runs profiled executions of one Program with zero steady-state
@@ -227,40 +230,12 @@ func (e *exec) resetFast(maxDyn int64) {
 	e.overlay = e.overlay[:0]
 }
 
-// applyMovesFast performs the phi parallel copies of a CFG edge on the fast
-// path, advancing the caller's local dyn clock. On budget exhaustion the
-// aborting move is uncounted (matching result semantics) and the completed
-// moves' phi ids are recorded in the overlay, since the edge counter that
-// would have covered them is never bumped.
-func (e *exec) applyMovesFast(moves []move, regs, consts []uint64, dyn int64) (int64, bool) {
-	if cap(e.moveBuf) < len(moves) {
-		e.moveBuf = make([]uint64, len(moves))
-	}
-	buf := e.moveBuf[:len(moves)]
-	for i, mv := range moves {
-		buf[i] = get(regs, consts, mv.src)
-	}
-	maxDyn := e.maxDyn
-	for i, mv := range moves {
-		dyn++
-		if dyn > maxDyn {
-			e.budget = true
-			for _, done := range moves[:i] {
-				e.overlay = append(e.overlay, done.phiID)
-			}
-			return dyn, false
-		}
-		regs[mv.dst] = buf[i]
-	}
-	return dyn, true
-}
-
 // fixupAbort repairs the block counters after an aborted fast-path run: for
 // every live frame, the current block's entry bump is retracted and the
 // ids of the block's executed prefix (everything strictly before the
 // frame's pc — for suspended frames that excludes the pending call, which
 // only counts at return) are appended to the overlay. Combined with the
-// handler-appended overlays for partial slots, the reconstructed counts
+// overlays abort records for partial slots, the reconstructed counts
 // match a profiled Run's exactly.
 func (e *exec) fixupAbort() {
 	for i := range e.frames {
@@ -280,435 +255,502 @@ func (e *exec) fixupAbort() {
 	}
 }
 
-// evalCmp evaluates a comparison opcode on raw operand bits.
-func evalCmp(op ir.Op, srcTy ir.Type, x, y uint64) uint64 {
-	switch op {
-	case ir.OpICmpEQ:
-		return b2u(x == y)
-	case ir.OpICmpNE:
-		return b2u(x != y)
-	case ir.OpICmpSLT:
-		return b2u(ir.SignedValue(srcTy, x) < ir.SignedValue(srcTy, y))
-	case ir.OpICmpSLE:
-		return b2u(ir.SignedValue(srcTy, x) <= ir.SignedValue(srcTy, y))
-	case ir.OpICmpSGT:
-		return b2u(ir.SignedValue(srcTy, x) > ir.SignedValue(srcTy, y))
-	case ir.OpICmpSGE:
-		return b2u(ir.SignedValue(srcTy, x) >= ir.SignedValue(srcTy, y))
+// exitReason says why the fast loop returned to its driver.
+type exitReason uint8
+
+const (
+	exitSlot   exitReason = iota // the slot at pc is a call, return, alloca, division or fptosi
+	exitBlock                    // pc is a block entry at or past conv.at
+	exitBudget                   // the slot at pc crossed the dyn budget
+	exitMoves                    // the phi moves of the branch at pc would cross the budget
+	exitNull                     // a load or store at pc addressed word 0
+	exitOOB                      // a load or store at pc addressed memTop or above
+
+	// exitHalf marks an abort in the second half of the fused slot at pc:
+	// its first half ran and counted.
+	exitHalf exitReason = 0x80
+)
+
+// addrFault is the exit of a load or store whose address failed the check.
+func addrFault(addr uint64) exitReason {
+	if addr == 0 {
+		return exitNull
 	}
-	fx, fy := math.Float64frombits(x), math.Float64frombits(y)
-	switch op {
-	case ir.OpFCmpOEQ:
-		return b2u(fx == fy)
-	case ir.OpFCmpONE:
-		return b2u(fx < fy || fx > fy)
-	case ir.OpFCmpOLT:
-		return b2u(fx < fy)
-	case ir.OpFCmpOLE:
-		return b2u(fx <= fy)
-	case ir.OpFCmpOGT:
-		return b2u(fx > fy)
-	case ir.OpFCmpOGE:
-		return b2u(fx >= fy)
-	default:
-		panic(fmt.Sprintf("interp: evalCmp on %v", op))
-	}
+	return exitOOB
 }
 
-// evalFusedArith evaluates a fusableArith opcode on raw operand bits,
-// reproducing the generic dispatch loop's semantics case for case.
-func evalFusedArith(op ir.Op, ty ir.Type, x, y uint64) uint64 {
-	switch op {
-	case ir.OpAdd:
-		return ir.CanonInt(ty, x+y)
-	case ir.OpSub:
-		return ir.CanonInt(ty, x-y)
-	case ir.OpMul:
-		return ir.CanonInt(ty, x*y)
-	case ir.OpShl:
-		return ir.CanonInt(ty, x<<(y&uint64(ty.Bits()-1)))
-	case ir.OpLShr:
-		return x >> (y & uint64(ty.Bits()-1)) // operands canonical: high bits clear
-	case ir.OpAShr:
-		return ir.CanonInt(ty, uint64(ir.SignedValue(ty, x)>>(y&uint64(ty.Bits()-1))))
-	case ir.OpAnd:
-		return x & y
-	case ir.OpOr:
-		return x | y
-	case ir.OpXor:
-		return x ^ y
-	case ir.OpFAdd:
-		return math.Float64bits(math.Float64frombits(x) + math.Float64frombits(y))
-	case ir.OpFSub:
-		return math.Float64bits(math.Float64frombits(x) - math.Float64frombits(y))
-	case ir.OpFMul:
-		return math.Float64bits(math.Float64frombits(x) * math.Float64frombits(y))
-	case ir.OpFDiv:
-		return math.Float64bits(math.Float64frombits(x) / math.Float64frombits(y))
-	case ir.OpGEP:
-		return x + y
-	default:
-		panic(fmt.Sprintf("interp: evalFusedArith on %v", op))
-	}
-}
-
-// runFast is the fast loop over the fused code arrays: the generic run()
-// minus fault injection, taint tracking and checkpointing, with block/edge
-// counters in place of per-instruction counting, superinstruction handlers,
-// and the frame re-entry and abort paths hand-inlined — the generic loop's
-// reenter closure forces its captured locals (pc, regs, code) into heap
-// cells, which is exactly the overhead a fitness-evaluation inner loop
-// cannot afford. The dyn clock lives in a local and is synced to
-// e.dyn at every exit. In a trial tail every block entry past e.conv.at
-// compares the machine with a golden snapshot (converge.go); elsewhere
-// conv.at is math.MaxInt64 and the check is a load and a compare.
+// runFast is the fast loop's driver. It runs fastLoop from the top frame's
+// synced pc and handles each exit: a slot that needs a function call runs
+// here, through step, as the generic engine runs it, and then the loop
+// re-enters; a block entry is compared with the golden's next snapshot; an
+// abort is recorded. It returns when the entry frame returns, the run
+// aborts, or a trial tail re-joins the golden, which ends it with the
+// golden's return value.
 func (e *exec) runFast() (uint64, bool) {
+	for {
+		r := e.fastLoop()
+		fr := &e.frames[len(e.frames)-1]
+		cf := e.p.funcs[fr.fi]
+		in := &cf.fused[fr.pc]
+		switch r {
+		case exitSlot:
+			depth := len(e.frames)
+			rv, done, ok := e.step(in, true)
+			if !ok || done {
+				return rv, ok
+			}
+			if len(e.frames) <= depth || e.enter(depth) {
+				continue
+			}
+		case exitBlock:
+		default:
+			e.abort(r, cf, in)
+			return 0, false
+		}
+		if e.converge() {
+			return e.conv.c.end.ret, true
+		}
+	}
+}
+
+// enter counts the entry of the callee that step just pushed as frame
+// depth, and reports whether the loop can go on without comparing the
+// machine with a snapshot.
+func (e *exec) enter(depth int) bool {
+	e.blockCounts[e.p.funcs[e.frames[depth].fi].blockBase]++
+	return e.dyn < e.conv.at
+}
+
+// abort records the abort the fast loop reported at slot in of function
+// cf: the budget flag or the trap, and in the overlay whatever the slot
+// completed before it stopped, since no block or edge counter covers it.
+func (e *exec) abort(r exitReason, cf *compiledFunc, in *inst) {
+	if r&exitHalf != 0 {
+		e.overlay = append(e.overlay, in.id)
+	}
+	switch r &^ exitHalf {
+	case exitBudget:
+		e.budget = true
+	case exitNull:
+		e.trap = &cf.traps[TrapNull]
+	case exitOOB:
+		e.trap = &cf.traps[TrapOOB]
+	case exitMoves:
+		// The branch took its edge; the first maxDyn-dyn moves complete
+		// and count, and the next one crosses the budget. A fused
+		// comparison ran and counted before them.
+		fr := &e.frames[len(e.frames)-1]
+		regs := e.regSlab[fr.regOff : fr.regOff+fr.nSlots]
+		moves := in.movesB
+		switch {
+		case in.op == ir.OpBr,
+			in.op == ir.OpCondBr && regs[in.a]&1 != 0,
+			in.op == opFusedCmpBr && regs[in.dst] != 0:
+			moves = in.movesA
+		}
+		if in.op == opFusedCmpBr {
+			e.overlay = append(e.overlay, in.id)
+		}
+		for _, mv := range moves[:e.maxDyn-e.dyn] {
+			e.overlay = append(e.overlay, mv.phiID)
+		}
+		e.dyn = e.maxDyn + 1
+		e.budget = true
+	}
+}
+
+// fastLoop runs the top frame's fused code from its synced pc until a slot
+// needs the driver, and returns why, with the frame's pc and e.dyn synced.
+// It makes no function calls. Go's register ABI keeps no register live
+// across a call, so one call anywhere in a loop makes the compiler store
+// its live locals to the stack before every instruction and reload them
+// after; `make test-fusion` fails if the loop's object code holds a CALL
+// other than a bounds-check panic or stack growth (DESIGN §9). So the loop
+// never leaves its frame (calls and returns are exits), keeps its state in
+// locals, stores no pointer into e (a pointer store calls the write
+// barrier) and leaves every trap, budget and overlay record to the driver.
+// It evaluates each operator inline wherever a slot needs it, since a
+// shared helper would be a call.
+func (e *exec) fastLoop() exitReason {
+	fr := &e.frames[len(e.frames)-1]
+	code := e.p.funcs[fr.fi].fused
+	regs := e.regSlab[fr.regOff : fr.regOff+fr.nSlots]
+	mem := e.mem[:e.memTop]
+	// left counts the dynamic instructions the budget still allows, so
+	// the dyn clock and the budget take one register: dyn is maxDyn-left.
+	pc, left := fr.pc, e.maxDyn-e.dyn
 	var (
-		fr     *frame
-		cf     *compiledFunc
-		regs   []uint64
-		consts []uint64
-		code   []inst
-		pc     int32
+		r               exitReason
+		v               uint64
+		moves           []move
+		edge, blk, jump int32
 	)
-	counters := e.blockCounts
-	dyn := e.dyn
-	maxDyn := e.maxDyn
-
-	fr = &e.frames[len(e.frames)-1]
-	cf = e.p.funcs[fr.fi]
-	regs = e.regSlab[fr.regOff : fr.regOff+fr.nSlots]
-	consts = cf.consts
-	code = cf.fused
-	pc = fr.pc
-
 	for {
 		in := &code[pc]
 		switch in.op {
+		case ir.OpAdd:
+			v = ir.CanonInt(in.ty, regs[in.a]+regs[in.b])
+		case ir.OpSub:
+			v = ir.CanonInt(in.ty, regs[in.a]-regs[in.b])
+		case ir.OpMul:
+			v = ir.CanonInt(in.ty, regs[in.a]*regs[in.b])
+		case ir.OpShl:
+			v = ir.CanonInt(in.ty, regs[in.a]<<(regs[in.b]&uint64(in.ty.Bits()-1)))
+		case ir.OpLShr:
+			v = regs[in.a] >> (regs[in.b] & uint64(in.ty.Bits()-1)) // operands canonical: high bits clear
+		case ir.OpAShr:
+			v = ir.CanonInt(in.ty, uint64(ir.SignedValue(in.ty, regs[in.a])>>(regs[in.b]&uint64(in.ty.Bits()-1))))
+		case ir.OpAnd:
+			v = regs[in.a] & regs[in.b]
+		case ir.OpOr:
+			v = regs[in.a] | regs[in.b]
+		case ir.OpXor:
+			v = regs[in.a] ^ regs[in.b]
+		case ir.OpFAdd:
+			v = math.Float64bits(math.Float64frombits(regs[in.a]) + math.Float64frombits(regs[in.b]))
+		case ir.OpFSub:
+			v = math.Float64bits(math.Float64frombits(regs[in.a]) - math.Float64frombits(regs[in.b]))
+		case ir.OpFMul:
+			v = math.Float64bits(math.Float64frombits(regs[in.a]) * math.Float64frombits(regs[in.b]))
+		case ir.OpFDiv:
+			v = math.Float64bits(math.Float64frombits(regs[in.a]) / math.Float64frombits(regs[in.b]))
+		case ir.OpGEP:
+			v = regs[in.a] + regs[in.b]
+		case ir.OpICmpEQ:
+			v = b2u(regs[in.a] == regs[in.b])
+		case ir.OpICmpNE:
+			v = b2u(regs[in.a] != regs[in.b])
+		case ir.OpICmpSLT:
+			v = b2u(ir.SignedValue(in.srcTy, regs[in.a]) < ir.SignedValue(in.srcTy, regs[in.b]))
+		case ir.OpICmpSLE:
+			v = b2u(ir.SignedValue(in.srcTy, regs[in.a]) <= ir.SignedValue(in.srcTy, regs[in.b]))
+		case ir.OpICmpSGT:
+			v = b2u(ir.SignedValue(in.srcTy, regs[in.a]) > ir.SignedValue(in.srcTy, regs[in.b]))
+		case ir.OpICmpSGE:
+			v = b2u(ir.SignedValue(in.srcTy, regs[in.a]) >= ir.SignedValue(in.srcTy, regs[in.b]))
+		case ir.OpFCmpOEQ:
+			v = b2u(math.Float64frombits(regs[in.a]) == math.Float64frombits(regs[in.b]))
+		case ir.OpFCmpONE:
+			fx, fy := math.Float64frombits(regs[in.a]), math.Float64frombits(regs[in.b])
+			v = b2u(fx < fy || fx > fy)
+		case ir.OpFCmpOLT:
+			v = b2u(math.Float64frombits(regs[in.a]) < math.Float64frombits(regs[in.b]))
+		case ir.OpFCmpOLE:
+			v = b2u(math.Float64frombits(regs[in.a]) <= math.Float64frombits(regs[in.b]))
+		case ir.OpFCmpOGT:
+			v = b2u(math.Float64frombits(regs[in.a]) > math.Float64frombits(regs[in.b]))
+		case ir.OpFCmpOGE:
+			v = b2u(math.Float64frombits(regs[in.a]) >= math.Float64frombits(regs[in.b]))
+		case ir.OpTrunc, ir.OpZExt:
+			v = ir.CanonInt(in.ty, regs[in.a])
+		case ir.OpSExt:
+			v = ir.CanonInt(in.ty, uint64(ir.SignedValue(in.srcTy, regs[in.a])))
+		case ir.OpSIToFP:
+			v = math.Float64bits(float64(ir.SignedValue(in.srcTy, regs[in.a])))
+		case ir.OpSelect:
+			v = regs[in.c]
+			if regs[in.a]&1 != 0 {
+				v = regs[in.b]
+			}
+		case ir.OpLoad:
+			addr := regs[in.a]
+			if addr == 0 || addr >= uint64(len(mem)) {
+				r = addrFault(addr)
+				goto out
+			}
+			v = ir.CanonInt(in.ty, mem[addr])
+		case ir.OpStore:
+			addr := regs[in.b]
+			if addr == 0 || addr >= uint64(len(mem)) {
+				r = addrFault(addr)
+				goto out
+			}
+			mem[addr] = regs[in.a]
+			pc++
+			continue
+
 		case ir.OpBr:
-			if len(in.movesA) != 0 {
-				var ok bool
-				dyn, ok = e.applyMovesFast(in.movesA, regs, consts, dyn)
-				if !ok {
-					fr.pc, e.dyn = pc, dyn
-					return 0, false
-				}
-				counters[in.edgeA]++
-			}
-			counters[in.blkA]++
-			pc = in.jumpA
-			if dyn < e.conv.at || !e.converge(fr, pc, dyn) {
-				continue
-			}
-			return e.conv.c.end.ret, true
-
+			moves, edge, blk, jump = in.movesA, in.edgeA, in.blkA, in.jumpA
+			goto branch
 		case ir.OpCondBr:
-			moves, edge, blk, jump := in.movesB, in.edgeB, in.blkB, in.jumpB
-			if get(regs, consts, in.a)&1 != 0 {
+			if regs[in.a]&1 != 0 {
 				moves, edge, blk, jump = in.movesA, in.edgeA, in.blkA, in.jumpA
+			} else {
+				moves, edge, blk, jump = in.movesB, in.edgeB, in.blkB, in.jumpB
 			}
-			if len(moves) != 0 {
-				var ok bool
-				dyn, ok = e.applyMovesFast(moves, regs, consts, dyn)
-				if !ok {
-					fr.pc, e.dyn = pc, dyn
-					return 0, false
-				}
-				counters[edge]++
-			}
-			counters[blk]++
-			pc = jump
-			if dyn < e.conv.at || !e.converge(fr, pc, dyn) {
-				continue
-			}
-			return e.conv.c.end.ret, true
-
+			goto branch
 		case opFusedCmpBr:
-			v := evalCmp(in.op1, in.srcTy, get(regs, consts, in.a), get(regs, consts, in.b))
-			dyn++
-			if dyn > maxDyn {
-				e.budget = true
-				fr.pc, e.dyn = pc, dyn
-				return 0, false
+			x, y := regs[in.a], regs[in.b]
+			switch in.op1 {
+			case ir.OpICmpEQ:
+				v = b2u(x == y)
+			case ir.OpICmpNE:
+				v = b2u(x != y)
+			case ir.OpICmpSLT:
+				v = b2u(ir.SignedValue(in.srcTy, x) < ir.SignedValue(in.srcTy, y))
+			case ir.OpICmpSLE:
+				v = b2u(ir.SignedValue(in.srcTy, x) <= ir.SignedValue(in.srcTy, y))
+			case ir.OpICmpSGT:
+				v = b2u(ir.SignedValue(in.srcTy, x) > ir.SignedValue(in.srcTy, y))
+			case ir.OpICmpSGE:
+				v = b2u(ir.SignedValue(in.srcTy, x) >= ir.SignedValue(in.srcTy, y))
+			case ir.OpFCmpOEQ:
+				v = b2u(math.Float64frombits(x) == math.Float64frombits(y))
+			case ir.OpFCmpONE:
+				fx, fy := math.Float64frombits(x), math.Float64frombits(y)
+				v = b2u(fx < fy || fx > fy)
+			case ir.OpFCmpOLT:
+				v = b2u(math.Float64frombits(x) < math.Float64frombits(y))
+			case ir.OpFCmpOLE:
+				v = b2u(math.Float64frombits(x) <= math.Float64frombits(y))
+			case ir.OpFCmpOGT:
+				v = b2u(math.Float64frombits(x) > math.Float64frombits(y))
+			case ir.OpFCmpOGE:
+				v = b2u(math.Float64frombits(x) >= math.Float64frombits(y))
+			}
+			left--
+			if left < 0 {
+				r = exitBudget
+				goto out
 			}
 			regs[in.dst] = v
-			moves, edge, blk, jump := in.movesB, in.edgeB, in.blkB, in.jumpB
 			if v != 0 {
 				moves, edge, blk, jump = in.movesA, in.edgeA, in.blkA, in.jumpA
+			} else {
+				moves, edge, blk, jump = in.movesB, in.edgeB, in.blkB, in.jumpB
 			}
-			if len(moves) != 0 {
-				var ok bool
-				dyn, ok = e.applyMovesFast(moves, regs, consts, dyn)
-				if !ok {
-					// The comparison executed and counted; the fixup prefix
-					// walk stops before this slot, so overlay it explicitly.
-					e.overlay = append(e.overlay, in.id)
-					fr.pc, e.dyn = pc, dyn
-					return 0, false
-				}
-				counters[edge]++
-			}
-			counters[blk]++
-			pc = jump
-			if dyn < e.conv.at || !e.converge(fr, pc, dyn) {
-				continue
-			}
-			return e.conv.c.end.ret, true
+			goto branch
 
 		case opFusedLoadArith:
-			addr := get(regs, consts, in.a)
-			if !e.checkAddr(cf, addr) {
-				fr.pc, e.dyn = pc, dyn
-				return 0, false
+			addr := regs[in.a]
+			if addr == 0 || addr >= uint64(len(mem)) {
+				r = addrFault(addr)
+				goto out
 			}
-			dyn++
-			if dyn > maxDyn {
-				e.budget = true
-				fr.pc, e.dyn = pc, dyn
-				return 0, false
+			left--
+			if left < 0 {
+				r = exitBudget
+				goto out
 			}
-			regs[in.dst] = ir.CanonInt(in.ty, e.mem[addr])
-			v2 := evalFusedArith(in.op2, in.ty2, get(regs, consts, in.a2), get(regs, consts, in.b2))
-			dyn++
-			if dyn > maxDyn {
-				e.budget = true
-				e.overlay = append(e.overlay, in.id)
-				fr.pc, e.dyn = pc, dyn
-				return 0, false
-			}
-			regs[in.dst2] = v2
-			pc++
-			continue
-
+			regs[in.dst] = ir.CanonInt(in.ty, mem[addr])
+			goto second
 		case opFusedArithLoad:
-			v1 := evalFusedArith(in.op1, in.ty, get(regs, consts, in.a), get(regs, consts, in.b))
-			dyn++
-			if dyn > maxDyn {
-				e.budget = true
-				fr.pc, e.dyn = pc, dyn
-				return 0, false
+			x, y, ty := regs[in.a], regs[in.b], in.ty
+			switch in.op1 {
+			case ir.OpAdd:
+				v = ir.CanonInt(ty, x+y)
+			case ir.OpSub:
+				v = ir.CanonInt(ty, x-y)
+			case ir.OpMul:
+				v = ir.CanonInt(ty, x*y)
+			case ir.OpShl:
+				v = ir.CanonInt(ty, x<<(y&uint64(ty.Bits()-1)))
+			case ir.OpLShr:
+				v = x >> (y & uint64(ty.Bits()-1)) // operands canonical: high bits clear
+			case ir.OpAShr:
+				v = ir.CanonInt(ty, uint64(ir.SignedValue(ty, x)>>(y&uint64(ty.Bits()-1))))
+			case ir.OpAnd:
+				v = x & y
+			case ir.OpOr:
+				v = x | y
+			case ir.OpXor:
+				v = x ^ y
+			case ir.OpFAdd:
+				v = math.Float64bits(math.Float64frombits(x) + math.Float64frombits(y))
+			case ir.OpFSub:
+				v = math.Float64bits(math.Float64frombits(x) - math.Float64frombits(y))
+			case ir.OpFMul:
+				v = math.Float64bits(math.Float64frombits(x) * math.Float64frombits(y))
+			case ir.OpFDiv:
+				v = math.Float64bits(math.Float64frombits(x) / math.Float64frombits(y))
+			case ir.OpGEP:
+				v = x + y
 			}
-			regs[in.dst] = v1
-			addr := get(regs, consts, in.a2)
-			if !e.checkAddr(cf, addr) {
-				e.overlay = append(e.overlay, in.id)
-				fr.pc, e.dyn = pc, dyn
-				return 0, false
+			left--
+			if left < 0 {
+				r = exitBudget
+				goto out
 			}
-			dyn++
-			if dyn > maxDyn {
-				e.budget = true
-				e.overlay = append(e.overlay, in.id)
-				fr.pc, e.dyn = pc, dyn
-				return 0, false
+			regs[in.dst] = v
+			addr := regs[in.a2]
+			if addr == 0 || addr >= uint64(len(mem)) {
+				r = addrFault(addr) | exitHalf
+				goto out
 			}
-			regs[in.dst2] = ir.CanonInt(in.ty2, e.mem[addr])
+			left--
+			if left < 0 {
+				r = exitBudget | exitHalf
+				goto out
+			}
+			regs[in.dst2] = ir.CanonInt(in.ty2, mem[addr])
 			pc++
 			continue
-
 		case opFusedArithStore:
-			v1 := evalFusedArith(in.op1, in.ty, get(regs, consts, in.a), get(regs, consts, in.b))
-			dyn++
-			if dyn > maxDyn {
-				e.budget = true
-				fr.pc, e.dyn = pc, dyn
-				return 0, false
+			x, y, ty := regs[in.a], regs[in.b], in.ty
+			switch in.op1 {
+			case ir.OpAdd:
+				v = ir.CanonInt(ty, x+y)
+			case ir.OpSub:
+				v = ir.CanonInt(ty, x-y)
+			case ir.OpMul:
+				v = ir.CanonInt(ty, x*y)
+			case ir.OpShl:
+				v = ir.CanonInt(ty, x<<(y&uint64(ty.Bits()-1)))
+			case ir.OpLShr:
+				v = x >> (y & uint64(ty.Bits()-1)) // operands canonical: high bits clear
+			case ir.OpAShr:
+				v = ir.CanonInt(ty, uint64(ir.SignedValue(ty, x)>>(y&uint64(ty.Bits()-1))))
+			case ir.OpAnd:
+				v = x & y
+			case ir.OpOr:
+				v = x | y
+			case ir.OpXor:
+				v = x ^ y
+			case ir.OpFAdd:
+				v = math.Float64bits(math.Float64frombits(x) + math.Float64frombits(y))
+			case ir.OpFSub:
+				v = math.Float64bits(math.Float64frombits(x) - math.Float64frombits(y))
+			case ir.OpFMul:
+				v = math.Float64bits(math.Float64frombits(x) * math.Float64frombits(y))
+			case ir.OpFDiv:
+				v = math.Float64bits(math.Float64frombits(x) / math.Float64frombits(y))
+			case ir.OpGEP:
+				v = x + y
 			}
-			regs[in.dst] = v1
-			addr := get(regs, consts, in.b2)
-			if !e.checkAddr(cf, addr) {
-				e.overlay = append(e.overlay, in.id)
-				fr.pc, e.dyn = pc, dyn
-				return 0, false
+			left--
+			if left < 0 {
+				r = exitBudget
+				goto out
 			}
-			e.mem[addr] = get(regs, consts, in.a2)
+			regs[in.dst] = v
+			addr := regs[in.b2]
+			if addr == 0 || addr >= uint64(len(mem)) {
+				r = addrFault(addr) | exitHalf
+				goto out
+			}
+			mem[addr] = regs[in.a2]
 			pc++
 			continue
-
 		case opFusedArithArith:
-			v1 := evalFusedArith(in.op1, in.ty, get(regs, consts, in.a), get(regs, consts, in.b))
-			dyn++
-			if dyn > maxDyn {
-				e.budget = true
-				fr.pc, e.dyn = pc, dyn
-				return 0, false
+			x, y, ty := regs[in.a], regs[in.b], in.ty
+			switch in.op1 {
+			case ir.OpAdd:
+				v = ir.CanonInt(ty, x+y)
+			case ir.OpSub:
+				v = ir.CanonInt(ty, x-y)
+			case ir.OpMul:
+				v = ir.CanonInt(ty, x*y)
+			case ir.OpShl:
+				v = ir.CanonInt(ty, x<<(y&uint64(ty.Bits()-1)))
+			case ir.OpLShr:
+				v = x >> (y & uint64(ty.Bits()-1)) // operands canonical: high bits clear
+			case ir.OpAShr:
+				v = ir.CanonInt(ty, uint64(ir.SignedValue(ty, x)>>(y&uint64(ty.Bits()-1))))
+			case ir.OpAnd:
+				v = x & y
+			case ir.OpOr:
+				v = x | y
+			case ir.OpXor:
+				v = x ^ y
+			case ir.OpFAdd:
+				v = math.Float64bits(math.Float64frombits(x) + math.Float64frombits(y))
+			case ir.OpFSub:
+				v = math.Float64bits(math.Float64frombits(x) - math.Float64frombits(y))
+			case ir.OpFMul:
+				v = math.Float64bits(math.Float64frombits(x) * math.Float64frombits(y))
+			case ir.OpFDiv:
+				v = math.Float64bits(math.Float64frombits(x) / math.Float64frombits(y))
+			case ir.OpGEP:
+				v = x + y
 			}
-			regs[in.dst] = v1
-			v2 := evalFusedArith(in.op2, in.ty2, get(regs, consts, in.a2), get(regs, consts, in.b2))
-			dyn++
-			if dyn > maxDyn {
-				e.budget = true
-				e.overlay = append(e.overlay, in.id)
-				fr.pc, e.dyn = pc, dyn
-				return 0, false
+			left--
+			if left < 0 {
+				r = exitBudget
+				goto out
 			}
-			regs[in.dst2] = v2
-			pc++
-			continue
+			regs[in.dst] = v
+			goto second
 
-		case ir.OpRet:
-			var rv uint64
-			if cf.retTy != ir.Void {
-				rv = get(regs, consts, in.a)
-			}
-			e.memTop = fr.memBase
-			e.slabTop = int(fr.regOff)
-			e.frames = e.frames[:len(e.frames)-1]
-			if len(e.frames) == 0 {
-				e.dyn = dyn
-				return rv, true
-			}
-			fr = &e.frames[len(e.frames)-1]
-			cf = e.p.funcs[fr.fi]
-			regs = e.regSlab[fr.regOff : fr.regOff+fr.nSlots]
-			consts = cf.consts
-			code = cf.fused
-			pc = fr.pc
-			// pc is the caller's suspended OpCall (never fused); complete it.
-			cin := &code[pc]
-			if cin.dst < 0 { // void call
-				pc++
-				continue
-			}
-			dyn++
-			if dyn > maxDyn {
-				e.budget = true
-				fr.pc, e.dyn = pc, dyn
-				return 0, false
-			}
-			regs[cin.dst] = rv
-			pc++
-			continue
+		default: // OpCall, OpRet, OpAlloca, OpSDiv, OpSRem, OpFPToSI
+			r = exitSlot
+			goto out
 		}
-
-		var v uint64
-		switch in.op {
-		case ir.OpAdd:
-			v = ir.CanonInt(in.ty, get(regs, consts, in.a)+get(regs, consts, in.b))
-		case ir.OpSub:
-			v = ir.CanonInt(in.ty, get(regs, consts, in.a)-get(regs, consts, in.b))
-		case ir.OpMul:
-			v = ir.CanonInt(in.ty, get(regs, consts, in.a)*get(regs, consts, in.b))
-		case ir.OpSDiv, ir.OpSRem:
-			x := ir.SignedValue(in.ty, get(regs, consts, in.a))
-			y := ir.SignedValue(in.ty, get(regs, consts, in.b))
-			if y == 0 {
-				e.trap = &cf.traps[TrapDivZero]
-				fr.pc, e.dyn = pc, dyn
-				return 0, false
-			}
-			minInt := int64(math.MinInt64)
-			if in.ty == ir.I32 {
-				minInt = math.MinInt32
-			}
-			if x == minInt && y == -1 {
-				e.trap = &cf.traps[TrapDivOverflow]
-				fr.pc, e.dyn = pc, dyn
-				return 0, false
-			}
-			if in.op == ir.OpSDiv {
-				v = ir.CanonInt(in.ty, uint64(x/y))
-			} else {
-				v = ir.CanonInt(in.ty, uint64(x%y))
-			}
-		case ir.OpShl, ir.OpLShr, ir.OpAShr, ir.OpAnd, ir.OpOr, ir.OpXor,
-			ir.OpFAdd, ir.OpFSub, ir.OpFMul, ir.OpFDiv, ir.OpGEP:
-			v = evalFusedArith(in.op, in.ty, get(regs, consts, in.a), get(regs, consts, in.b))
-		case ir.OpICmpEQ, ir.OpICmpNE, ir.OpICmpSLT, ir.OpICmpSLE, ir.OpICmpSGT, ir.OpICmpSGE,
-			ir.OpFCmpOEQ, ir.OpFCmpONE, ir.OpFCmpOLT, ir.OpFCmpOLE, ir.OpFCmpOGT, ir.OpFCmpOGE:
-			v = evalCmp(in.op, in.srcTy, get(regs, consts, in.a), get(regs, consts, in.b))
-		case ir.OpTrunc, ir.OpZExt:
-			v = ir.CanonInt(in.ty, get(regs, consts, in.a))
-		case ir.OpSExt:
-			v = ir.CanonInt(in.ty, uint64(ir.SignedValue(in.srcTy, get(regs, consts, in.a))))
-		case ir.OpSIToFP:
-			v = math.Float64bits(float64(ir.SignedValue(in.srcTy, get(regs, consts, in.a))))
-		case ir.OpFPToSI:
-			v = fpToSI(in.ty, math.Float64frombits(get(regs, consts, in.a)))
-		case ir.OpSelect:
-			if get(regs, consts, in.a)&1 != 0 {
-				v = get(regs, consts, in.b)
-			} else {
-				v = get(regs, consts, in.c)
-			}
-		case ir.OpAlloca:
-			count := int64(get(regs, consts, in.a))
-			if count < 0 || count > e.maxMem || e.memTop+count > e.maxMem {
-				e.trap = &cf.traps[TrapBadAlloc]
-				fr.pc, e.dyn = pc, dyn
-				return 0, false
-			}
-			base := e.memTop
-			e.memTop += count
-			if int64(len(e.mem)) < e.memTop {
-				e.growMem(e.memTop)
-			}
-			// Zeroing claimed stack memory is what lets resetFast skip
-			// clearing e.mem between runs.
-			clear(e.mem[base:e.memTop])
-			v = uint64(base)
-		case ir.OpLoad:
-			addr := get(regs, consts, in.a)
-			if !e.checkAddr(cf, addr) {
-				fr.pc, e.dyn = pc, dyn
-				return 0, false
-			}
-			v = ir.CanonInt(in.ty, e.mem[addr])
-		case ir.OpStore:
-			addr := get(regs, consts, in.b)
-			if !e.checkAddr(cf, addr) {
-				fr.pc, e.dyn = pc, dyn
-				return 0, false
-			}
-			e.mem[addr] = get(regs, consts, in.a)
-			pc++
-			continue
-		case ir.OpCall:
-			if in.callee >= 0 {
-				if len(e.frames) >= e.maxDep {
-					e.trap = &e.p.funcs[in.callee].traps[TrapStackOverflow]
-					fr.pc, e.dyn = pc, dyn
-					return 0, false
-				}
-				fr.pc = pc
-				callerOff, callerN := fr.regOff, fr.nSlots
-				e.pushFrame(in.callee)
-				// pushFrame may reallocate the slabs and the frame stack;
-				// re-derive the caller's window before reading argument refs.
-				callerRegs := e.regSlab[callerOff : callerOff+callerN]
-				nf := e.frames[len(e.frames)-1]
-				dst := e.regSlab[nf.regOff : nf.regOff+int32(len(in.args))]
-				for i, r := range in.args {
-					dst[i] = get(callerRegs, consts, r)
-				}
-				fr = &e.frames[len(e.frames)-1]
-				cf = e.p.funcs[fr.fi]
-				regs = e.regSlab[fr.regOff : fr.regOff+fr.nSlots]
-				consts = cf.consts
-				code = cf.fused
-				pc = 0
-				counters[cf.blockBase]++
-				if dyn < e.conv.at || !e.converge(fr, pc, dyn) {
-					continue
-				}
-				return e.conv.c.end.ret, true
-			}
-			v = e.intrinsic(in, regs, consts, nil)
-			if in.dst < 0 { // void call (print intrinsics)
-				pc++
-				continue
-			}
-		default:
-			panic(fmt.Sprintf("interp: unhandled opcode %v in fast path", in.op))
-		}
-
-		dyn++
-		if dyn > maxDyn {
-			e.budget = true
-			fr.pc, e.dyn = pc, dyn
-			return 0, false
+		left--
+		if left < 0 {
+			r = exitBudget
+			goto out
 		}
 		regs[in.dst] = v
 		pc++
+		continue
+
+	second: // the arithmetic second half of opFusedLoadArith and opFusedArithArith
+		{
+			x, y, ty := regs[in.a2], regs[in.b2], in.ty2
+			switch in.op2 {
+			case ir.OpAdd:
+				v = ir.CanonInt(ty, x+y)
+			case ir.OpSub:
+				v = ir.CanonInt(ty, x-y)
+			case ir.OpMul:
+				v = ir.CanonInt(ty, x*y)
+			case ir.OpShl:
+				v = ir.CanonInt(ty, x<<(y&uint64(ty.Bits()-1)))
+			case ir.OpLShr:
+				v = x >> (y & uint64(ty.Bits()-1)) // operands canonical: high bits clear
+			case ir.OpAShr:
+				v = ir.CanonInt(ty, uint64(ir.SignedValue(ty, x)>>(y&uint64(ty.Bits()-1))))
+			case ir.OpAnd:
+				v = x & y
+			case ir.OpOr:
+				v = x | y
+			case ir.OpXor:
+				v = x ^ y
+			case ir.OpFAdd:
+				v = math.Float64bits(math.Float64frombits(x) + math.Float64frombits(y))
+			case ir.OpFSub:
+				v = math.Float64bits(math.Float64frombits(x) - math.Float64frombits(y))
+			case ir.OpFMul:
+				v = math.Float64bits(math.Float64frombits(x) * math.Float64frombits(y))
+			case ir.OpFDiv:
+				v = math.Float64bits(math.Float64frombits(x) / math.Float64frombits(y))
+			case ir.OpGEP:
+				v = x + y
+			}
+		}
+		left--
+		if left < 0 {
+			r = exitBudget | exitHalf
+			goto out
+		}
+		regs[in.dst2] = v
+		pc++
+		continue
+
+	branch: // a taken edge: its phi moves, then its counters and target
+		if n := len(moves); n != 0 {
+			if int64(n) > left {
+				r = exitMoves
+				goto out
+			}
+			buf := e.moveBuf[:n]
+			for i := range moves {
+				buf[i] = regs[moves[i].src]
+			}
+			for i := range moves {
+				regs[moves[i].dst] = buf[i]
+			}
+			left -= int64(n)
+			e.blockCounts[edge]++
+		}
+		e.blockCounts[blk]++
+		pc = jump
+		if e.maxDyn-left >= e.conv.at {
+			r = exitBlock
+			goto out
+		}
 	}
+out:
+	e.frames[len(e.frames)-1].pc, e.dyn = pc, e.maxDyn-left
+	return r
 }

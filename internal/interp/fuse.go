@@ -16,14 +16,16 @@ import "repro/internal/ir"
 // engine runs the unfused one, and machine state crosses between them
 // through fusedPC (a trial's hand-off, the convergence compare).
 //
-// Fused opcodes live far above ir.opMax; they exist only inside compiled
-// fused code and never appear in a Program's unfused array.
+// Fused opcodes are numbered right after the last ir opcode, so the fast
+// loop's one switch covers every slot with one dense jump table; they
+// exist only inside compiled fused code and never appear in a Program's
+// unfused array.
 const (
-	opFusedCmpBr      ir.Op = 0xF0 + iota // icmp/fcmp + condbr on its result
-	opFusedLoadArith                      // load + arithmetic
-	opFusedArithLoad                      // arithmetic + load (e.g. gep + load)
-	opFusedArithStore                     // arithmetic + store (e.g. gep + store)
-	opFusedArithArith                     // arithmetic + arithmetic (e.g. fmul + fadd)
+	opFusedCmpBr      ir.Op = ir.NumOps + iota // icmp/fcmp + condbr on its result
+	opFusedLoadArith                           // load + arithmetic
+	opFusedArithLoad                           // arithmetic + load (e.g. gep + load)
+	opFusedArithStore                          // arithmetic + store (e.g. gep + store)
+	opFusedArithArith                          // arithmetic + arithmetic (e.g. fmul + fadd)
 )
 
 // fusableArith is the set of non-trapping single-value operators eligible

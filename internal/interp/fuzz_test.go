@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -83,5 +84,67 @@ func stackedEntry(m *ir.Module, pad int64) {
 	b.Store(r, slot)
 	r2 := b.Call(ir.I64, "main", b.Param(1), b.Param(0), b.Param(2))
 	b.Ret(b.Xor(r2, b.Load(ir.I64, slot)))
+	m.EntryName = f.Name
+}
+
+// FuzzProfilerRun checks the fast loop's profiled runs against the
+// reference engine on random modules. For a fuzzed module seed, arguments
+// and dyn budget, a Profiler run must match a profiled Run field by field
+// (equivHarness.check): return value, output, dyn count, trap, budget and
+// detection flags, coverage, fitness and the reconstructed per-instruction
+// counts. The module runs twice: as generated, and under loopedEntry,
+// whose loop adds call completions and two-move phi lists to the slots
+// the budget can end a run in. budget 0 runs to the end; a small one ends
+// the run inside whichever slot crosses it, either half of a fused pair
+// and a phi-move list included. The committed seeds cut module 1 in the
+// second half of a fused arith-arith pair (cut-in-fused-pair), after the
+// first of the two moves on the loop's back edge, which a fused
+// compare-and-branch takes (cut-in-move-list), and at the completion of
+// the first call to main (cut-at-call-completion).
+func FuzzProfilerRun(f *testing.F) {
+	f.Add(uint64(2021), int64(3), int64(-7), 1.5, uint16(0))
+	f.Add(uint64(7), int64(-40), int64(12), -3.25, uint16(9))
+	f.Add(uint64(99), int64(0), int64(0), 0.0, uint16(1))
+	f.Add(uint64(314), int64(50), int64(1), 2.5, uint16(25))
+	f.Fuzz(func(t *testing.T, modSeed uint64, a, b int64, x float64, budget uint16) {
+		args := []uint64{uint64(a), uint64(b), math.Float64bits(x)}
+		for _, looped := range []bool{false, true} {
+			mod := irtest.RandomModule(xrand.New(modSeed))
+			if looped {
+				loopedEntry(mod)
+			}
+			h := newEquivHarness(mustCompile(t, mod), xrand.New(modSeed))
+			h.check(t, fmt.Sprintf("looped=%v", looped), args, int64(budget))
+		}
+	})
+}
+
+// loopedEntry makes a new entry function of m that calls m's random main
+// in a three-trip loop whose two phis move together on each edge into the
+// loop header:
+//
+//	looped(a, b, x) { acc = 0
+//	                  for i = 0; i < 3; i++ { acc ^= main(a+i, b, x) }
+//	                  return acc }
+func loopedEntry(m *ir.Module) {
+	f := m.NewFunc("looped", ir.I64, &ir.Param{Name: "a", Ty: ir.I64}, &ir.Param{Name: "b", Ty: ir.I64}, &ir.Param{Name: "x", Ty: ir.F64})
+	b := ir.NewBuilder(f)
+	entry := b.Cur
+	loop := b.Block("loop")
+	done := b.Block("done")
+	b.Br(loop)
+	b.SetBlock(loop)
+	i := b.Phi(ir.I64)
+	acc := b.Phi(ir.I64)
+	r := b.Call(ir.I64, "main", b.Add(b.Param(0), i), b.Param(1), b.Param(2))
+	acc2 := b.Xor(acc, r)
+	i2 := b.Add(i, ir.I64c(1))
+	b.CondBr(b.ICmp(ir.OpICmpSLT, i2, ir.I64c(3)), loop, done)
+	ir.AddIncoming(i, ir.I64c(0), entry)
+	ir.AddIncoming(i, i2, loop)
+	ir.AddIncoming(acc, ir.I64c(0), entry)
+	ir.AddIncoming(acc, acc2, loop)
+	b.SetBlock(done)
+	b.Ret(acc2)
 	m.EntryName = f.Name
 }

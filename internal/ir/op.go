@@ -72,7 +72,10 @@ const (
 	OpCondBr // operands: I1; targets true/false in Instr.Targets
 	OpRet    // optional operand: return value
 
-	opMax // sentinel
+	// NumOps is one past the last opcode. A consumer that numbers opcodes
+	// of its own (the interpreter's fused superinstructions) starts here,
+	// so one dense switch covers both sets.
+	NumOps
 )
 
 var opNames = [...]string{

@@ -82,19 +82,22 @@ func Float64Bits(v float64) uint64 { return math.Float64bits(v) }
 // BitsToFloat64 converts a raw slot value back to a float.
 func BitsToFloat64(b uint64) float64 { return math.Float64frombits(b) }
 
+// canonMask[ty] keeps the storage bits of integer type ty: bit 0 for I1,
+// the low 32 bits for I32, all 64 for every other type.
+var canonMask = func() (m [256]uint64) {
+	for ty := range m {
+		m[ty] = ^uint64(0)
+	}
+	m[I1] = 1
+	m[I32] = 0xFFFFFFFF
+	return m
+}()
+
 // CanonInt canonicalizes a raw 64-bit pattern to the storage form of an
 // integer type: I1 keeps bit 0, I32 keeps the low 32 bits zero-extended,
-// I64/Ptr keep all bits. Float and void values pass through unchanged.
-func CanonInt(ty Type, bits uint64) uint64 {
-	switch ty {
-	case I1:
-		return bits & 1
-	case I32:
-		return bits & 0xFFFFFFFF
-	default:
-		return bits
-	}
-}
+// I64/Ptr keep all bits. Float and void values pass through unchanged. It
+// is one masked load, with no branch on the type.
+func CanonInt(ty Type, bits uint64) uint64 { return bits & canonMask[ty] }
 
 // SignedValue interprets a canonical slot value of integer type ty as a
 // signed integer.
