@@ -299,7 +299,13 @@ func (e *exec) runFast() (uint64, bool) {
 			if !ok || done {
 				return rv, ok
 			}
-			if len(e.frames) <= depth || e.enter(depth) {
+			if len(e.frames) <= depth {
+				continue
+			}
+			// step pushed a callee: count its entry block, which is a
+			// block entry like any other for the snapshot compare.
+			e.blockCounts[e.p.funcs[e.frames[depth].fi].blockBase]++
+			if e.dyn < e.conv.at {
 				continue
 			}
 		case exitBlock:
@@ -311,14 +317,6 @@ func (e *exec) runFast() (uint64, bool) {
 			return e.conv.c.end.ret, true
 		}
 	}
-}
-
-// enter counts the entry of the callee that step just pushed as frame
-// depth, and reports whether the loop can go on without comparing the
-// machine with a snapshot.
-func (e *exec) enter(depth int) bool {
-	e.blockCounts[e.p.funcs[e.frames[depth].fi].blockBase]++
-	return e.dyn < e.conv.at
 }
 
 // abort records the abort the fast loop reported at slot in of function
